@@ -32,11 +32,23 @@ from wreathembed.words import FS_ALPHABET, ZB_ALPHABET, Word, WordError, parse_w
 
 BASES = ("free-abelian", "insep:mock-odd-even", "insep:halting", "re:mock", "re:halting")
 PAIRS = ("mock-odd-even", "halting")
+HINTED_PAIRS = ("mock-odd-even",)  # theorem1 needs a membership hint
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage problems exit 1, not argparse's 2
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """Argument type of ``--fuel`` and ``--max-n``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_base(selector: str) -> GroupOracle:
@@ -154,6 +166,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    # The word prints the exponent 2^index - 1 in decimal; refuse up front
+    # what Python's integer-to-text limit would refuse halfway through.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.index > 0 and (args.index > 4 * limit or (1 << args.index) > 10**limit):
+        raise ValueError(
+            f"index {args.index} is too large: the exponent 2^{args.index} - 1 "
+            f"would have more than {limit} decimal digits"
+        )
     text = word_to_text(twogen.generator_word(args.index))
     _emit(args, {"command": "encode", "index": args.index, "word": text}, text)
     return 0
@@ -248,7 +268,7 @@ def build_parser() -> _Parser:
     p = add("trivial", cmd_trivial, help="decide or semi-decide the word problem")
     p.add_argument("--group", choices=("G", "L"), default="G")
     p.add_argument("--base", choices=BASES, default="free-abelian")
-    p.add_argument("--fuel", type=int, default=64)
+    p.add_argument("--fuel", type=_count, default=64)
     p.add_argument("word", nargs="?", default="")
 
     p = add("member", cmd_member, help="decide subgroup membership")
@@ -274,13 +294,13 @@ def build_parser() -> _Parser:
     demo_sub = p.add_subparsers(dest="demo", required=True)
     p1 = demo_sub.add_parser("theorem1", help="order-based separation sweep")
     p1.set_defaults(handler=cmd_demo_theorem1)
-    p1.add_argument("--pair", choices=PAIRS, default="mock-odd-even")
-    p1.add_argument("--max-n", type=int, default=20)
+    p1.add_argument("--pair", choices=HINTED_PAIRS, default="mock-odd-even")
+    p1.add_argument("--max-n", type=_count, default=20)
     p2 = demo_sub.add_parser("theorem2", help="fueled membership probe sweep")
     p2.set_defaults(handler=cmd_demo_theorem2)
     p2.add_argument("--pair", choices=PAIRS, default="mock-odd-even")
-    p2.add_argument("--max-n", type=int, default=10)
-    p2.add_argument("--fuel", type=int, default=64)
+    p2.add_argument("--max-n", type=_count, default=10)
+    p2.add_argument("--fuel", type=_count, default=64)
     return parser
 
 

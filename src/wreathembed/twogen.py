@@ -12,10 +12,14 @@ to ``beta``, followed by a trailing ``s^tail``.  Only adjacent factors with
 equal ``gamma`` merge.
 
 A factor ``(gamma, beta)`` contributes a value only at points ``mu`` with
-``gamma + mu`` equal to 1 or a power of two, so an element with d distinct
-conjugating exponents is nontrivial on at most d * (log of the window) many
-points.  All deciders enumerate exactly those sparse active points; the
-conjugating exponents themselves may be astronomically large (they are
+``gamma + mu`` equal to 1 or a power of two.  Once every conjugacy class
+of factors has exponent sum zero, a point where a single class is active
+carries ``z^0`` or ``b_i^0``, the identity; only the collision points,
+where two classes are active at once, can carry anything else.  Two
+classes collide at most once, at a point found with a few big-integer
+operations (see :func:`collision_points`), so an element with d distinct
+conjugating exponents is decided by evaluating at most d(d-1)/2 points.
+The conjugating exponents themselves may be astronomically large (they are
 ``2^i - 1`` for the embedding of the i-th base generator) and everything
 stays exact integer arithmetic.
 
@@ -139,104 +143,72 @@ def _f_value_at(n: int, beta: int) -> ZBElement | None:
     return None
 
 
-class _Evaluator:
-    """Per-element index of factors by conjugating power.
-
-    Supports point evaluation and enumeration of active points without ever
-    scanning an interval, which would be hopeless for embedded generators
-    with conjugating exponents around ``2^100``.
-    """
-
-    def __init__(self, a: FSElement):
-        self.by_gamma: dict[int, list[tuple[int, int]]] = {}
-        for pos, (gamma, beta) in enumerate(a.factors):
-            self.by_gamma.setdefault(gamma, []).append((pos, beta))
-
-    def value_at(self, mu: int) -> ZBElement:
-        contributions: list[tuple[int, ZBElement]] = []
-        for gamma in self._active_gammas(mu):
-            n = gamma + mu
-            for pos, beta in self.by_gamma[gamma]:
-                value = _f_value_at(n, beta)
-                assert value is not None
-                contributions.append((pos, value))
-        contributions.sort()
-        out = ZBElement.identity()
-        for _, value in contributions:
-            out = out * value
-        return out
-
-    def _active_gammas(self, mu: int) -> list[int]:
-        found = []
-        gamma = 1 - mu
-        if gamma in self.by_gamma:
-            found.append(gamma)
-        if self.by_gamma:
-            top = max(self.by_gamma) + mu
-            power = 2
-            while power <= top:
-                gamma = power - mu
-                if gamma in self.by_gamma:
-                    found.append(gamma)
-                power <<= 1
-        return found
-
-    def active_points(self, lo: int, hi: int) -> list[int]:
-        """Sorted points in [lo, hi] where some factor takes a value."""
-        points: set[int] = set()
-        for gamma in self.by_gamma:
-            mu = 1 - gamma
-            if lo <= mu <= hi:
-                points.add(mu)
-            power = 2
-            while power <= hi + gamma:
-                if power - gamma >= lo:
-                    points.add(power - gamma)
-                power <<= 1
-        return sorted(points)
-
-
 def value_at(a: FSElement, mu: int) -> ZBElement:
     """The inner-stage element this element carries at the point ``mu``."""
-    return _Evaluator(a).value_at(mu)
+    out = ZBElement.identity()
+    for gamma, beta in a.factors:
+        value = _f_value_at(gamma + mu, beta)
+        if value is not None:
+            out = out * value
+    return out
 
 
-def _gamma_bound(a: FSElement) -> int:
-    return max((abs(gamma) for gamma, _ in a.factors), default=0)
+def collision_points(a: FSElement) -> list[int]:
+    """Sorted points where two or more conjugating classes are active at once.
+
+    Classes ``gamma1 > gamma2`` are both active at ``mu`` iff
+    ``gamma1 + mu = 2^p`` and ``gamma2 + mu = 2^q``, so their difference
+    ``d`` must equal ``2^p - 2^q`` with ``p > q >= 0``.  Such a ``d`` fixes
+    ``q`` as its number of trailing zeros, after which ``(d >> q) + 1``
+    must be a power of two; the one shared point is ``mu = 2^q - gamma2``.
+    Each pair of classes therefore costs O(1) big-integer operations,
+    however large the exponents.
+    """
+    classes = sorted({gamma for gamma, _ in a.factors})
+    points: set[int] = set()
+    for at, low in enumerate(classes):
+        for high in classes[at + 1 :]:
+            d = high - low
+            q = (d & -d).bit_length() - 1
+            rest = (d >> q) + 1
+            if rest & (rest - 1) == 0:
+                points.add((1 << q) - low)
+    return sorted(points)
+
+
+def _balanced(a: FSElement) -> bool:
+    # No trailing s power, and every conjugacy class of factors sums to zero.
+    return a.tail == 0 and all(total == 0 for total in class_sums(a).values())
 
 
 def is_trivial(a: FSElement, H: GroupOracle) -> bool:
     """Word problem relative to a total base oracle.
 
     Trivial iff the trailing ``s`` power vanishes, every conjugacy class of
-    factors has exponent sum zero, and the carried value is inner-trivial
-    across the window of three times the largest conjugating exponent.  The
-    class-sum condition pins the values beyond the window, where only one
-    class can be active at a time.
+    factors has exponent sum zero (a class with a nonzero sum leaves a
+    trailing ``z`` power at its first active point; see
+    :func:`min_support`), and the carried value is inner-trivial at every
+    collision point.  Once the class sums vanish, a point where a single
+    class is active carries ``z^0`` or ``b_i^0``, the identity whatever the
+    base group, so only the O(d^2) collision points of the d classes need
+    evaluating.
     """
     wreath._require_total(H)
-    if a.tail != 0:
+    if not _balanced(a):
         return False
-    if any(total != 0 for total in class_sums(a).values()):
-        return False
-    ev = _Evaluator(a)
-    bound = 3 * _gamma_bound(a)
-    return all(
-        wreath.is_trivial(ev.value_at(mu), H) for mu in ev.active_points(-bound, bound)
-    )
+    return all(wreath.is_trivial(value_at(a, mu), H) for mu in collision_points(a))
 
 
 def semi_trivial(a: FSElement, H: GroupOracle, fuel: int) -> SemiVerdict:
-    """Fuel-bounded word problem; refutations are fuel-independent."""
-    if a.tail != 0:
+    """Fuel-bounded word problem; refutations are fuel-independent.
+
+    The same collision-point reduction as :func:`is_trivial`.
+    """
+    if not _balanced(a):
         return NONTRIVIAL
-    if any(total != 0 for total in class_sums(a).values()):
-        return NONTRIVIAL
-    ev = _Evaluator(a)
-    bound = 3 * _gamma_bound(a)
     confirmed = True
-    for mu in ev.active_points(-bound, bound):
-        verdict = wreath.semi_trivial(ev.value_at(mu), H, fuel)
+    for mu in collision_points(a):
+        verdict = wreath.semi_trivial(value_at(a, mu), H, fuel)
         if verdict.nontrivial:
             return NONTRIVIAL
         confirmed = confirmed and verdict.trivial
@@ -246,25 +218,23 @@ def semi_trivial(a: FSElement, H: GroupOracle, fuel: int) -> SemiVerdict:
 def min_support(a: FSElement, H: GroupOracle) -> int | None:
     """Least point where the carried value is nontrivial, if any.
 
-    Inside the window of five times the largest conjugating exponent the
-    active points are scanned directly.  Beyond it at most one factor class
-    is active per point, so the value is a power of a single ``b_i`` whose
-    exponent is the class sum; the base generators all have infinite order,
-    so such a point is in the support exactly when the class sum is nonzero.
+    A class ``gamma`` is active first at ``1 - gamma``, where it alone
+    supplies the ``z`` letters, so the value there has trailing ``z`` power
+    equal to the class sum: nontrivial whenever that sum is, whatever the
+    base group.  Below that point a class with a nonzero sum carries
+    nothing, and a lone class with a zero sum carries the identity.  So the
+    answer is the least of two kinds of candidate: a collision point whose
+    value is nontrivial, and ``1 - gamma`` for each class with a nonzero
+    sum.  No assumption on the orders of the base generators is needed.
     """
     wreath._require_total(H)
-    ev = _Evaluator(a)
-    bound = 5 * _gamma_bound(a) + 2
-    for mu in ev.active_points(-bound, bound):
-        if not wreath.is_trivial(ev.value_at(mu), H):
+    best = min((1 - gamma for gamma, total in class_sums(a).items() if total != 0), default=None)
+    for mu in collision_points(a):
+        if best is not None and mu >= best:
+            break
+        if not wreath.is_trivial(value_at(a, mu), H):
             return mu
-    candidates = []
-    for gamma, total in class_sums(a).items():
-        if total != 0:
-            top = bound + gamma
-            power = 2 if top < 2 else 1 << top.bit_length()
-            candidates.append(power - gamma)
-    return min(candidates) if candidates else None
+    return best
 
 
 def generator_word(i: int) -> Word:
@@ -297,19 +267,18 @@ def in_image(a: FSElement, H: GroupOracle) -> bool:
     """Membership in the embedded copy of the base group.
 
     Image elements are supported at the single point 1, where their value
-    lies in the inner diagonal subgroup.
+    lies in the inner diagonal subgroup.  As in :func:`is_trivial`, once
+    the tail and the class sums vanish only collision points can carry a
+    nontrivial value, so the test reads the collision points other than 1
+    and then the value at 1.
     """
     wreath._require_total(H)
-    if a.tail != 0:
+    if not _balanced(a):
         return False
-    if any(total != 0 for total in class_sums(a).values()):
-        return False
-    ev = _Evaluator(a)
-    bound = 3 * _gamma_bound(a)
-    for mu in ev.active_points(-bound, bound):
-        if mu != 1 and not wreath.is_trivial(ev.value_at(mu), H):
+    for mu in collision_points(a):
+        if mu != 1 and not wreath.is_trivial(value_at(a, mu), H):
             return False
-    return wreath.in_diagonal(ev.value_at(1), H)
+    return wreath.in_diagonal(value_at(a, 1), H)
 
 
 def decode(a: FSElement, H: GroupOracle) -> Word:

@@ -14,9 +14,11 @@ merges cascade, so multiplication is associative on the nose.  Structural
 equality of normal forms is sufficient but not necessary for group equality;
 the decider is :func:`is_trivial` relative to a base oracle.
 
-Every factor changes value only at the single point ``1 - eta``, so all
-decision procedures reduce to evaluating finitely many points: the window
-between the smallest and largest such step point.
+Every factor switches on at the single step point ``1 - eta``, so the value
+function is the identity left of the least step point and constant from
+each step point up to the next.  All decision procedures therefore
+evaluate one point per distinct step point, in increasing order; their
+cost depends on the number of factors, not on the size of the exponents.
 """
 
 from __future__ import annotations
@@ -125,16 +127,14 @@ def value_at(a: ZBElement, nu: int, alphabet: Alphabet = X_ALPHABET) -> Word:
     return Word.make(alphabet, pairs)
 
 
-def window(a: ZBElement) -> range:
-    """The closed interval of step points, as a range; empty when constant.
+def step_points(a: ZBElement) -> list[int]:
+    """The distinct points ``1 - eta`` where some factor switches on, sorted.
 
-    The value function is identity left of the window, constant right of it,
-    and changes only inside, so window points decide every global question.
+    The value function is the identity left of the first, and constant from
+    each one up to the next (and beyond the last), so evaluating it at the
+    step points decides every global question.
     """
-    if not a.factors:
-        return range(0)
-    etas = [eta for _, eta, _ in a.factors]
-    return range(1 - max(etas), 2 - min(etas))
+    return sorted({1 - eta for _, eta, _ in a.factors})
 
 
 def _require_total(H: GroupOracle) -> None:
@@ -148,7 +148,7 @@ def is_trivial(a: ZBElement, H: GroupOracle) -> bool:
     assert H.is_trivial is not None
     if a.tail != 0:
         return False
-    return all(H.is_trivial(value_at(a, nu, H.alphabet)) for nu in window(a))
+    return all(H.is_trivial(value_at(a, nu, H.alphabet)) for nu in step_points(a))
 
 
 def semi_trivial(a: ZBElement, H: GroupOracle, fuel: int) -> SemiVerdict:
@@ -158,7 +158,7 @@ def semi_trivial(a: ZBElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     if H.is_trivial is not None:
         return TRIVIAL if is_trivial(a, H) else NONTRIVIAL
     assert H.semi_trivial is not None
-    for nu in window(a):
+    for nu in step_points(a):
         if not H.semi_trivial(value_at(a, nu, H.alphabet), fuel):
             return UNKNOWN
     return TRIVIAL
@@ -168,12 +168,12 @@ def min_support(a: ZBElement, H: GroupOracle) -> int | None:
     """Least point where the value function is nontrivial, if any.
 
     The trailing ``z`` power plays no part; only the value function is
-    inspected.  Outside the window the function is constant, so scanning
-    the window suffices.
+    inspected.  It is constant from each step point to the next, so the
+    least nontrivial point, if any, is a step point.
     """
     _require_total(H)
     assert H.is_trivial is not None
-    for nu in window(a):
+    for nu in step_points(a):
         if not H.is_trivial(value_at(a, nu, H.alphabet)):
             return nu
     return None
@@ -184,18 +184,23 @@ def in_diagonal(a: ZBElement, H: GroupOracle) -> bool:
 
     Those commutators carry arbitrary base values at point 0 and nothing
     anywhere else, so membership holds iff the trailing ``z`` power vanishes
-    and the value function is trivial at every nonzero point.  With
-    ``eta0 = max |eta|`` it is enough to test the points ``+-1 .. +-eta0``
-    together with ``eta0 + 1``: all step points lie in ``[-eta0, eta0 + 1]``
-    and the function is constant to the right of them.
+    and the value function is trivial at every nonzero point.  The function
+    is the identity left of the least step point and constant from each
+    step point up to the next, so it is enough to test each step point
+    whose interval holds a nonzero integer: every one except an interval
+    that is exactly ``{0}``, from a step point 0 to a step point 1.
     """
     _require_total(H)
     assert H.is_trivial is not None
     if a.tail != 0:
         return False
-    eta0 = max((abs(eta) for _, eta, _ in a.factors), default=0)
-    points = [nu for nu in range(-eta0, eta0 + 1) if nu != 0] + [eta0 + 1]
-    return all(H.is_trivial(value_at(a, nu, H.alphabet)) for nu in points)
+    steps = step_points(a)
+    for nu, following in zip(steps, steps[1:] + [None]):
+        if nu == 0 and following == 1:
+            continue
+        if not H.is_trivial(value_at(a, nu, H.alphabet)):
+            return False
+    return True
 
 
 def diagonal_encode(word: Word) -> ZBElement:

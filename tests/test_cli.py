@@ -12,6 +12,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "wreathembed", *args],
         capture_output=True,
         text=True,
+        timeout=60,
     )
 
 
@@ -108,6 +109,52 @@ def test_parse_error_exits_one():
     result = run_cli("normalize", "f q")
     assert result.returncode == 1
     assert "column 3" in result.stderr
+
+
+def test_encode_rejects_index_past_integer_text_limit():
+    result = run_cli("encode", "200000")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("wreathembed: error: index 200000 is too large")
+    assert "Exceeds the limit" not in result.stderr
+    assert run_cli("encode", "1000000000000").returncode == 1
+    assert run_cli("encode", "-3").stderr.startswith("wreathembed: error: generator index")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trivial", "--fuel", "-1", "f f^-1"),
+        ("demo", "theorem2", "--fuel", "-5"),
+        ("demo", "theorem1", "--max-n", "-4"),
+        ("demo", "theorem2", "--max-n", "-1"),
+    ],
+    ids=["trivial-fuel", "theorem2-fuel", "theorem1-max-n", "theorem2-max-n"],
+)
+def test_negative_counts_are_usage_errors(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "must be non-negative" in result.stderr
+
+
+def test_demo_theorem1_offers_only_pairs_with_a_hint():
+    result = run_cli("demo", "theorem1", "--pair", "halting")
+    assert result.returncode == 1
+    assert "invalid choice: 'halting'" in result.stderr
+    assert "has no membership hint" not in result.stderr
+    theorem2 = run_cli("demo", "theorem2", "--pair", "halting", "--max-n", "1", "--fuel", "0")
+    assert theorem2.returncode == 0
+
+
+def test_wide_windows_decide_quickly():
+    # Exponents of 10^7 and 10^8: one point per step point, not per integer.
+    n = 10**7
+    result = run_cli("trivial", "--group", "L", f"z^{n} b1 z^-{n} b1^-1 z^{n} b1^-1 z^-{n} b1")
+    assert result.stdout == "TRIVIAL\n"
+    n = 10**8
+    result = run_cli("member", "--group", "L", "--subgroup", "diagonal", f"z^{n} b1 z^-{n} b1^-1")
+    assert result.stdout == "NONMEMBER\n"
 
 
 def test_bad_flag_exits_one():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_scans
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
     free_abelian_oracle,
@@ -88,7 +89,9 @@ class TestDefiningValues:
         # At mu = 2: first factor has n = 2 (b1), second n = 1 (z).
         assert twogen.value_at(a, 2) == ZBElement(((1, 0, 1),), 0) * ZBElement((), 1)
 
-    def test_active_points_match_brute_scan(self):
+    def test_collision_points_match_brute_scan(self):
+        # Brute force: count the classes active at each point of a range
+        # that holds every collision for |gamma| <= 8, and read value_at.
         rng = random.Random(17)
         for _ in range(50):
             factors = [
@@ -96,20 +99,20 @@ class TestDefiningValues:
                 for _ in range(rng.randrange(0, 6))
             ]
             a = FSElement.make(factors)
-            ev = twogen._Evaluator(a)
-            lo, hi = -40, 40
-            expected = [
-                mu
-                for mu in range(lo, hi + 1)
-                if any(
-                    gamma + mu == 1 or (gamma + mu >= 2 and (gamma + mu) & (gamma + mu - 1) == 0)
-                    for gamma, _ in a.factors
-                )
-            ]
-            assert ev.active_points(lo, hi) == expected
-            for mu in range(lo, hi + 1):
-                if mu not in expected:
-                    assert ev.value_at(mu) == ZBElement.identity()
+            sums = twogen.class_sums(a)
+            expected = []
+            for mu in range(-40, 41):
+                active = [gamma for gamma in sums if reference_scans.is_active(gamma + mu)]
+                if len(active) >= 2:
+                    expected.append(mu)
+                elif active:
+                    # A lone class carries one generator to its class sum.
+                    (gamma,) = active
+                    lone = FSElement(((gamma, sums[gamma]),), 0)
+                    assert twogen.value_at(a, mu) == twogen.value_at(lone, mu)
+                else:
+                    assert twogen.value_at(a, mu) == ZBElement.identity()
+            assert twogen.collision_points(a) == expected
 
 
 class TestGroupOperations:
@@ -215,14 +218,13 @@ class TestEmbedding:
         # Supported exactly at point 1, carrying the inner [z, b_i].
         for i in (1, 2, 3):
             a = twogen.from_word(twogen.generator_word(i))
-            ev = twogen._Evaluator(a)
-            bound = 3 * ((1 << i) - 1)
-            for mu in ev.active_points(-bound, bound):
-                value = ev.value_at(mu)
+            for mu in range(-40, 41):
+                value = twogen.value_at(a, mu)
                 if mu == 1:
                     assert value == ZBElement(((i, 1, 1), (i, 0, -1)), 0)
                 else:
                     assert wreath.is_trivial(value, H)
+            assert twogen.collision_points(a) == [1]
 
     def test_embedding_is_injective_on_samples(self):
         rng = random.Random(31)

@@ -98,10 +98,24 @@ class TestValues:
         assert wreath.value_at(a, 2).is_identity()
         assert not wreath.value_at(a, 3).is_identity()
 
-    def test_window_covers_step_points(self):
+    def test_step_points_are_the_change_points(self):
         a = zb("z b1 z^-1 b1^-1")
-        assert wreath.window(a) == range(0, 2)
-        assert wreath.window(zb("z^4")) == range(0)
+        assert wreath.step_points(a) == [0, 1]
+        assert wreath.step_points(zb("z^4")) == []
+        # Brute force: each point carries the value of the last step point
+        # at or before it, and the identity before the first.
+        rng = random.Random(9)
+        for _ in range(40):
+            factors = [
+                (rng.randrange(1, 4), rng.randrange(-6, 7), rng.choice([-1, 1]))
+                for _ in range(rng.randrange(0, 6))
+            ]
+            b = ZBElement.make(factors)
+            steps = wreath.step_points(b)
+            for nu in range(-10, 11):
+                before = [step for step in steps if step <= nu]
+                expected = wreath.value_at(b, before[-1]) if before else Word.identity(X_ALPHABET)
+                assert wreath.value_at(b, nu) == expected
 
     def test_value_alphabet_parameter(self):
         w = wreath.value_at(zb("b2"), 1, A_ALPHABET)
