@@ -23,7 +23,7 @@ print()
 # (shift, exponent) factors plus a power of s.
 w = parse_word("x1^2 x3^-1", X_ALPHABET)
 g = twogen.encode_word(w)
-print("x1^2 x3^-1  encodes to", twogen.normal_form_text(g))
+print("x1^2 x3^-1  encodes to", g.normal_form_text())
 
 # Membership in the image is decidable, and members decode uniquely.
 print("in image:", twogen.in_image(g, oracle))

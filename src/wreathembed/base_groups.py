@@ -12,8 +12,10 @@ group):
 * for a single enumerable index set, the group that only identifies
   ``a(2n_i)`` with ``a(2n_i-1)``, exposed as a fueled semi-decider.
 
-A :class:`GroupOracle` packages an alphabet with whichever of the two
-decision channels the group supports.
+A :class:`GroupOracle` packages an alphabet with one triviality check,
+``check(word, fuel)``, and a ``total`` flag.  A total check decides the word
+problem and ignores the fuel; a fueled one certifies triviality within its
+budget and otherwise gives up, never refuting.
 """
 
 from __future__ import annotations
@@ -49,18 +51,31 @@ UNKNOWN = SemiVerdict()
 
 @dataclass(frozen=True)
 class GroupOracle:
-    """A group given by generators plus a triviality test for words.
+    """A group given by generators plus a triviality check for words.
 
-    Exactly one channel is expected: ``is_trivial`` for groups with
-    decidable word problem, ``semi_trivial(word, fuel)`` (True only when
-    triviality is certified within the fuel budget) for merely recursively
-    presented ones.
+    ``check(word, fuel)`` returns a :class:`SemiVerdict`.  With ``total``
+    set the group has decidable word problem: the check answers TRIVIAL or
+    NONTRIVIAL and ignores the fuel.  Otherwise the group is merely
+    recursively presented: the check answers TRIVIAL when triviality is
+    certified within the fuel budget and UNKNOWN when it is not, and never
+    refutes.
     """
 
     name: str
     alphabet: Alphabet
-    is_trivial: Callable[[Word], bool] | None = None
-    semi_trivial: Callable[[Word, int], bool] | None = None
+    check: Callable[[Word, int], SemiVerdict]
+    total: bool = False
+
+    @classmethod
+    def deciding(
+        cls, name: str, alphabet: Alphabet, trivial: Callable[[Word], bool]
+    ) -> GroupOracle:
+        """A total oracle from a decider of the word problem."""
+        return cls(name, alphabet, lambda word, _fuel: TRIVIAL if trivial(word) else NONTRIVIAL, True)
+
+    def require_total(self) -> None:
+        if not self.total:
+            raise ValueError(f"oracle {self.name!r} has no total word-problem decider")
 
 
 _primes: list[int] = [2, 3]
@@ -80,17 +95,22 @@ def prime(i: int) -> int:
         return _primes[i - 1]
 
 
+def _shift(vec: dict[int, int], key: int, delta: int) -> None:
+    # Add delta at key, keeping the vector free of zero entries.
+    total = vec.get(key, 0) + delta
+    if total:
+        vec[key] = total
+    else:
+        vec.pop(key, None)
+
+
 def exponent_vector(word: Word) -> dict[int, int]:
     """Total exponent per generator index; zero entries are dropped."""
     out: dict[int, int] = {}
     for gen, exp in word.runs:
         if gen.index is None:
             raise ValueError(f"generator {gen} carries no index")
-        total = out.get(gen.index, 0) + exp
-        if total:
-            out[gen.index] = total
-        else:
-            out.pop(gen.index, None)
+        _shift(out, gen.index, exp)
     return out
 
 
@@ -99,7 +119,7 @@ def free_abelian_trivial(word: Word) -> bool:
 
 
 def free_abelian_oracle(alphabet: Alphabet = X_ALPHABET) -> GroupOracle:
-    return GroupOracle("free-abelian", alphabet, is_trivial=free_abelian_trivial)
+    return GroupOracle.deciding("free-abelian", alphabet, free_abelian_trivial)
 
 
 @dataclass(frozen=True)
@@ -207,27 +227,14 @@ def pair_basis_vector(word: Word, pair: EnumeratedPair) -> dict[int, int]:
         if not (e_lo or e_hi):
             continue
         side, i = classify_coordinate(pair, k)
-        if side == "n":
-            assert i is not None
-            value = e_lo + prime(i) * e_hi
-            if value:
-                out[2 * k - 1] = value
-        elif side == "m":
-            assert i is not None
-            value = e_lo - prime(i) * e_hi
-            if value:
-                out[2 * k - 1] = value
+        if side == "free":
+            _shift(out, 2 * k - 1, e_lo)
+            _shift(out, 2 * k, e_hi)
         else:
-            if e_lo:
-                out[2 * k - 1] = e_lo
-            if e_hi:
-                out[2 * k] = e_hi
+            assert i is not None
+            sign = 1 if side == "n" else -1
+            _shift(out, 2 * k - 1, e_lo + sign * prime(i) * e_hi)
     return out
-
-
-def insep_trivial_bruteforce(word: Word, pair: EnumeratedPair) -> bool:
-    """Reference decider: rewrite into the adapted basis and test zero."""
-    return not pair_basis_vector(word, pair)
 
 
 def insep_trivial(word: Word, pair: EnumeratedPair) -> bool:
@@ -266,51 +273,8 @@ def insep_trivial(word: Word, pair: EnumeratedPair) -> bool:
     return not vec
 
 
-def _shift(vec: dict[int, int], key: int, delta: int) -> None:
-    total = vec.get(key, 0) + delta
-    if total:
-        vec[key] = total
-    else:
-        vec.pop(key, None)
-
-
 def insep_oracle(pair: EnumeratedPair, alphabet: Alphabet = A_ALPHABET) -> GroupOracle:
-    return GroupOracle(
-        f"insep:{pair.name}",
-        alphabet,
-        is_trivial=lambda word: insep_trivial(word, pair),
-    )
-
-
-def re_semi_trivial(word: Word, enum_n: Callable[[int], int], fuel: int) -> bool:
-    """Semi-decide triviality where relators only merge coordinate pairs.
-
-    Coordinates 2n-1 and 2n are unioned for the first ``fuel`` enumerated
-    values n; the word is certified trivial when every union class sums to
-    zero.  True answers are final (more relators only collapse further);
-    False only means the budget ran out.
-    """
-    vec = exponent_vector(word)
-    if not vec:
-        return True
-    parent: dict[int, int] = {}
-
-    def find(k: int) -> int:
-        root = k
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(k, k) != k:
-            parent[k], k = root, parent[k]
-        return root
-
-    for i in range(1, fuel + 1):
-        n = enum_n(i)
-        parent[find(2 * n - 1)] = find(2 * n)
-    sums: dict[int, int] = {}
-    for k, e in vec.items():
-        root = find(k)
-        sums[root] = sums.get(root, 0) + e
-    return all(v == 0 for v in sums.values())
+    return GroupOracle.deciding(f"insep:{pair.name}", alphabet, lambda word: insep_trivial(word, pair))
 
 
 class _MergeState:
@@ -336,10 +300,12 @@ class _MergeState:
             parent[k], k = root, parent[k]
         return root
 
-    def trivial(self, word: Word, fuel: int) -> bool:
+    def check(self, word: Word, fuel: int) -> SemiVerdict:
+        """TRIVIAL when the merges applied so far (at least the first
+        ``fuel``) make every class sum to zero; UNKNOWN otherwise."""
         vec = exponent_vector(word)
         if not vec:
-            return True
+            return TRIVIAL
         while self.applied < fuel:
             self.applied += 1
             n = self.enum_n(self.applied)
@@ -348,9 +314,9 @@ class _MergeState:
         for k, e in vec.items():
             root = self.find(k)
             sums[root] = sums.get(root, 0) + e
-        return all(v == 0 for v in sums.values())
+        return TRIVIAL if all(v == 0 for v in sums.values()) else UNKNOWN
 
 
 def re_oracle(enum_n: Callable[[int], int], alphabet: Alphabet = A_ALPHABET, name: str = "re") -> GroupOracle:
     state = _MergeState(enum_n)
-    return GroupOracle(f"re:{name}", alphabet, semi_trivial=state.trivial)
+    return GroupOracle(f"re:{name}", alphabet, state.check)

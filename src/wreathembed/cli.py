@@ -28,7 +28,7 @@ from wreathembed.orders import (
     pair_adapted_order,
     zb_compare,
 )
-from wreathembed.words import FS_ALPHABET, ZB_ALPHABET, Word, WordError, parse_word, word_to_text
+from wreathembed.words import FS_ALPHABET, ZB_ALPHABET, WordError, parse_word, word_to_text
 
 BASES = ("free-abelian", "insep:mock-odd-even", "insep:halting", "re:mock", "re:halting")
 PAIRS = ("mock-odd-even", "halting")
@@ -78,35 +78,53 @@ def build_pair(selector: str):
     return mock_pair() if selector == "mock-odd-even" else halting_pair()
 
 
+def _print_json(record: dict) -> None:
+    print(json.dumps(record, sort_keys=True))
+
+
 def _emit(args, record: dict, text: str) -> None:
     if args.output == "structured":
-        print(json.dumps(record, sort_keys=True))
+        _print_json(record)
     else:
         print(text)
 
 
-def _group_word(args) -> Word:
+def _printed(render, *args) -> str:
+    """``render(*args)``, failing clearly on an integer too long to print.
+
+    Rendering a valid result raises ValueError only when one of its
+    integers has more decimal digits than Python's integer-to-text limit.
+    """
+    try:
+        return render(*args)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"the result holds an integer of more than {limit} decimal digits, too long to print"
+        ) from None
+
+
+def _stage(args):
+    """The module of the selected group, ``twogen`` (G) or ``wreath`` (L)."""
+    return twogen if args.group == "G" else wreath
+
+
+def _element(args, text: str):
+    """The normal form of a word of the selected group."""
     alphabet = FS_ALPHABET if args.group == "G" else ZB_ALPHABET
-    return parse_word(args.word, alphabet)
+    return _stage(args).from_word(parse_word(text, alphabet))
 
 
 def cmd_normalize(args) -> int:
-    word = _group_word(args)
-    if args.group == "G":
-        text = twogen.normal_form_text(twogen.from_word(word))
-    else:
-        text = wreath.normal_form_text(wreath.from_word(word))
+    element = _element(args, args.word)
+    text = _printed(element.normal_form_text)
     _emit(args, {"command": "normalize", "group": args.group, "normal_form": text}, text)
     return 0
 
 
 def cmd_trivial(args) -> int:
-    word = _group_word(args)
-    base = build_base(args.base)
-    if args.group == "G":
-        verdict = twogen.semi_trivial(twogen.from_word(word), base, args.fuel)
-    else:
-        verdict = wreath.semi_trivial(wreath.from_word(word), base, args.fuel)
+    element = _element(args, args.word)
+    verdict = _stage(args).semi_trivial(element, build_base(args.base), args.fuel)
     name = "TRIVIAL" if verdict.trivial else "NONTRIVIAL" if verdict.nontrivial else "UNKNOWN"
     record = {"command": "trivial", "group": args.group, "base": args.base, "verdict": name}
     _emit(args, record, name)
@@ -114,9 +132,8 @@ def cmd_trivial(args) -> int:
 
 
 def cmd_member(args) -> int:
-    word = _group_word(args)
+    element = _element(args, args.word)
     if args.group == "G":
-        element = twogen.from_word(word)
         if args.subgroup == "base":
             member = twogen.in_base(element)
         elif args.subgroup == "image":
@@ -126,7 +143,7 @@ def cmd_member(args) -> int:
     else:
         if args.subgroup != "diagonal":
             raise ValueError("group L supports the subgroup 'diagonal'")
-        member = wreath.in_diagonal(wreath.from_word(word), build_base(args.base))
+        member = wreath.in_diagonal(element, build_base(args.base))
     name = "MEMBER" if member else "NONMEMBER"
     record = {
         "command": "member",
@@ -141,18 +158,10 @@ def cmd_member(args) -> int:
 
 def cmd_compare(args) -> int:
     base, order = build_order(args.base)
-    alphabet = FS_ALPHABET if args.group == "G" else ZB_ALPHABET
-    left = parse_word(args.left, alphabet)
-    right = parse_word(args.right, alphabet)
-    if args.group == "G":
-        verdict, clause, point = fs_compare(
-            twogen.from_word(left), twogen.from_word(right), order, base
-        )
-    else:
-        verdict, clause, point = zb_compare(
-            wreath.from_word(left), wreath.from_word(right), order, base
-        )
-    text = f"{verdict} clause={clause}" + (f" point={point}" if point is not None else "")
+    left, right = _element(args, args.left), _element(args, args.right)
+    compare = fs_compare if args.group == "G" else zb_compare
+    verdict, clause, point = compare(left, right, order, base)
+    text = f"{verdict} clause={clause}" + ("" if point is None else " point=" + _printed(str, point))
     record = {
         "command": "compare",
         "group": args.group,
@@ -182,41 +191,22 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     base = build_base(args.base)
     element = twogen.from_word(parse_word(args.word, FS_ALPHABET))
-    decoded = word_to_text(twogen.decode(element, base))
+    decoded = _printed(word_to_text, twogen.decode(element, base))
     _emit(args, {"command": "decode", "base": args.base, "word": decoded}, decoded)
     return 0
 
 
 def cmd_demo_theorem1(args) -> int:
     report = reductions.separation_report(build_pair(args.pair), args.max_n)
-    if args.output == "structured":
-        for entry in report.entries:
-            print(
-                json.dumps(
-                    {
-                        "n": entry.n,
-                        "side": entry.side,
-                        "separator": "in" if entry.separated else "out",
-                        "sign_lo": entry.sign_lo,
-                        "sign_hi": entry.sign_hi,
-                        "ok": entry.consistent,
-                    },
-                    sort_keys=True,
-                )
-            )
-        print(
-            json.dumps(
-                {
-                    "entries": len(report.entries),
-                    "pair": report.pair_name,
-                    "violations": len(report.violations),
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        for line in reductions.report_lines(report):
-            print(line)
+    if args.output == "text":
+        print("\n".join(reductions.report_lines(report)))
+        return 0
+    for e in report.entries:
+        separator = "in" if e.separated else "out"
+        _print_json({"n": e.n, "side": e.side, "separator": separator,
+                     "sign_lo": e.sign_lo, "sign_hi": e.sign_hi, "ok": e.consistent})
+    _print_json({"entries": len(report.entries), "pair": report.pair_name,
+                 "violations": len(report.violations)})
     return 0
 
 
@@ -229,19 +219,9 @@ def cmd_demo_theorem2(args) -> int:
     confirmed = sum(1 for _, v in outcomes if v == "trivial")
     if args.output == "structured":
         for n, verdict in outcomes:
-            print(json.dumps({"n": n, "verdict": verdict}, sort_keys=True))
-        print(
-            json.dumps(
-                {
-                    "confirmed": confirmed,
-                    "fuel": args.fuel,
-                    "pair": args.pair,
-                    "probed": len(outcomes),
-                    "unknown": len(outcomes) - confirmed,
-                },
-                sort_keys=True,
-            )
-        )
+            _print_json({"n": n, "verdict": verdict})
+        _print_json({"confirmed": confirmed, "fuel": args.fuel, "pair": args.pair,
+                     "probed": len(outcomes), "unknown": len(outcomes) - confirmed})
     else:
         for n, verdict in outcomes:
             print(f"n={n} verdict={verdict}")

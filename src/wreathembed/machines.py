@@ -142,38 +142,49 @@ def step(program: Program, config: Config) -> Config | None:
     return (pc + 1, c0, c1 - 1)
 
 
-def run_status(program: Program, max_steps: int) -> tuple[str, int]:
-    """("halt", steps) | ("cycle", steps) | ("running", max_steps).
-
-    Cycles in the configuration sequence are found with Brent's algorithm,
-    which needs only one saved configuration.
-    """
-    config: Config = (1, 0, 0)
-    tortoise = config
-    power = 1
-    lam = 0
-    for steps in range(1, max_steps + 1):
-        nxt = step(program, config)
-        if nxt is None:
-            return ("halt", steps)
-        config = nxt
-        lam += 1
-        if config == tortoise:
-            return ("cycle", steps)
-        if lam == power:
-            tortoise = config
-            power <<= 1
-            lam = 0
-    return ("running", max_steps)
-
-
 @dataclass
 class _RunState:
-    config: Config
+    """A program's run so far, with Brent's cycle detection.
+
+    Brent's algorithm needs only one saved configuration: the tortoise is
+    moved to the current configuration each time the run's length since
+    the last move reaches the next power of two.
+    """
+
+    program: Program
+    config: Config = (1, 0, 0)
     steps: int = 0
     tortoise: Config = (1, 0, 0)
     power: int = 1
     lam: int = 0
+
+    def advance(self, budget: int) -> str | None:
+        """Run until ``budget`` total steps; "halt" or "cycle" once decided."""
+        while self.steps < budget:
+            nxt = step(self.program, self.config)
+            self.steps += 1
+            if nxt is None:
+                return "halt"
+            self.config = nxt
+            self.lam += 1
+            if nxt == self.tortoise:
+                return "cycle"
+            if self.lam == self.power:
+                self.tortoise = nxt
+                self.power <<= 1
+                self.lam = 0
+        return None
+
+
+def run_status(program: Program, max_steps: int) -> tuple[str, int]:
+    """("halt", steps) | ("cycle", steps) | ("running", max_steps).
+
+    Cycles in the configuration sequence are found with Brent's algorithm,
+    as in the enumeration.
+    """
+    run = _RunState(program)
+    fate = run.advance(max_steps)
+    return (fate, run.steps) if fate else ("running", max_steps)
 
 
 _BASE_BUDGET = 8
@@ -189,14 +200,17 @@ class DovetailEnumeration:
     lands in ``halted`` and every configuration-cycling program in
     ``cycling``.  Both streams are injective and mutually disjoint; their
     order is a deterministic function of nothing but this schedule.
+
+    Only live runs are stored, so memory grows with the number of programs
+    still undecided, not with the number visited: program g is first
+    visited at tick 2g + 1 (k = 0), so a later tick for a g without a live
+    run belongs to a program already decided.
     """
 
     halted: list[int] = field(default_factory=list)
     cycling: list[int] = field(default_factory=list)
     _tick: int = 0
     _states: dict[int, _RunState] = field(default_factory=dict)
-    _programs: dict[int, Program] = field(default_factory=dict)
-    _decided: set[int] = field(default_factory=set)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def _advance_one_tick(self) -> None:
@@ -204,36 +218,15 @@ class DovetailEnumeration:
         j = self._tick
         k = (j & -j).bit_length() - 1
         g = ((j >> k) - 1) // 2
-        if g in self._decided:
-            return
-        program = self._programs.get(g)
-        if program is None:
-            program = index_to_program(g)
-            self._programs[g] = program
         st = self._states.get(g)
         if st is None:
-            st = _RunState(config=(1, 0, 0))
-            self._states[g] = st
-        budget = _BASE_BUDGET << k
-        while st.steps < budget:
-            nxt = step(program, st.config)
-            st.steps += 1
-            if nxt is None:
-                self._decided.add(g)
-                del self._states[g]
-                self.halted.append(g)
+            if k:  # decided at an earlier tick
                 return
-            st.config = nxt
-            st.lam += 1
-            if st.config == st.tortoise:
-                self._decided.add(g)
-                del self._states[g]
-                self.cycling.append(g)
-                return
-            if st.lam == st.power:
-                st.tortoise = st.config
-                st.power <<= 1
-                st.lam = 0
+            st = self._states[g] = _RunState(index_to_program(g))
+        fate = st.advance(_BASE_BUDGET << k)
+        if fate is not None:
+            del self._states[g]
+            (self.halted if fate == "halt" else self.cycling).append(g)
 
     def halting(self, i: int) -> int:
         """The i-th (1-based) program observed to halt."""

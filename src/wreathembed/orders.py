@@ -15,7 +15,7 @@ always compare equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
@@ -25,7 +25,7 @@ from wreathembed.base_groups import (
     pair_basis_vector,
 )
 from wreathembed.twogen import FSElement
-from wreathembed.words import A_ALPHABET, FS_ALPHABET, X_ALPHABET, ZB_ALPHABET, Alphabet, Word
+from wreathembed.words import A_ALPHABET, FS_ALPHABET, X_ALPHABET, Alphabet, Word
 from wreathembed.wreath import ZBElement
 
 
@@ -102,10 +102,6 @@ def zb_compare(
     raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
 
 
-def zb_less(a: ZBElement, b: ZBElement, H_order: OrderOracle, H: GroupOracle) -> bool:
-    return zb_compare(a, b, H_order, H)[0] == "LT"
-
-
 def fs_compare(
     a: FSElement, b: FSElement, H_order: OrderOracle, H: GroupOracle
 ) -> tuple[str, str, int | None]:
@@ -116,26 +112,14 @@ def fs_compare(
     mu0 = twogen.min_support(a * ~b, H)
     if mu0 is None:
         return ("EQ", "equal", None)
-    va = twogen.value_at(a, mu0)
-    vb = twogen.value_at(b, mu0)
-    if zb_less(va, vb, H_order, H):
-        return ("LT", "value", mu0)
-    if zb_less(vb, va, H_order, H):
-        return ("GT", "value", mu0)
-    raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
+    verdict = zb_compare(twogen.value_at(a, mu0), twogen.value_at(b, mu0), H_order, H)[0]
+    if verdict == "EQ":
+        raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
+    return (verdict, "value", mu0)
 
 
 def fs_less(a: FSElement, b: FSElement, H_order: OrderOracle, H: GroupOracle) -> bool:
     return fs_compare(a, b, H_order, H)[0] == "LT"
-
-
-def inner_lifted_order(H: GroupOracle, H_order: OrderOracle) -> OrderOracle:
-    """The lifted order as an oracle over ``z``/``b`` words."""
-
-    def less(u: Word, v: Word) -> bool:
-        return zb_less(wreath.from_word(u), wreath.from_word(v), H_order, H)
-
-    return OrderOracle(f"lift[{H_order.name}]", ZB_ALPHABET, less)
 
 
 def lifted_order(H: GroupOracle, H_order: OrderOracle) -> OrderOracle:
@@ -145,77 +129,3 @@ def lifted_order(H: GroupOracle, H_order: OrderOracle) -> OrderOracle:
         return fs_less(twogen.from_word(u), twogen.from_word(v), H_order, H)
 
     return OrderOracle(f"lift2[{H_order.name}]", FS_ALPHABET, less)
-
-
-def transport_less(
-    u: Word, v: Word, images: dict, target_order: OrderOracle
-) -> bool:
-    """Pull the target order back along the substitution ``images``.
-
-    ``images`` maps generators to words of the target order's alphabet; a
-    letter without an image is an error.  When the substitution is an
-    injective homomorphism this is again a strict order.
-    """
-
-    def substitute(w: Word) -> Word:
-        out = Word.identity(target_order.alphabet)
-        for gen, exp in w.runs:
-            image = images.get(gen)
-            if image is None:
-                raise ValueError(f"no image given for generator {gen}")
-            out = out * image**exp
-        return out
-
-    return target_order.less(substitute(u), substitute(v))
-
-
-@dataclass(frozen=True)
-class OrderAxiomViolation:
-    axiom: str
-    witnesses: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class OrderAxiomReport:
-    checked: int
-    violations: tuple[OrderAxiomViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_order_axioms(
-    sample: Sequence[Word],
-    relation: Callable[[Word, Word], bool],
-    oracle: GroupOracle,
-    n_max: int = 4,
-) -> OrderAxiomReport:
-    """Test a reflexive-style comparison relation against the order axioms.
-
-    Over the sample: relation both ways forces group equality; a word above
-    the identity forces its inverse below; a word above the identity forces
-    all its powers above.  Violations are reported with printable witnesses,
-    never raised.
-    """
-    if oracle.is_trivial is None:
-        raise ValueError(f"oracle {oracle.name!r} has no total word-problem decider")
-    one = Word.identity(oracle.alphabet)
-    violations: list[OrderAxiomViolation] = []
-    checked = 0
-    for i, g in enumerate(sample):
-        for h in sample[i + 1 :]:
-            checked += 1
-            if relation(g, h) and relation(h, g) and not oracle.is_trivial(g * ~h):
-                violations.append(OrderAxiomViolation("antisymmetry", (str(g), str(h))))
-    for g in sample:
-        if not relation(one, g):
-            continue
-        checked += 1
-        if not relation(~g, one):
-            violations.append(OrderAxiomViolation("inverse", (str(g),)))
-        for n in range(2, n_max + 1):
-            checked += 1
-            if not relation(one, g**n):
-                violations.append(OrderAxiomViolation("power", (str(g), str(n))))
-    return OrderAxiomReport(checked, tuple(violations))

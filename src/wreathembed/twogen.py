@@ -6,10 +6,10 @@ single generator ``f`` is the function on ``s``-points whose value at point
 ``n`` is ``z`` when ``n = 1``, the inner generator ``b_i`` when ``n = 2^i``
 (i >= 1), and the identity otherwise; ``s`` shifts arguments.
 
-Normal form mirrors the inner stage: an ordered tuple of factors
-``(gamma, beta)``, each denoting the ``s^gamma``-conjugate of ``f`` raised
-to ``beta``, followed by a trailing ``s^tail``.  Only adjacent factors with
-equal ``gamma`` merge.
+Normal form: the same :class:`~wreathembed.words.WreathElement` as the
+inner stage, here with factors ``(gamma, beta)``, each denoting the
+``s^gamma``-conjugate of ``f`` raised to ``beta``, followed by a trailing
+``s^tail``.  Only adjacent factors with equal ``gamma`` merge.
 
 A factor ``(gamma, beta)`` contributes a value only at points ``mu`` with
 ``gamma + mu`` equal to 1 or a power of two.  Once every conjugacy class
@@ -19,6 +19,7 @@ where two classes are active at once, can carry anything else.  Two
 classes collide at most once, at a point found with a few big-integer
 operations (see :func:`collision_points`), so an element with d distinct
 conjugating exponents is decided by evaluating at most d(d-1)/2 points.
+Every decision procedure runs one scan, :func:`_first_failure`, over them.
 The conjugating exponents themselves may be astronomically large (they are
 ``2^i - 1`` for the embedding of the i-th base generator) and everything
 stays exact integer arithmetic.
@@ -33,97 +34,23 @@ two-stage embedding of H into this group, with image recognized by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from wreathembed import wreath
-from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, UNKNOWN, GroupOracle, SemiVerdict
-from wreathembed.words import FS_ALPHABET, Gen, Word
+from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, GroupOracle, SemiVerdict
+from wreathembed.words import FS_ALPHABET, Gen, Word, WreathElement
 from wreathembed.wreath import ZBElement
 
-Factor = tuple[int, int]  # (conjugating s power, exponent)
 
-
-def _push_factor(factors: list[Factor], gamma: int, beta: int) -> None:
-    if beta == 0:
-        return
-    if factors and factors[-1][0] == gamma:
-        merged = factors[-1][1] + beta
-        if merged == 0:
-            factors.pop()
-        else:
-            factors[-1] = (gamma, merged)
-    else:
-        factors.append((gamma, beta))
-
-
-@dataclass(frozen=True)
-class FSElement:
+class FSElement(WreathElement):
     """Normal form of a word in ``f`` and ``s``."""
 
-    factors: tuple[Factor, ...] = ()
-    tail: int = 0
-
-    @staticmethod
-    def make(factors: Iterable[Factor], tail: int = 0) -> FSElement:
-        out: list[Factor] = []
-        for gamma, beta in factors:
-            _push_factor(out, gamma, beta)
-        return FSElement(tuple(out), tail)
-
-    @staticmethod
-    def identity() -> FSElement:
-        return FSElement()
-
-    def __mul__(self, other: FSElement) -> FSElement:
-        factors = list(self.factors)
-        for gamma, beta in other.factors:
-            _push_factor(factors, gamma + self.tail, beta)
-        return FSElement(tuple(factors), self.tail + other.tail)
-
-    def __invert__(self) -> FSElement:
-        factors: list[Factor] = []
-        for gamma, beta in reversed(self.factors):
-            _push_factor(factors, gamma - self.tail, -beta)
-        return FSElement(tuple(factors), -self.tail)
-
-    def __pow__(self, n: int) -> FSElement:
-        base = self if n >= 0 else ~self
-        out = FSElement.identity()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+    ALPHABET, SHIFT, GENERATOR = FS_ALPHABET, "s", "f"
 
 
 def from_word(word: Word) -> FSElement:
     """Evaluate a word over the ``f``/``s`` alphabet into normal form."""
-    if word.alphabet != FS_ALPHABET:
-        raise ValueError(f"expected the {FS_ALPHABET.name} alphabet")
-    factors: list[Factor] = []
-    offset = 0
-    for gen, exp in word.runs:
-        if gen.letter == "s":
-            offset += exp
-        else:
-            _push_factor(factors, offset, exp)
-    return FSElement(tuple(factors), offset)
-
-
-def to_word(a: FSElement) -> Word:
-    pairs: list[tuple[Gen, int]] = []
-    f, s = Gen("f", None), Gen("s", None)
-    at = 0
-    for gamma, beta in a.factors:
-        pairs.append((s, gamma - at))
-        pairs.append((f, beta))
-        at = gamma
-    pairs.append((s, a.tail - at))
-    return Word.make(FS_ALPHABET, pairs)
-
-
-def normal_form_text(a: FSElement) -> str:
-    body = ",".join(f"({gamma},{beta})" for gamma, beta in a.factors)
-    return f"[{body}] ; {a.tail}"
+    return FSElement.from_word(word)
 
 
 def class_sums(a: FSElement) -> dict[int, int]:
@@ -181,6 +108,29 @@ def _balanced(a: FSElement) -> bool:
     return a.tail == 0 and all(total == 0 for total in class_sums(a).values())
 
 
+def _first_failure(
+    a: FSElement, H: GroupOracle, fuel: int, points: Iterable[int]
+) -> tuple[int | None, SemiVerdict]:
+    """The scan behind every outer decider.
+
+    Decides the inner value at each point in turn and stops at the first
+    verdict that is not TRIVIAL, returning that point and verdict; ``(None,
+    TRIVIAL)`` when every value is certified trivial.  On a balanced element
+    (see :func:`_balanced`) every value carries ``z``-power 0: ``f`` takes
+    the value ``z`` only at 1, so at the point ``mu`` only the class
+    ``1 - mu`` supplies ``z`` letters, and its sum is zero.  An inner
+    refutation can then only come from the base, which never refutes when
+    fueled and is never UNKNOWN when total, so the first verdict that is
+    not TRIVIAL is the verdict of the whole scan, as in
+    :func:`wreath.semi_trivial`.
+    """
+    for mu in points:
+        verdict = wreath.semi_trivial(value_at(a, mu), H, fuel)
+        if not verdict.trivial:
+            return mu, verdict
+    return None, TRIVIAL
+
+
 def is_trivial(a: FSElement, H: GroupOracle) -> bool:
     """Word problem relative to a total base oracle.
 
@@ -193,26 +143,19 @@ def is_trivial(a: FSElement, H: GroupOracle) -> bool:
     base group, so only the O(d^2) collision points of the d classes need
     evaluating.
     """
-    wreath._require_total(H)
-    if not _balanced(a):
-        return False
-    return all(wreath.is_trivial(value_at(a, mu), H) for mu in collision_points(a))
+    H.require_total()
+    return _balanced(a) and _first_failure(a, H, 0, collision_points(a))[0] is None
 
 
 def semi_trivial(a: FSElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     """Fuel-bounded word problem; refutations are fuel-independent.
 
-    The same collision-point reduction as :func:`is_trivial`.
+    The same collision-point reduction as :func:`is_trivial`; the first
+    collision point whose verdict is not TRIVIAL decides.
     """
     if not _balanced(a):
         return NONTRIVIAL
-    confirmed = True
-    for mu in collision_points(a):
-        verdict = wreath.semi_trivial(value_at(a, mu), H, fuel)
-        if verdict.nontrivial:
-            return NONTRIVIAL
-        confirmed = confirmed and verdict.trivial
-    return TRIVIAL if confirmed else UNKNOWN
+    return _first_failure(a, H, fuel, collision_points(a))[1]
 
 
 def min_support(a: FSElement, H: GroupOracle) -> int | None:
@@ -227,14 +170,11 @@ def min_support(a: FSElement, H: GroupOracle) -> int | None:
     value is nontrivial, and ``1 - gamma`` for each class with a nonzero
     sum.  No assumption on the orders of the base generators is needed.
     """
-    wreath._require_total(H)
+    H.require_total()
     best = min((1 - gamma for gamma, total in class_sums(a).items() if total != 0), default=None)
-    for mu in collision_points(a):
-        if best is not None and mu >= best:
-            break
-        if not wreath.is_trivial(value_at(a, mu), H):
-            return mu
-    return best
+    points = [mu for mu in collision_points(a) if best is None or mu < best]
+    mu = _first_failure(a, H, 0, points)[0]
+    return best if mu is None else mu
 
 
 def generator_word(i: int) -> Word:
@@ -272,13 +212,11 @@ def in_image(a: FSElement, H: GroupOracle) -> bool:
     nontrivial value, so the test reads the collision points other than 1
     and then the value at 1.
     """
-    wreath._require_total(H)
+    H.require_total()
     if not _balanced(a):
         return False
-    for mu in collision_points(a):
-        if mu != 1 and not wreath.is_trivial(value_at(a, mu), H):
-            return False
-    return wreath.in_diagonal(value_at(a, 1), H)
+    off_one = [mu for mu in collision_points(a) if mu != 1]
+    return _first_failure(a, H, 0, off_one)[0] is None and wreath.in_diagonal(value_at(a, 1), H)
 
 
 def decode(a: FSElement, H: GroupOracle) -> Word:
@@ -296,18 +234,3 @@ def in_base(a: FSElement) -> bool:
     oracle is needed.
     """
     return a.tail == 0
-
-
-def word_oracle(H: GroupOracle) -> GroupOracle:
-    """This group, packaged as an oracle over the ``f``/``s`` alphabet."""
-    if H.is_trivial is not None:
-        return GroupOracle(
-            f"twogen({H.name})",
-            FS_ALPHABET,
-            is_trivial=lambda w: is_trivial(from_word(w), H),
-        )
-    return GroupOracle(
-        f"twogen({H.name})",
-        FS_ALPHABET,
-        semi_trivial=lambda w, fuel: semi_trivial(from_word(w), H, fuel).trivial,
-    )

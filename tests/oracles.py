@@ -1,0 +1,89 @@
+"""Test-only oracles: simple reference procedures the tests check against.
+
+None of these is needed by the library; each is slow or general enough to
+trust by reading, which is what makes it useful as an oracle.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+from wreathembed.base_groups import EnumeratedPair, pair_basis_vector
+from wreathembed.orders import OrderOracle
+from wreathembed.words import Word
+
+
+def insep_trivial_bruteforce(word: Word, pair: EnumeratedPair) -> bool:
+    """Reference decider: rewrite into the adapted basis and test zero."""
+    return not pair_basis_vector(word, pair)
+
+
+def transport_less(u: Word, v: Word, images: dict, target_order: OrderOracle) -> bool:
+    """Pull the target order back along the substitution ``images``.
+
+    ``images`` maps generators to words of the target order's alphabet; a
+    letter without an image is an error.  When the substitution is an
+    injective homomorphism this is again a strict order.
+    """
+
+    def substitute(w: Word) -> Word:
+        out = Word.identity(target_order.alphabet)
+        for gen, exp in w.runs:
+            image = images.get(gen)
+            if image is None:
+                raise ValueError(f"no image given for generator {gen}")
+            out = out * image**exp
+        return out
+
+    return target_order.less(substitute(u), substitute(v))
+
+
+@dataclass(frozen=True)
+class OrderAxiomViolation:
+    axiom: str
+    witnesses: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class OrderAxiomReport:
+    checked: int
+    violations: tuple[OrderAxiomViolation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_order_axioms(
+    sample: Sequence[Word],
+    relation: Callable[[Word, Word], bool],
+    is_trivial: Callable[[Word], bool],
+    n_max: int = 4,
+) -> OrderAxiomReport:
+    """Test a reflexive-style comparison relation against the order axioms.
+
+    Over the sample: relation both ways forces group equality (decided by
+    ``is_trivial``); a word above the identity forces its inverse below; a
+    word above the identity forces all its powers above.  Violations are
+    reported with printable witnesses, never raised.
+    """
+    violations: list[OrderAxiomViolation] = []
+    checked = 0
+    for i, g in enumerate(sample):
+        for h in sample[i + 1 :]:
+            checked += 1
+            if relation(g, h) and relation(h, g) and not is_trivial(g * ~h):
+                violations.append(OrderAxiomViolation("antisymmetry", (str(g), str(h))))
+    for g in sample:
+        one = Word.identity(g.alphabet)
+        if not relation(one, g):
+            continue
+        checked += 1
+        if not relation(~g, one):
+            violations.append(OrderAxiomViolation("inverse", (str(g),)))
+        for n in range(2, n_max + 1):
+            checked += 1
+            if not relation(one, g**n):
+                violations.append(OrderAxiomViolation("power", (str(g), str(n))))
+    return OrderAxiomReport(checked, tuple(violations))

@@ -25,8 +25,8 @@ def window(a: ZBElement) -> range:
 
 
 def _point_trivial(a: ZBElement, nu: int, H: GroupOracle) -> bool:
-    assert H.is_trivial is not None
-    return H.is_trivial(wreath.value_at(a, nu, H.alphabet))
+    assert H.total
+    return H.check(wreath.value_at(a, nu, H.alphabet), 0).trivial
 
 
 def zb_is_trivial(a: ZBElement, H: GroupOracle) -> bool:
@@ -36,11 +36,10 @@ def zb_is_trivial(a: ZBElement, H: GroupOracle) -> bool:
 def zb_semi_trivial(a: ZBElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     if a.tail != 0:
         return NONTRIVIAL
-    if H.is_trivial is not None:
+    if H.total:
         return TRIVIAL if zb_is_trivial(a, H) else NONTRIVIAL
-    assert H.semi_trivial is not None
     for nu in window(a):
-        if not H.semi_trivial(wreath.value_at(a, nu, H.alphabet), fuel):
+        if not H.check(wreath.value_at(a, nu, H.alphabet), fuel).trivial:
             return UNKNOWN
     return TRIVIAL
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import insep_trivial_bruteforce
 from wreathembed.base_groups import (
     EnumeratedPair,
     classify_coordinate,
@@ -13,12 +14,10 @@ from wreathembed.base_groups import (
     halting_pair,
     insep_oracle,
     insep_trivial,
-    insep_trivial_bruteforce,
     mock_pair,
     pair_basis_vector,
     prime,
     re_oracle,
-    re_semi_trivial,
 )
 from wreathembed.words import A_ALPHABET, X_ALPHABET, Gen, Word, parse_word
 
@@ -58,7 +57,9 @@ class TestFreeAbelian:
 
     def test_oracle_is_total(self):
         oracle = free_abelian_oracle()
-        assert oracle.is_trivial is not None and oracle.semi_trivial is None
+        assert oracle.total
+        assert oracle.check(parse_word("x1 x1^-1", X_ALPHABET), 0).trivial
+        assert oracle.check(parse_word("x1", X_ALPHABET), 0).nontrivial
 
 
 class TestMockPair:
@@ -129,9 +130,9 @@ class TestInsepDecider:
 
     def test_oracle_works_for_halting_pair_without_hint(self):
         oracle = insep_oracle(halting_pair())
-        assert oracle.is_trivial is not None
-        assert not oracle.is_trivial(a_word("a2 a1^-1"))
-        assert oracle.is_trivial(a_word("a1 a1^-1"))
+        assert oracle.total
+        assert oracle.check(a_word("a2 a1^-1"), 0).nontrivial
+        assert oracle.check(a_word("a1 a1^-1"), 0).trivial
 
 
 class TestHaltingPair:
@@ -150,6 +151,11 @@ class TestHaltingPair:
 
     def test_no_hint(self):
         assert not halting_pair().has_hint
+
+
+def re_semi_trivial(word: Word, enum_n, fuel: int) -> bool:
+    """One fueled check on a fresh merge oracle."""
+    return re_oracle(enum_n).check(word, fuel).trivial
 
 
 class TestReSemiDecider:
@@ -174,8 +180,9 @@ class TestReSemiDecider:
 
     def test_oracle_channel(self):
         oracle = re_oracle(mock_pair().enum_n, name="mock")
-        assert oracle.is_trivial is None and oracle.semi_trivial is not None
-        assert oracle.semi_trivial(a_word("a2 a1^-1"), 3)
+        assert not oracle.total
+        assert oracle.check(a_word("a2 a1^-1"), 3).trivial
+        assert oracle.check(a_word("a4 a3^-1"), 3).unknown  # never refutes
 
 
 @given(st.lists(st.tuples(st.integers(1, 12), st.integers(-3, 3)), max_size=10))

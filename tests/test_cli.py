@@ -121,6 +121,32 @@ def test_encode_rejects_index_past_integer_text_limit():
     assert run_cli("encode", "-3").stderr.startswith("wreathembed: error: generator index")
 
 
+NINES = "9" * 4300  # as many digits as Python prints by default
+
+
+def assert_clear_error(result, message: str) -> None:
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"wreathembed: error: {message}")
+    assert "Exceeds the limit" not in result.stderr and "set_int_max_str" not in result.stderr
+
+
+@pytest.mark.parametrize("output", ["text", "structured"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("normalize", "--group", "L", "z b1^" + "1" * 4400), "column 3: index or exponent"),
+        (("normalize", "--group", "L", f"z^{NINES} z^{NINES}"), "the result holds an integer"),
+        (("normalize", "--group", "G", f"s^{NINES} s^{NINES}"), "the result holds an integer"),
+        (("compare", "--group", "L", f"z^{NINES} z^{NINES} b1 z^-{NINES} z^-{NINES}", ""),
+         "the result holds an integer"),
+    ],
+    ids=["parse", "normalize-L", "normalize-G", "compare-point"],
+)
+def test_integers_past_the_text_limit_fail_clearly(output, argv, message):
+    assert_clear_error(run_cli("--output", output, *argv), message)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from wreathembed.machines import (
@@ -128,6 +130,30 @@ class TestDovetail:
         enum = DovetailEnumeration()
         enum.halting(600)
         assert set(direct) <= set(enum.halted)
+
+    def test_streams_are_fates_in_tick_order_with_memory_for_live_runs(self):
+        tracemalloc.start()
+        enum = DovetailEnumeration()
+        enum.cycling_at(600)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # Reference: program g runs 8 * 2^k steps by tick (2g+1) * 2^k, so
+        # one whose fate run_status finds at step t is decided at the first
+        # such tick with 8 * 2^k >= t.  Both streams list the programs
+        # decided by the last tick, in the order of those ticks.
+        ticks = enum._tick
+        fates: dict[str, list[tuple[int, int]]] = {"halt": [], "cycle": []}
+        for g in range((ticks + 1) // 2):
+            top = (ticks // (2 * g + 1)).bit_length() - 1
+            fate, t = run_status(index_to_program(g), 8 << top)
+            if fate != "running":
+                fates[fate].append(((2 * g + 1) << ((t + 7) // 8 - 1).bit_length(), g))
+        assert enum.halted == [g for _, g in sorted(fates["halt"])]
+        assert enum.cycling == [g for _, g in sorted(fates["cycle"])]
+        # Memory: the two streams plus the live runs, never the programs
+        # already decided (about 380 bytes per stream entry if it were).
+        entries = len(enum.halted) + len(enum.cycling)
+        assert peak <= 64 * entries + 4096 * len(enum._states)
 
     def test_shared_enumeration_is_memoized(self):
         assert shared_enumeration() is shared_enumeration()

@@ -112,10 +112,10 @@ def test_outer_semi_trivial_matches_window_scan_with_fuel():
 
 
 # The free abelian group of exponent two: every base generator has order 2.
-TORSION = GroupOracle(
+TORSION = GroupOracle.deciding(
     "elementary-abelian-2",
     X_ALPHABET,
-    is_trivial=lambda word: all(e % 2 == 0 for e in exponent_vector(word).values()),
+    lambda word: all(e % 2 == 0 for e in exponent_vector(word).values()),
 )
 
 

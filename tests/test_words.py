@@ -12,9 +12,6 @@ from wreathembed.words import (
     Gen,
     Word,
     WordError,
-    concat,
-    free_reduce,
-    invert,
     parse_word,
     word_to_text,
 )
@@ -127,7 +124,8 @@ def test_power_matches_repeated_product(w, n):
 
 @given(zb_words)
 def test_free_reduce_is_identity_on_canonical(w):
-    assert free_reduce(w) == w
+    # Re-canonicalizing a canonical word's runs changes nothing.
+    assert Word.make(w.alphabet, w.runs) == w
 
 
 def test_roundtrip_bulk_random():
@@ -147,9 +145,17 @@ def test_roundtrip_bulk_random():
 
 def test_alphabet_mismatch_rejected():
     with pytest.raises(WordError):
-        concat(parse_word("x1", X_ALPHABET), parse_word("a1", A_ALPHABET))
+        parse_word("x1", X_ALPHABET) * parse_word("a1", A_ALPHABET)
 
 
 def test_invert_of_parse_example():
     w = parse_word("f s^2", FS_ALPHABET)
-    assert word_to_text(invert(w)) == "s^-2 f^-1"
+    assert word_to_text(~w) == "s^-2 f^-1"
+
+
+def test_overlong_numbers_are_positioned_word_errors():
+    # Past Python's integer-to-text limit (4300 digits by default).
+    with pytest.raises(WordError) as exc:
+        parse_word("z^" + "9" * 4400, ZB_ALPHABET)
+    assert exc.value.position == 1
+    assert "too many digits" in str(exc.value)

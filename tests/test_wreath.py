@@ -72,8 +72,8 @@ class TestNormalForm:
         assert a.factors == ((1, 0, 1), (1, 1, 1))
 
     def test_normal_form_text(self):
-        assert wreath.normal_form_text(zb("z b1 z^-1 b1^-1")) == "[(1,1,1),(1,0,-1)] ; 0"
-        assert wreath.normal_form_text(zb("z^3")) == "[] ; 3"
+        assert zb("z b1 z^-1 b1^-1").normal_form_text() == "[(1,1,1),(1,0,-1)] ; 0"
+        assert zb("z^3").normal_form_text() == "[] ; 3"
 
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
@@ -141,7 +141,7 @@ class TestGroupOperations:
     @given(zb_word_strategy())
     def test_word_roundtrip(self, u):
         a = wreath.from_word(u)
-        assert wreath.from_word(wreath.to_word(a)) == a
+        assert wreath.from_word(a.to_word()) == a
 
     @given(zb_word_strategy(), st.integers(min_value=-3, max_value=3))
     def test_power(self, u, n):
@@ -248,19 +248,23 @@ class TestSemiTrivial:
 
 
 class TestOracleAdapter:
+    """Deciding words of this group: normal form, then the base's one check."""
+
     def test_total_adapter(self):
-        oracle = wreath.word_oracle(H)
-        assert oracle.is_trivial is not None
-        assert oracle.is_trivial(parse_word("b1 z b1^-1 z^-1", ZB_ALPHABET)) is False
-        assert oracle.is_trivial(parse_word("z b1 b1^-1 z^-1", ZB_ALPHABET)) is True
+        def trivial(text: str) -> bool:
+            return wreath.is_trivial(wreath.from_word(parse_word(text, ZB_ALPHABET)), H)
+
+        assert trivial("b1 z b1^-1 z^-1") is False
+        assert trivial("z b1 b1^-1 z^-1") is True
 
     def test_fueled_adapter(self):
         inner = re_oracle(mock_pair().enum_n, name="mock")
-        oracle = wreath.word_oracle(inner)
-        assert oracle.semi_trivial is not None
-        trivial_word = wreath.to_word(wreath.diagonal_encode(parse_word("a2 a1^-1", A_ALPHABET)))
-        assert not oracle.semi_trivial(trivial_word, 0)
-        assert oracle.semi_trivial(trivial_word, 1)
+        trivial_word = wreath.diagonal_encode(parse_word("a2 a1^-1", A_ALPHABET)).to_word()
+        a = wreath.from_word(trivial_word)
+        assert wreath.semi_trivial(a, inner, 0).unknown
+        assert wreath.semi_trivial(a, inner, 1).trivial
+        with pytest.raises(ValueError):
+            wreath.is_trivial(a, inner)
 
 
 def test_insep_base_works_at_this_level():
