@@ -1,16 +1,24 @@
 """Base groups handed to the embedding as word-problem oracles.
 
-Three families are provided, all quotients of the free abelian group on the
-letters ``a1, a2, ...`` (or ``x1, x2, ...`` for the plain free abelian
-group):
+Every group here is a quotient of the free abelian group on the letters
+``a1, a2, ...`` (or ``x1, x2, ...`` for the plain free abelian group).  The
+two paired families put each relator on one coordinate pair
+``(a(2k-1), a(2k))``, so they are direct sums over pairs, and a word is
+trivial exactly when each of its pairs ``(e_lo, e_hi)`` of exponent sums
+(see :func:`_pairs`) is:
 
 * the free abelian group itself, with a total decider;
-* for a disjoint pair of enumerable index sets (N, M) and the primes p_i,
-  the abelian group with relations ``a(2n_i) = a(2n_i-1)^(p_i)`` and
-  ``a(2m_i) = a(2m_i-1)^(-p_i)``; with a membership hint for the pair this
-  word problem is decidable even though neither index set need be;
-* for a single enumerable index set, the group that only identifies
-  ``a(2n_i)`` with ``a(2n_i-1)``, exposed as a fueled semi-decider.
+* for a disjoint pair of injectively enumerated index sets (N, M) and the
+  primes p_i, the group with relations ``a(2n_i) = a(2n_i-1)^(p_i)`` and
+  ``a(2m_i) = a(2m_i-1)^(-p_i)``.  A pair vanishes iff it is a multiple of
+  its relator: ``e_hi != 0`` and ``q = -e_lo / e_hi`` is ``p_i`` with
+  ``enum_n(i) == k`` or ``-p_i`` with ``enum_m(i) == k``.  One fetch per pair
+  decides that, so the word problem is decidable although neither index set
+  need be; a membership hint is needed only to order the group;
+* for a single enumerated index set N, the group that only identifies
+  ``a(2n)`` with ``a(2n-1)`` for n in N.  A pair vanishes iff
+  ``e_lo + e_hi == 0`` and k lies in N, which a fueled check certifies by
+  finding k among the first ``fuel`` members.
 
 A :class:`GroupOracle` packages an alphabet with one triviality check,
 ``check(word, fuel)``, and a ``total`` flag.  A total check decides the word
@@ -20,6 +28,7 @@ budget and otherwise gives up, never refuting.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -82,17 +91,39 @@ _primes: list[int] = [2, 3]
 _primes_lock = threading.Lock()
 
 
+def _grow_primes() -> None:
+    # Append the next prime; trial division stops at the square root.
+    candidate = _primes[-1] + 2
+    while True:
+        for p in _primes:
+            if p * p > candidate:
+                _primes.append(candidate)
+                return
+            if candidate % p == 0:
+                break
+        candidate += 2
+
+
 def prime(i: int) -> int:
     """The i-th prime, 1-based: prime(1) = 2."""
     if i < 1:
         raise ValueError("prime index must be >= 1")
     with _primes_lock:
         while len(_primes) < i:
-            candidate = _primes[-1] + 2
-            while any(candidate % p == 0 for p in _primes if p * p <= candidate):
-                candidate += 2
-            _primes.append(candidate)
+            _grow_primes()
         return _primes[i - 1]
+
+
+def _prime_index(q: int) -> int | None:
+    """The i with prime(i) == q, or None when q is not prime."""
+    # A failed Fermat test proves q composite without growing the cache.
+    if q < 2 or (q > 2 and pow(2, q - 1, q) != 1):
+        return None
+    with _primes_lock:
+        while _primes[-1] < q:
+            _grow_primes()
+        i = bisect.bisect_left(_primes, q)
+        return i + 1 if _primes[i] == q else None
 
 
 def _shift(vec: dict[int, int], key: int, delta: int) -> None:
@@ -114,6 +145,19 @@ def exponent_vector(word: Word) -> dict[int, int]:
     return out
 
 
+def _pairs(word: Word) -> dict[int, tuple[int, int]]:
+    """``{k: (e_lo, e_hi)}``: the exponent sums of ``a(2k-1)`` and ``a(2k)``.
+
+    Pairs whose two sums are zero are dropped.
+    """
+    out: dict[int, tuple[int, int]] = {}
+    for index, exp in exponent_vector(word).items():
+        k = (index + 1) // 2
+        lo, hi = out.get(k, (0, 0))
+        out[k] = (lo + exp, hi) if index % 2 else (lo, hi + exp)
+    return out
+
+
 def free_abelian_trivial(word: Word) -> bool:
     return not exponent_vector(word)
 
@@ -127,19 +171,25 @@ class EnumeratedPair:
     """A disjoint pair of injectively enumerated subsets of {1, 2, ...}.
 
     ``enum_n(i)`` / ``enum_m(i)`` give the i-th member (1-based) of either
-    set.  ``in_n`` / ``in_m`` are an optional decidable membership hint; the
-    interesting providers do not have one.
+    set.  ``classify`` is an optional decidable membership hint: ``("n", i)``
+    or ``("m", i)`` when k is the i-th member of N or M, else
+    ``("free", None)``; the interesting providers do not have one.
     """
 
     name: str
     enum_n: Callable[[int], int]
     enum_m: Callable[[int], int]
-    in_n: Callable[[int], bool] | None = None
-    in_m: Callable[[int], bool] | None = None
+    classify: Callable[[int], tuple[str, int | None]] | None = None
 
     @property
     def has_hint(self) -> bool:
-        return self.in_n is not None and self.in_m is not None
+        return self.classify is not None
+
+
+def _classify_odd_even(k: int) -> tuple[str, int | None]:
+    if k < 1:
+        return ("free", None)
+    return ("n", (k + 1) // 2) if k % 2 else ("m", k // 2)
 
 
 def mock_pair(kind: str = "odd-even") -> EnumeratedPair:
@@ -150,8 +200,7 @@ def mock_pair(kind: str = "odd-even") -> EnumeratedPair:
         name="mock-odd-even",
         enum_n=lambda i: 2 * i - 1,
         enum_m=lambda i: 2 * i,
-        in_n=lambda k: k >= 1 and k % 2 == 1,
-        in_m=lambda k: k >= 1 and k % 2 == 0,
+        classify=_classify_odd_even,
     )
 
 
@@ -185,138 +234,64 @@ def halting_pair() -> EnumeratedPair:
     )
 
 
-def classify_coordinate(pair: EnumeratedPair, k: int) -> tuple[str, int | None]:
-    """("n", i) / ("m", i) if k is the i-th member of N or M, else ("free", None).
-
-    Needs the pair's membership hint; the enumeration position is then
-    recovered by searching the (injective) enumeration.
-    """
-    if not pair.has_hint:
-        raise ValueError(f"pair {pair.name!r} has no membership hint")
-    assert pair.in_n is not None and pair.in_m is not None
-    if pair.in_n(k):
-        fetch, side = pair.enum_n, "n"
-    elif pair.in_m(k):
-        fetch, side = pair.enum_m, "m"
-    else:
-        return ("free", None)
-    i = 1
-    while fetch(i) != k:
-        i += 1
-    return (side, i)
-
-
-def _paired_coordinate_bound(vec: dict[int, int]) -> int:
-    return max((k + 1) // 2 for k in vec) if vec else 0
-
-
 def pair_basis_vector(word: Word, pair: EnumeratedPair) -> dict[int, int]:
     """Coordinates of the word in a basis adapted to the pair's relations.
 
-    Indices are grouped two by two; a group k in N (as its i-th member)
-    satisfies ``a(2k) = a(2k-1)^(p_i)``, so it contributes
-    ``e(2k-1) + p_i * e(2k)`` on the single surviving basis vector 2k-1;
-    for k in M the sign of the p_i term flips; a free group keeps both
-    coordinates.  The word is trivial iff the result is empty.
+    A pair k in N (as its i-th member) satisfies ``a(2k) = a(2k-1)^(p_i)``,
+    so it contributes ``e_lo + p_i * e_hi`` on the single surviving basis
+    vector 2k-1; for k in M the sign of the p_i term flips; a free pair
+    keeps both coordinates.  The word is trivial iff the result is empty.
+    Needs the pair's membership hint, asked once per pair in the word.
     """
-    vec = exponent_vector(word)
+    if pair.classify is None:
+        raise ValueError(f"pair {pair.name!r} has no membership hint")
     out: dict[int, int] = {}
-    for k in range(1, _paired_coordinate_bound(vec) + 1):
-        e_lo = vec.get(2 * k - 1, 0)
-        e_hi = vec.get(2 * k, 0)
-        if not (e_lo or e_hi):
-            continue
-        side, i = classify_coordinate(pair, k)
+    for k, (lo, hi) in _pairs(word).items():
+        side, i = pair.classify(k)
         if side == "free":
-            _shift(out, 2 * k - 1, e_lo)
-            _shift(out, 2 * k, e_hi)
+            _shift(out, 2 * k - 1, lo)
+            _shift(out, 2 * k, hi)
         else:
-            assert i is not None
-            sign = 1 if side == "n" else -1
-            _shift(out, 2 * k - 1, e_lo + sign * prime(i) * e_hi)
+            p = prime(i) if hi else 0
+            _shift(out, 2 * k - 1, lo + (p if side == "n" else -p) * hi)
     return out
 
 
-def insep_trivial(word: Word, pair: EnumeratedPair) -> bool:
-    """Decide triviality by greedy relator removal.
-
-    A word of total letter count c can only involve a relator instance for
-    the i-th pair when ``p_i + 1 <= c``, so only finitely many relators are
-    searched.  Each removal strictly shrinks the letter count, hence
-    termination; no hint is needed.
-    """
-    vec = exponent_vector(word)
-
-    def removal() -> bool:
-        letters = sum(abs(e) for e in vec.values())
-        i = 1
-        while prime(i) + 1 <= letters:
-            p = prime(i)
-            for k, q in ((pair.enum_n(i), p), (pair.enum_m(i), -p)):
-                hi, lo = 2 * k, 2 * k - 1
-                e_hi = vec.get(hi, 0)
-                e_lo = vec.get(lo, 0)
-                # relator instance: a(hi) * a(lo)^(-q), or its inverse
-                if e_hi >= 1 and (e_lo <= -p if q > 0 else e_lo >= p):
-                    _shift(vec, hi, -1)
-                    _shift(vec, lo, q)
-                    return True
-                if e_hi <= -1 and (e_lo >= p if q > 0 else e_lo <= -p):
-                    _shift(vec, hi, 1)
-                    _shift(vec, lo, -q)
-                    return True
-            i += 1
+def _insep_pair_vanishes(k: int, lo: int, hi: int, pair: EnumeratedPair) -> bool:
+    # The relator of pair k is a(2k) a(2k-1)^(-q) with q = p_i (k = enum_n(i))
+    # or q = -p_i (k = enum_m(i)); the pair vanishes iff it is a multiple.
+    if hi == 0 or lo % hi:
         return False
+    q = -lo // hi
+    i = _prime_index(abs(q))
+    return i is not None and (pair.enum_n if q > 0 else pair.enum_m)(i) == k
 
-    while vec and removal():
-        pass
-    return not vec
+
+def insep_trivial(word: Word, pair: EnumeratedPair) -> bool:
+    """Decide triviality pair by pair, with one enumeration fetch per pair.
+
+    No hint is needed: the ratio of a pair's exponents names the only
+    relator that could kill it.
+    """
+    return all(_insep_pair_vanishes(k, lo, hi, pair) for k, (lo, hi) in _pairs(word).items())
 
 
 def insep_oracle(pair: EnumeratedPair, alphabet: Alphabet = A_ALPHABET) -> GroupOracle:
     return GroupOracle.deciding(f"insep:{pair.name}", alphabet, lambda word: insep_trivial(word, pair))
 
 
-class _MergeState:
-    """Coordinate merges applied so far, grown lazily as fuel demands.
-
-    Keeping the union-find between queries makes the cost of a batch of
-    checks proportional to the largest fuel used, not to its sum.  Extra
-    merges from an earlier, larger budget are harmless: every enumerated
-    value is a genuine relator, so a trivial verdict stays sound.
-    """
-
-    def __init__(self, enum_n: Callable[[int], int]):
-        self.enum_n = enum_n
-        self.applied = 0
-        self.parent: dict[int, int] = {}
-
-    def find(self, k: int) -> int:
-        parent = self.parent
-        root = k
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(k, k) != k:
-            parent[k], k = root, parent[k]
-        return root
-
-    def check(self, word: Word, fuel: int) -> SemiVerdict:
-        """TRIVIAL when the merges applied so far (at least the first
-        ``fuel``) make every class sum to zero; UNKNOWN otherwise."""
-        vec = exponent_vector(word)
-        if not vec:
-            return TRIVIAL
-        while self.applied < fuel:
-            self.applied += 1
-            n = self.enum_n(self.applied)
-            self.parent[self.find(2 * n - 1)] = self.find(2 * n)
-        sums: dict[int, int] = {}
-        for k, e in vec.items():
-            root = self.find(k)
-            sums[root] = sums.get(root, 0) + e
-        return TRIVIAL if all(v == 0 for v in sums.values()) else UNKNOWN
-
-
 def re_oracle(enum_n: Callable[[int], int], alphabet: Alphabet = A_ALPHABET, name: str = "re") -> GroupOracle:
-    state = _MergeState(enum_n)
-    return GroupOracle(f"re:{name}", alphabet, state.check)
+    def check(word: Word, fuel: int) -> SemiVerdict:
+        # TRIVIAL iff every pair is a multiple of a(2k) a(2k-1)^-1 and each
+        # such k is among enum_n(1..fuel); the scan stops once all are seen.
+        pairs = _pairs(word)
+        if any(lo + hi for lo, hi in pairs.values()):
+            return UNKNOWN
+        needed = set(pairs)
+        i = 0
+        while needed and i < fuel:
+            i += 1
+            needed.discard(enum_n(i))
+        return UNKNOWN if needed else TRIVIAL
+
+    return GroupOracle(f"re:{name}", alphabet, check)

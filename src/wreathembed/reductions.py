@@ -88,14 +88,14 @@ def separation_report(pair: EnumeratedPair, max_n: int) -> SeparatorReport:
     """
     if not pair.has_hint:
         raise ValueError(f"pair {pair.name!r} has no membership hint")
-    assert pair.in_n is not None and pair.in_m is not None
+    assert pair.classify is not None
     H = insep_oracle(pair)
     order = lifted_order(H, pair_adapted_order(pair))
     entries = []
     for n in range(1, max_n + 1):
         sign_lo = _sign(twogen.generator_word(2 * n - 1), order)
         sign_hi = _sign(twogen.generator_word(2 * n), order)
-        side = "n" if pair.in_n(n) else "m" if pair.in_m(n) else "free"
+        side = pair.classify(n)[0]
         entries.append(SeparatorEntry(n, side, _same_side(sign_lo, sign_hi), sign_lo, sign_hi))
     return SeparatorReport(pair.name, tuple(entries))
 

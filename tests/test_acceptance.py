@@ -248,7 +248,7 @@ def test_criterion_6_order_properties():
 
 
 def test_criterion_7_pair_decider_matches_bruteforce():
-    """The relator-removal decider agrees with the adapted-basis search."""
+    """The pair-by-pair ratio decider agrees with the adapted-basis rewrite."""
     rng = random.Random(107)
     pair = mock_pair()
     disagreements = 0

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from oracles import insep_trivial_bruteforce
 from wreathembed.base_groups import (
     EnumeratedPair,
-    classify_coordinate,
     exponent_vector,
     free_abelian_oracle,
     free_abelian_trivial,
@@ -33,10 +32,46 @@ def random_a_word(rng: random.Random, max_letters: int = 40, max_index: int = 20
     return Word.make(A_ALPHABET, pairs)
 
 
+def sparse_pair() -> EnumeratedPair:
+    """N = {4, 8, ...}, M = {6, 10, ...}; every other coordinate pair is free."""
+
+    def classify(k: int):
+        if k >= 4 and k % 4 == 0:
+            return ("n", k // 4)
+        if k >= 6 and k % 4 == 2:
+            return ("m", (k - 2) // 4)
+        return ("free", None)
+
+    return EnumeratedPair(
+        name="sparse", enum_n=lambda i: 4 * i, enum_m=lambda i: 4 * i + 2, classify=classify
+    )
+
+
+def relator_product_word(rng: random.Random, pair: EnumeratedPair) -> Word:
+    """A product of relator multiples ``a(2k)^t a(2k-1)^(-+p_i t)``, with a
+    little random noise on every other word."""
+    runs = []
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(2, 6)  # p_i > 2
+        side = rng.choice("nm")
+        k = (pair.enum_n if side == "n" else pair.enum_m)(i)
+        t = rng.choice([-2, -1, 1, 2])
+        q = prime(i) if side == "n" else -prime(i)
+        runs += [(Gen("a", 2 * k), t), (Gen("a", 2 * k - 1), -q * t)]
+    rng.shuffle(runs)
+    word = Word.make(A_ALPHABET, runs)
+    if rng.random() < 0.5:
+        word = word * random_a_word(rng, max_letters=3, max_index=2 * pair.enum_m(6))
+    return word
+
+
 class TestPrimes:
     def test_first_primes(self):
         # Independent fixed table.
         assert [prime(i) for i in range(1, 9)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+    def test_twenty_thousandth_prime(self):
+        assert prime(20000) == 224737
 
     def test_prime_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -70,8 +105,9 @@ class TestMockPair:
 
     def test_classify(self):
         pair = mock_pair()
-        assert classify_coordinate(pair, 5) == ("n", 3)
-        assert classify_coordinate(pair, 4) == ("m", 2)
+        assert pair.classify(5) == ("n", 3)
+        assert pair.classify(4) == ("m", 2)
+        assert pair.classify(0) == ("free", None)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -93,13 +129,7 @@ class TestInsepDecider:
 
     def test_free_coordinates_never_cancel(self):
         # With the odd-even mock no coordinate is free, so use a sparser pair.
-        sparse = EnumeratedPair(
-            name="sparse",
-            enum_n=lambda i: 4 * i,
-            enum_m=lambda i: 4 * i + 2,
-            in_n=lambda k: k >= 4 and k % 4 == 0,
-            in_m=lambda k: k >= 6 and k % 4 == 2,
-        )
+        sparse = sparse_pair()
         assert not insep_trivial(a_word("a1 a2^-1"), sparse)
         assert insep_trivial(a_word("a8 a7^-2"), sparse)  # k=4 is N's first member, p=2
 
@@ -109,12 +139,17 @@ class TestInsepDecider:
             w = a_word(text)
             assert insep_trivial(w, pair) == insep_trivial_bruteforce(w, pair)
 
-    def test_bulk_agreement_with_bruteforce(self):
-        pair = mock_pair()
+    @pytest.mark.parametrize("pair", [mock_pair(), sparse_pair()], ids=lambda pair: pair.name)
+    def test_bulk_agreement_with_bruteforce(self, pair):
+        # Random words are almost never trivial, so half of the words are
+        # products of relator multiples, with or without noise.
         rng = random.Random(7)
-        for _ in range(1500):
-            w = random_a_word(rng)
-            assert insep_trivial(w, pair) == insep_trivial_bruteforce(w, pair)
+        verdicts = []
+        for j in range(1500):
+            w = random_a_word(rng) if j % 2 else relator_product_word(rng, pair)
+            verdicts.append(insep_trivial(w, pair))
+            assert verdicts[-1] == insep_trivial_bruteforce(w, pair)
+        assert 100 < sum(verdicts) < 1400  # both verdicts occur
 
     def test_multiplicativity_on_trivial_products(self):
         pair = mock_pair()
@@ -177,6 +212,11 @@ class TestReSemiDecider:
         enum = mock_pair().enum_n
         # Coordinates 3,4 merge only via n = 2, which is not enumerated.
         assert not re_semi_trivial(a_word("a4 a3^-1"), enum, fuel=50)
+
+    def test_verdict_ignores_earlier_calls(self):
+        oracle = re_oracle(mock_pair().enum_n, name="mock")
+        assert oracle.check(a_word("a2 a1^-1"), 5).trivial
+        assert oracle.check(a_word("a2 a1^-1"), 0).unknown
 
     def test_oracle_channel(self):
         oracle = re_oracle(mock_pair().enum_n, name="mock")

@@ -232,3 +232,25 @@ def test_help_exits_zero():
     result = run_cli("--help")
     assert result.returncode == 0
     assert "normalize" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        # A lone letter far out: only its own coordinate pair is visited.
+        (("compare", "--group", "L", "--base", "insep:mock-odd-even", "b1000001", ""),
+         "GT clause=value point=1"),
+        (("compare", "--group", "L", "--base", "insep:mock-odd-even", "b200000", ""),
+         "LT clause=value point=1"),
+        # A huge exponent on one letter of a pair is no relator multiple.
+        (("trivial", "--group", "L", "--base", "insep:mock-odd-even", "b1^100000000"),
+         "NONTRIVIAL"),
+        # A huge composite exponent ratio names no prime.
+        (("trivial", "--group", "L", "--base", "insep:mock-odd-even", "b2 b1^-1000000000000"),
+         "NONTRIVIAL"),
+    ],
+)
+def test_pair_glued_base_with_large_index_or_exponent(args, expected):
+    result = run_cli(*args)
+    assert result.returncode == 0
+    assert result.stdout == expected + "\n"
