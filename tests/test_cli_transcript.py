@@ -74,6 +74,12 @@ COMMANDS = [
     "normalize 'f^x'",
     "normalize --group L 'z q1'",
     "trivial --fuel -1 'f'",
+    "trivial --group L --base re:mock 'b254 b253^-1'",
+    "trivial --group L --base re:mock --fuel 63 'b254 b253^-1'",
+    "member 'f'",
+    "member --group L --subgroup image 'b1'",
+    "demo",
+    "demo theorem1",
 ]
 
 
