@@ -210,28 +210,24 @@ def halting_pair() -> EnumeratedPair:
     Values are the machine numbering of :mod:`wreathembed.machines`
     restricted to {1, 2, ...}; the empty program (number 0) is skipped so
     the values are usable as generator indices.  No membership hint exists.
+
+    The empty program halts at the first tick, so it is always the first
+    halting program and never a cycling one: the i-th value of N is the
+    (i+1)-th halting program, and M is the cycling stream as it stands.
     """
     enum = machines.shared_enumeration()
+    halted = enum.halted
 
-    def positive(fetch: Callable[[int], int]) -> Callable[[int], int]:
-        values: list[int] = []
-        raw = [1]
+    def enum_n(i: int) -> int:
+        # Entries are appended only under the enumeration's lock and never
+        # change, so one already discovered can be read without it.
+        if 0 < i < len(halted):
+            return halted[i]
+        if i < 1:
+            raise ValueError("enumeration index must be >= 1")
+        return enum.halting(i + 1)
 
-        def at(i: int) -> int:
-            while len(values) < i:
-                value = fetch(raw[0])
-                raw[0] += 1
-                if value > 0:
-                    values.append(value)
-            return values[i - 1]
-
-        return at
-
-    return EnumeratedPair(
-        name="halting",
-        enum_n=positive(enum.halting),
-        enum_m=positive(enum.cycling_at),
-    )
+    return EnumeratedPair(name="halting", enum_n=enum_n, enum_m=enum.cycling_at)
 
 
 def pair_basis_vector(word: Word, pair: EnumeratedPair) -> dict[int, int]:

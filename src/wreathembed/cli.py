@@ -4,6 +4,10 @@ Exit codes: 0 on success, 1 on usage or input errors, 2 when a fueled
 verdict comes back unknown.  Output is deterministic: identical invocations
 produce identical bytes.  With ``--output structured`` every command prints
 one JSON record per line instead of plain text.
+
+Each ``cmd_*`` handler returns (exit code, records, text lines): the records
+are what ``--output structured`` prints, one JSON object per line, and the
+text lines are what plain text prints.  ``main`` alone writes standard output.
 """
 
 from __future__ import annotations
@@ -11,27 +15,37 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 
 from wreathembed import reductions, twogen, wreath
 from wreathembed.base_groups import (
-    GroupOracle,
     free_abelian_oracle,
     halting_pair,
     insep_oracle,
     mock_pair,
     re_oracle,
 )
-from wreathembed.orders import (
-    OrderOracle,
-    fs_compare,
-    lex_order,
-    pair_adapted_order,
-    zb_compare,
-)
+from wreathembed.orders import fs_compare, lex_order, pair_adapted_order, zb_compare
 from wreathembed.words import FS_ALPHABET, ZB_ALPHABET, WordError, parse_word, word_to_text
 
-BASES = ("free-abelian", "insep:mock-odd-even", "insep:halting", "re:mock", "re:halting")
-PAIRS = ("mock-odd-even", "halting")
+# One table per selector flag, mapping each choice, in the order ``--help``
+# lists it, to a factory.  A factory looks its callee up when it is called,
+# so a function patched on this module after import is the one that runs.
+BASES = {
+    "free-abelian": lambda: free_abelian_oracle(),
+    "insep:mock-odd-even": lambda: insep_oracle(mock_pair()),
+    "insep:halting": lambda: insep_oracle(halting_pair()),
+    "re:mock": lambda: re_oracle(mock_pair().enum_n, name="mock"),
+    "re:halting": lambda: re_oracle(halting_pair().enum_n, name="halting"),
+}
+ORDERS = {  # the bases of BASES with a bundled computable order
+    "free-abelian": lambda: lex_order(),
+    "insep:mock-odd-even": lambda: pair_adapted_order(mock_pair()),
+}
+PAIRS = {
+    "mock-odd-even": lambda: mock_pair(),
+    "halting": lambda: halting_pair(),
+}
 HINTED_PAIRS = ("mock-odd-even",)  # theorem1 needs a membership hint
 
 
@@ -51,42 +65,15 @@ def _count(text: str) -> int:
     return value
 
 
-def build_base(selector: str) -> GroupOracle:
-    if selector == "free-abelian":
-        return free_abelian_oracle()
-    if selector == "insep:mock-odd-even":
-        return insep_oracle(mock_pair())
-    if selector == "insep:halting":
-        return insep_oracle(halting_pair())
-    if selector == "re:mock":
-        return re_oracle(mock_pair().enum_n, name="mock")
-    if selector == "re:halting":
-        return re_oracle(halting_pair().enum_n, name="halting")
-    raise ValueError(f"unknown base selector {selector!r}")
-
-
-def build_order(selector: str) -> tuple[GroupOracle, OrderOracle]:
-    if selector == "free-abelian":
-        return free_abelian_oracle(), lex_order()
-    if selector == "insep:mock-odd-even":
-        pair = mock_pair()
-        return insep_oracle(pair), pair_adapted_order(pair)
-    raise ValueError(f"no computable order is bundled for base {selector!r}")
-
-
-def build_pair(selector: str):
-    return mock_pair() if selector == "mock-odd-even" else halting_pair()
-
-
-def _print_json(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
-
-
-def _emit(args, record: dict, text: str) -> None:
-    if args.output == "structured":
-        _print_json(record)
-    else:
-        print(text)
+# Arguments that several commands take, each declared once, and ``member
+# --subgroup``, kept here so that ``--help`` lists it between two of them.
+ARGUMENTS = {
+    "--group": {"choices": ("G", "L"), "default": "G"},
+    "--subgroup": {"choices": ("image", "base", "diagonal"), "default": "image"},
+    "--base": {"choices": tuple(BASES), "default": "free-abelian"},
+    "--fuel": {"type": _count, "default": 64},
+    "word": {"nargs": "?", "default": ""},
+}
 
 
 def _printed(render, *args) -> str:
@@ -104,77 +91,65 @@ def _printed(render, *args) -> str:
         ) from None
 
 
-def _stage(args):
-    """The module of the selected group, ``twogen`` (G) or ``wreath`` (L)."""
-    return twogen if args.group == "G" else wreath
+# A group as the commands see it: its stage module, its word alphabet, the
+# lifted order's comparison and, by subgroup name, the membership decider
+# ``(element, base) -> bool`` of each subgroup it offers.
+_Group = namedtuple("_Group", "stage alphabet compare subgroups")
+
+
+def _group(name: str) -> _Group:
+    """Group G or L, as ``--group`` selects it."""
+    if name == "G":
+        subgroups = {"image": twogen.in_image, "base": lambda a, _: twogen.in_base(a)}
+        return _Group(twogen, FS_ALPHABET, fs_compare, subgroups)
+    return _Group(wreath, ZB_ALPHABET, zb_compare, {"diagonal": wreath.in_diagonal})
 
 
 def _element(args, text: str):
     """The normal form of a word of the selected group."""
-    alphabet = FS_ALPHABET if args.group == "G" else ZB_ALPHABET
-    return _stage(args).from_word(parse_word(text, alphabet))
+    group = _group(args.group)
+    return group.stage.from_word(parse_word(text, group.alphabet))
 
 
-def cmd_normalize(args) -> int:
+def cmd_normalize(args):
+    text = _printed(_element(args, args.word).normal_form_text)
+    return 0, [{"command": "normalize", "group": args.group, "normal_form": text}], [text]
+
+
+def cmd_trivial(args):
     element = _element(args, args.word)
-    text = _printed(element.normal_form_text)
-    _emit(args, {"command": "normalize", "group": args.group, "normal_form": text}, text)
-    return 0
-
-
-def cmd_trivial(args) -> int:
-    element = _element(args, args.word)
-    verdict = _stage(args).semi_trivial(element, build_base(args.base), args.fuel)
+    verdict = _group(args.group).stage.semi_trivial(element, BASES[args.base](), args.fuel)
     name = "TRIVIAL" if verdict.trivial else "NONTRIVIAL" if verdict.nontrivial else "UNKNOWN"
     record = {"command": "trivial", "group": args.group, "base": args.base, "verdict": name}
-    _emit(args, record, name)
-    return 2 if name == "UNKNOWN" else 0
+    return 2 if name == "UNKNOWN" else 0, [record], [name]
 
 
-def cmd_member(args) -> int:
+def cmd_member(args):
     element = _element(args, args.word)
-    if args.group == "G":
-        if args.subgroup == "base":
-            member = twogen.in_base(element)
-        elif args.subgroup == "image":
-            member = twogen.in_image(element, build_base(args.base))
-        else:
-            raise ValueError("group G supports the subgroups 'image' and 'base'")
-    else:
-        if args.subgroup != "diagonal":
-            raise ValueError("group L supports the subgroup 'diagonal'")
-        member = wreath.in_diagonal(element, build_base(args.base))
-    name = "MEMBER" if member else "NONMEMBER"
-    record = {
-        "command": "member",
-        "group": args.group,
-        "subgroup": args.subgroup,
-        "base": args.base,
-        "verdict": name,
-    }
-    _emit(args, record, name)
-    return 0
+    subgroups = _group(args.group).subgroups
+    if args.subgroup not in subgroups:
+        noun = "subgroups" if len(subgroups) > 1 else "subgroup"
+        names = " and ".join(f"'{subgroup}'" for subgroup in subgroups)
+        raise ValueError(f"group {args.group} supports the {noun} {names}")
+    name = "MEMBER" if subgroups[args.subgroup](element, BASES[args.base]()) else "NONMEMBER"
+    record = {"command": "member", "group": args.group, "subgroup": args.subgroup,
+              "base": args.base, "verdict": name}
+    return 0, [record], [name]
 
 
-def cmd_compare(args) -> int:
-    base, order = build_order(args.base)
+def cmd_compare(args):
+    if args.base not in ORDERS:
+        raise ValueError(f"no computable order is bundled for base {args.base!r}")
+    base, order = BASES[args.base](), ORDERS[args.base]()
     left, right = _element(args, args.left), _element(args, args.right)
-    compare = fs_compare if args.group == "G" else zb_compare
-    verdict, clause, point = compare(left, right, order, base)
+    verdict, clause, point = _group(args.group).compare(left, right, order, base)
     text = f"{verdict} clause={clause}" + ("" if point is None else " point=" + _printed(str, point))
-    record = {
-        "command": "compare",
-        "group": args.group,
-        "base": args.base,
-        "verdict": verdict,
-        "clause": clause,
-        "point": point,
-    }
-    _emit(args, record, text)
-    return 0
+    record = {"command": "compare", "group": args.group, "base": args.base,
+              "verdict": verdict, "clause": clause, "point": point}
+    return 0, [record], [text]
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args):
     # The word prints the exponent 2^index - 1 in decimal; refuse up front
     # what Python's integer-to-text limit would refuse halfway through.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -184,110 +159,92 @@ def cmd_encode(args) -> int:
             f"would have more than {limit} decimal digits"
         )
     text = word_to_text(twogen.generator_word(args.index))
-    _emit(args, {"command": "encode", "index": args.index, "word": text}, text)
-    return 0
+    return 0, [{"command": "encode", "index": args.index, "word": text}], [text]
 
 
-def cmd_decode(args) -> int:
-    base = build_base(args.base)
+def cmd_decode(args):
+    base = BASES[args.base]()
     element = twogen.from_word(parse_word(args.word, FS_ALPHABET))
     decoded = _printed(word_to_text, twogen.decode(element, base))
-    _emit(args, {"command": "decode", "base": args.base, "word": decoded}, decoded)
-    return 0
+    return 0, [{"command": "decode", "base": args.base, "word": decoded}], [decoded]
 
 
-def cmd_demo_theorem1(args) -> int:
-    report = reductions.separation_report(build_pair(args.pair), args.max_n)
-    if args.output == "text":
-        print("\n".join(reductions.report_lines(report)))
-        return 0
-    for e in report.entries:
-        separator = "in" if e.separated else "out"
-        _print_json({"n": e.n, "side": e.side, "separator": separator,
-                     "sign_lo": e.sign_lo, "sign_hi": e.sign_hi, "ok": e.consistent})
-    _print_json({"entries": len(report.entries), "pair": report.pair_name,
-                 "violations": len(report.violations)})
-    return 0
+def cmd_demo_theorem1(args):
+    report = reductions.separation_report(PAIRS[args.pair](), args.max_n)
+    records = [
+        {"n": e.n, "side": e.side, "separator": "in" if e.separated else "out",
+         "sign_lo": e.sign_lo, "sign_hi": e.sign_hi, "ok": e.consistent}
+        for e in report.entries
+    ]
+    records.append({"entries": len(report.entries), "pair": report.pair_name,
+                    "violations": len(report.violations)})
+    return 0, records, reductions.report_lines(report)
 
 
-def cmd_demo_theorem2(args) -> int:
-    pair = build_pair(args.pair)
-    outcomes = []
-    for n in range(1, args.max_n + 1):
-        verdict = reductions.merge_probe(n, pair.enum_n, args.fuel)
-        outcomes.append((n, "trivial" if verdict.trivial else "unknown"))
-    confirmed = sum(1 for _, v in outcomes if v == "trivial")
-    if args.output == "structured":
-        for n, verdict in outcomes:
-            _print_json({"n": n, "verdict": verdict})
-        _print_json({"confirmed": confirmed, "fuel": args.fuel, "pair": args.pair,
-                     "probed": len(outcomes), "unknown": len(outcomes) - confirmed})
-    else:
-        for n, verdict in outcomes:
-            print(f"n={n} verdict={verdict}")
-        print(f"pair={args.pair}")
-        print(f"probed={len(outcomes)} confirmed={confirmed} "
-              f"unknown={len(outcomes) - confirmed} fuel={args.fuel}")
-    return 0
+def cmd_demo_theorem2(args):
+    pair = PAIRS[args.pair]()
+    verdicts = [
+        "trivial" if reductions.merge_probe(n, pair.enum_n, args.fuel).trivial else "unknown"
+        for n in range(1, args.max_n + 1)
+    ]
+    probed, confirmed = len(verdicts), verdicts.count("trivial")
+    records = [{"n": n, "verdict": verdict} for n, verdict in enumerate(verdicts, 1)]
+    records.append({"confirmed": confirmed, "fuel": args.fuel, "pair": args.pair,
+                    "probed": probed, "unknown": probed - confirmed})
+    lines = [f"n={n} verdict={verdict}" for n, verdict in enumerate(verdicts, 1)]
+    lines.append(f"pair={args.pair}")
+    lines.append(f"probed={probed} confirmed={confirmed} "
+                 f"unknown={probed - confirmed} fuel={args.fuel}")
+    return 0, records, lines
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="wreathembed", description=__doc__)
+    # --help shows the module docstring up to its last paragraph, which is
+    # for readers of this module.
+    parser = _Parser(prog="wreathembed", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--output", choices=("text", "structured"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
+    def add(subparsers, name: str, handler, help: str, *shared: str) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(name, help=help)
         p.set_defaults(handler=handler)
+        for argument in shared:
+            p.add_argument(argument, **ARGUMENTS[argument])
         return p
 
-    p = add("normalize", cmd_normalize, help="print the normal form of a word")
-    p.add_argument("--group", choices=("G", "L"), default="G")
-    p.add_argument("word", nargs="?", default="")
-
-    p = add("trivial", cmd_trivial, help="decide or semi-decide the word problem")
-    p.add_argument("--group", choices=("G", "L"), default="G")
-    p.add_argument("--base", choices=BASES, default="free-abelian")
-    p.add_argument("--fuel", type=_count, default=64)
-    p.add_argument("word", nargs="?", default="")
-
-    p = add("member", cmd_member, help="decide subgroup membership")
-    p.add_argument("--group", choices=("G", "L"), default="G")
-    p.add_argument("--subgroup", choices=("image", "base", "diagonal"), default="image")
-    p.add_argument("--base", choices=BASES, default="free-abelian")
-    p.add_argument("word", nargs="?", default="")
-
-    p = add("compare", cmd_compare, help="compare two words in the lifted order")
-    p.add_argument("--group", choices=("G", "L"), default="G")
-    p.add_argument("--base", choices=BASES, default="free-abelian")
+    add(sub, "normalize", cmd_normalize, "print the normal form of a word", "--group", "word")
+    add(sub, "trivial", cmd_trivial, "decide or semi-decide the word problem",
+        "--group", "--base", "--fuel", "word")
+    add(sub, "member", cmd_member, "decide subgroup membership",
+        "--group", "--subgroup", "--base", "word")
+    p = add(sub, "compare", cmd_compare, "compare two words in the lifted order",
+            "--group", "--base")
     p.add_argument("left", nargs="?", default="")
     p.add_argument("right", nargs="?", default="")
-
-    p = add("encode", cmd_encode, help="embed the i-th base generator")
+    p = add(sub, "encode", cmd_encode, "embed the i-th base generator")
     p.add_argument("index", type=int)
+    add(sub, "decode", cmd_decode, "recover a base word from its embedding", "--base", "word")
 
-    p = add("decode", cmd_decode, help="recover a base word from its embedding")
-    p.add_argument("--base", choices=BASES, default="free-abelian")
-    p.add_argument("word", nargs="?", default="")
-
-    p = add("demo", None, help="run a built-in demonstration")
-    demo_sub = p.add_subparsers(dest="demo", required=True)
-    p1 = demo_sub.add_parser("theorem1", help="order-based separation sweep")
-    p1.set_defaults(handler=cmd_demo_theorem1)
-    p1.add_argument("--pair", choices=HINTED_PAIRS, default="mock-odd-even")
-    p1.add_argument("--max-n", type=_count, default=20)
-    p2 = demo_sub.add_parser("theorem2", help="fueled membership probe sweep")
-    p2.set_defaults(handler=cmd_demo_theorem2)
-    p2.add_argument("--pair", choices=PAIRS, default="mock-odd-even")
-    p2.add_argument("--max-n", type=_count, default=10)
-    p2.add_argument("--fuel", type=_count, default=64)
+    p = add(sub, "demo", None, "run a built-in demonstration")
+    demo = p.add_subparsers(dest="demo", required=True)
+    p = add(demo, "theorem1", cmd_demo_theorem1, "order-based separation sweep")
+    p.add_argument("--pair", choices=HINTED_PAIRS, default="mock-odd-even")
+    p.add_argument("--max-n", type=_count, default=20)
+    p = add(demo, "theorem2", cmd_demo_theorem2, "fueled membership probe sweep")
+    p.add_argument("--pair", choices=tuple(PAIRS), default="mock-odd-even")
+    p.add_argument("--max-n", type=_count, default=10)
+    p.add_argument("--fuel", **ARGUMENTS["--fuel"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, records, lines = args.handler(args)
+        if args.output == "structured":
+            lines = [json.dumps(record, sort_keys=True) for record in records]
+        print("\n".join(lines))
+        return code
     except (WordError, ValueError) as exc:
         print(f"wreathembed: error: {exc}", file=sys.stderr)
         return 1

@@ -125,10 +125,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.runs
 
-    def letter_count(self) -> int:
-        """Total letter count, exponents counted with multiplicity."""
-        return sum(abs(exp) for _, exp in self.runs)
-
     def __iter__(self) -> Iterator[tuple[Gen, int]]:
         return iter(self.runs)
 

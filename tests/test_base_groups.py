@@ -1,10 +1,13 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import insep_trivial_bruteforce
+from wreathembed import machines
 from wreathembed.base_groups import (
     EnumeratedPair,
     exponent_vector,
@@ -186,6 +189,44 @@ class TestHaltingPair:
 
     def test_no_hint(self):
         assert not halting_pair().has_hint
+
+    def test_streams_skip_only_the_empty_program(self, monkeypatch):
+        enum = machines.DovetailEnumeration()
+        monkeypatch.setattr(machines, "_shared", enum)
+        pair = halting_pair()
+        for i in range(1, 2001):
+            assert pair.enum_n(i) == enum.halting(i + 1)
+        for i in range(1, 2001):
+            assert pair.enum_m(i) == enum.cycling_at(i)
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                pair.enum_n(bad)
+            with pytest.raises(ValueError):
+                pair.enum_m(bad)
+
+    def test_concurrent_readers_see_one_stream(self, monkeypatch):
+        # Eight threads read one fresh pair while the interpreter switches
+        # between them as often as it can; each must see the serial stream.
+        expected = [halting_pair().enum_n(i) for i in range(1, 401)]
+        monkeypatch.setattr(machines, "_shared", machines.DovetailEnumeration())
+        pair = halting_pair()
+        seen: list[list[int]] = [[] for _ in range(8)]
+
+        def read(out: list[int]) -> None:
+            out.extend(pair.enum_n(i) for i in range(1, 401))
+
+        threads = [threading.Thread(target=read, args=(out,), daemon=True) for out in seen]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(out == expected for out in seen)
 
 
 def re_semi_trivial(word: Word, enum_n, fuel: int) -> bool:

@@ -45,9 +45,6 @@ class TestCanonicalForm:
         w = parse_word("z^0 b1", ZB_ALPHABET)
         assert w.runs == ((Gen("b", 1), 1),)
 
-    def test_letter_count(self):
-        assert parse_word("z^3 b2^-2", ZB_ALPHABET).letter_count() == 5
-
 
 class TestParse:
     def test_plain_and_indexed(self):
