@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import shlex
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -80,6 +82,11 @@ COMMANDS = [
     "member --group L --subgroup image 'b1'",
     "demo",
     "demo theorem1",
+    "--help",
+    "trivial --help",
+    "compare --help",
+    "demo --help",
+    "demo theorem2 --help",
 ]
 
 
@@ -95,7 +102,11 @@ def run_in_process(argv: list[str]) -> tuple[int, str, str]:
     from wreathembed import cli
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),  # argparse wraps help to the width
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse usage errors and --help
