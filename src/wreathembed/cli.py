@@ -8,11 +8,14 @@ one JSON record per line instead of plain text.
 Each ``cmd_*`` handler returns (exit code, records, text lines): the records
 are what ``--output structured`` prints, one JSON object per line, and the
 text lines are what plain text prints.  ``main`` alone writes standard output.
+It builds the parser once per process, on its first call, and reuses it; the
+parser holds no per-call state, since every parse fills a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import namedtuple
@@ -198,7 +201,10 @@ def cmd_demo_theorem2(args):
     return 0, records, lines
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # Built on the first ``main`` call, not at import, so importing stays
+    # cheap.  Every caller gets this one parser; none may modify it.
     # --help shows the module docstring up to its last paragraph, which is
     # for readers of this module.
     parser = _Parser(prog="wreathembed", description=__doc__.rsplit("\n\n", 1)[0])

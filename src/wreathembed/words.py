@@ -157,7 +157,7 @@ _TERM = re.compile(r"([a-z])([0-9]*)(?:\^([+-]?[0-9]+))?\Z")
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse word text; raises WordError with a 1-based column on bad input."""
-    pairs: list[tuple[Gen, int]] = []
+    runs: list[tuple[Gen, int]] = []
     for token_match in re.finditer(r"\S+", text):
         token = token_match.group(0)
         pos = token_match.start() + 1
@@ -174,8 +174,8 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             gen = alphabet.gen(letter, index)
         except WordError as exc:
             raise WordError(str(exc), pos) from None
-        pairs.append((gen, exp))
-    return Word.make(alphabet, pairs)
+        _push(runs, (gen, exp))
+    return Word(alphabet, tuple(runs))
 
 
 def word_to_text(word: Word) -> str:

@@ -4,7 +4,9 @@
 output formats, the exit code, standard output and standard error that the
 CLI printed when the transcript was recorded.  The test replays each command
 in-process through ``cli.main`` and compares bytes, so any change of output
-shows up as a diff against the file.
+shows up as a diff against the file.  ``main`` reuses one parser per process,
+so the whole transcript is also replayed in one process in reversed and in
+shuffled order: a value that leaked from one call into the next would show.
 
 Re-record (only when an output change is intended) from the repository root:
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import random
 import shlex
 import sys
 from pathlib import Path
@@ -152,6 +155,41 @@ def test_transcript_covers_every_command():
 @pytest.mark.parametrize("argv, code, out, err", ENTRIES, ids=[shlex.join(e[0]) for e in ENTRIES])
 def test_cli_output_matches_transcript(argv, code, out, err):
     assert run_in_process(argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_replay_in_one_process_in_any_order(order):
+    """``main`` shares one parser between calls; no call may leak into the
+    next.  Reversed, ``trivial ... --fuel 63 'b254 b253^-1'`` runs just
+    before the same command at the default fuel, whose verdict differs."""
+    if order == "reversed":
+        entries = ENTRIES[::-1]
+    else:
+        entries = random.Random(20261018).sample(ENTRIES, len(ENTRIES))
+    replayed = [(argv, *run_in_process(argv)) for argv, *_ in entries]
+    assert replayed == entries
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    from wreathembed import cli
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert run_in_process(["--output", "structured", "encode", "1"])[0] == 0
+    assert built  # the first call builds the parser and its subparsers
+    built.clear()
+    assert run_in_process(["encode", "1"]) == (0, G1 + "\n", "")  # default output again
+    assert run_in_process(["trivial", "--fuel", "3", "f"])[0] == 0
+    assert run_in_process(["demo", "theorem2", "--max-n", "2"])[0] == 0
+    assert run_in_process(["--help"])[0] == 0
+    assert built == []
 
 
 if __name__ == "__main__":
