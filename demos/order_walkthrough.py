@@ -17,7 +17,7 @@ base_order = lex_order()
 print("base level: lexicographic on commuting letters")
 for left, right in (("x1", "x2"), ("x1 x2^-1", ""), ("x2^-1", "x1^-1")):
     u, v = parse_word(left, X_ALPHABET), parse_word(right, X_ALPHABET)
-    rel = "<" if base_order.less(u, v) else ">" if base_order.less(v, u) else "="
+    rel = {"LT": "<", "EQ": "=", "GT": ">"}[base_order.compare(u, v)]
     print(f"  {left!r:12} {rel} {right!r}")
 print()
 

@@ -162,8 +162,8 @@ def free_abelian_trivial(word: Word) -> bool:
     return not exponent_vector(word)
 
 
-def free_abelian_oracle(alphabet: Alphabet = X_ALPHABET) -> GroupOracle:
-    return GroupOracle.deciding("free-abelian", alphabet, free_abelian_trivial)
+def free_abelian_oracle() -> GroupOracle:
+    return GroupOracle.deciding("free-abelian", X_ALPHABET, free_abelian_trivial)
 
 
 @dataclass(frozen=True)
@@ -192,10 +192,8 @@ def _classify_odd_even(k: int) -> tuple[str, int | None]:
     return ("n", (k + 1) // 2) if k % 2 else ("m", k // 2)
 
 
-def mock_pair(kind: str = "odd-even") -> EnumeratedPair:
+def mock_pair() -> EnumeratedPair:
     """A decidable stand-in pair: N the odd naturals, M the even ones."""
-    if kind != "odd-even":
-        raise ValueError(f"unknown mock pair kind {kind!r}")
     return EnumeratedPair(
         name="mock-odd-even",
         enum_n=lambda i: 2 * i - 1,
@@ -272,11 +270,13 @@ def insep_trivial(word: Word, pair: EnumeratedPair) -> bool:
     return all(_insep_pair_vanishes(k, lo, hi, pair) for k, (lo, hi) in _pairs(word).items())
 
 
-def insep_oracle(pair: EnumeratedPair, alphabet: Alphabet = A_ALPHABET) -> GroupOracle:
-    return GroupOracle.deciding(f"insep:{pair.name}", alphabet, lambda word: insep_trivial(word, pair))
+def insep_oracle(pair: EnumeratedPair) -> GroupOracle:
+    return GroupOracle.deciding(
+        f"insep:{pair.name}", A_ALPHABET, lambda word: insep_trivial(word, pair)
+    )
 
 
-def re_oracle(enum_n: Callable[[int], int], alphabet: Alphabet = A_ALPHABET, name: str = "re") -> GroupOracle:
+def re_oracle(enum_n: Callable[[int], int], name: str = "re") -> GroupOracle:
     def check(word: Word, fuel: int) -> SemiVerdict:
         # TRIVIAL iff every pair is a multiple of a(2k) a(2k-1)^-1 and each
         # such k is among enum_n(1..fuel); the scan stops once all are seen.
@@ -290,4 +290,4 @@ def re_oracle(enum_n: Callable[[int], int], alphabet: Alphabet = A_ALPHABET, nam
             needed.discard(enum_n(i))
         return UNKNOWN if needed else TRIVIAL
 
-    return GroupOracle(f"re:{name}", alphabet, check)
+    return GroupOracle(f"re:{name}", A_ALPHABET, check)

@@ -26,12 +26,7 @@ from wreathembed.words import A_ALPHABET, Word, parse_word
 
 
 def _sign(word: Word, order: OrderOracle) -> str:
-    one = Word.identity(order.alphabet)
-    if order.less(one, word):
-        return "+"
-    if order.less(word, one):
-        return "-"
-    return "0"
+    return {"LT": "+", "EQ": "0", "GT": "-"}[order.compare(Word.identity(order.alphabet), word)]
 
 
 def _same_side(sign_lo: str, sign_hi: str) -> bool:
@@ -39,18 +34,22 @@ def _same_side(sign_lo: str, sign_hi: str) -> bool:
     return "+" not in (sign_lo, sign_hi) or "-" not in (sign_lo, sign_hi)
 
 
+def _signs(n: int, order: OrderOracle) -> tuple[str, str]:
+    # (sign_lo, sign_hi): the signs of the embedded generators 2n-1 and 2n.
+    lo, hi = twogen.generator_word(2 * n - 1), twogen.generator_word(2 * n)
+    return _sign(lo, order), _sign(hi, order)
+
+
 def separator(n: int, order: OrderOracle) -> bool:
     """Whether n satisfies the order-side condition in the lifted order.
 
     True when the embedded generators with indices 2n and 2n-1 sit weakly
     on the same side of the identity ("weakly": equality counts for both
-    sides).  Read off the two signs, so at most four comparisons.
+    sides).  Read off the two signs, so two comparisons.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    return _same_side(
-        _sign(twogen.generator_word(2 * n - 1), order), _sign(twogen.generator_word(2 * n), order)
-    )
+    return _same_side(*_signs(n, order))
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,7 @@ def separation_report(pair: EnumeratedPair, max_n: int) -> SeparatorReport:
     order = lifted_order(H, pair_adapted_order(pair))
     entries = []
     for n in range(1, max_n + 1):
-        sign_lo = _sign(twogen.generator_word(2 * n - 1), order)
-        sign_hi = _sign(twogen.generator_word(2 * n), order)
+        sign_lo, sign_hi = _signs(n, order)
         side = pair.classify(n)[0]
         entries.append(SeparatorEntry(n, side, _same_side(sign_lo, sign_hi), sign_lo, sign_hi))
     return SeparatorReport(pair.name, tuple(entries))

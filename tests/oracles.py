@@ -36,7 +36,7 @@ def transport_less(u: Word, v: Word, images: dict, target_order: OrderOracle) ->
             out = out * image**exp
         return out
 
-    return target_order.less(substitute(u), substitute(v))
+    return target_order.compare(substitute(u), substitute(v)) == "LT"
 
 
 @dataclass(frozen=True)

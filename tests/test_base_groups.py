@@ -112,10 +112,6 @@ class TestMockPair:
         assert pair.classify(4) == ("m", 2)
         assert pair.classify(0) == ("free", None)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            mock_pair("other")
-
 
 class TestInsepDecider:
     def test_relator_n_side(self):

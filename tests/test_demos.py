@@ -5,7 +5,9 @@ into errors, and its standard output is compared with
 ``tests/data/demos/<name>.txt``.  Re-record (only when an output change is
 intended) from the repository root:
 
-    for d in demos/*.py; do PYTHONPATH=src python "$d" > "tests/data/demos/$(basename "$d" .py).txt"; done
+    for d in demos/*.py; do
+        PYTHONPATH=src python "$d" > "tests/data/demos/$(basename "$d" .py).txt"
+    done
 """
 
 from __future__ import annotations

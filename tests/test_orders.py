@@ -6,9 +6,8 @@ from oracles import OrderAxiomReport, check_order_axioms, transport_less
 from wreathembed import orders, twogen, wreath
 from wreathembed.base_groups import free_abelian_oracle, free_abelian_trivial, insep_oracle, mock_pair
 from wreathembed.orders import (
+    OrderOracle,
     fs_compare,
-    fs_less,
-    lex_less,
     lex_order,
     lifted_order,
     pair_adapted_order,
@@ -28,8 +27,16 @@ H = free_abelian_oracle()
 HORD = lex_order()
 
 
+def lex_less(u, v) -> bool:
+    return HORD.compare(u, v) == "LT"
+
+
 def zb_less(a, b, H_order, H) -> bool:
     return zb_compare(a, b, H_order, H)[0] == "LT"
+
+
+def fs_less(a, b, H_order, H) -> bool:
+    return fs_compare(a, b, H_order, H)[0] == "LT"
 
 
 def x(text: str) -> Word:
@@ -71,9 +78,9 @@ class TestLex:
         assert lex_less(x("x2"), x("x1"))
         assert lex_less(x("x1 x5^-9"), x("x1 x3"))
 
-    def test_equal_words_incomparable(self):
-        assert not lex_less(x("x1 x2"), x("x2 x1"))
-        assert not lex_less(x("x2 x1"), x("x1 x2"))
+    def test_equal_words_compare_equal(self):
+        assert HORD.compare(x("x1 x2"), x("x2 x1")) == "EQ"
+        assert HORD.compare(x("x2 x1"), x("x1 x2")) == "EQ"
 
     def test_translation_invariance(self):
         rng = random.Random(1)
@@ -87,12 +94,13 @@ class TestPairAdapted:
         order = pair_adapted_order(mock_pair())
         a = parse_word("a2", A_ALPHABET)
         b = parse_word("a1^2", A_ALPHABET)
-        # a2 = a1^2 in the group: equal, so incomparable.
-        assert not order.less(a, b) and not order.less(b, a)
+        # a2 = a1^2 in the group: equal, so they compare equal.
+        assert order.compare(a, b) == order.compare(b, a) == "EQ"
 
     def test_strictness_on_distinct(self):
         order = pair_adapted_order(mock_pair())
-        assert order.less(parse_word("a1", A_ALPHABET), parse_word("a2", A_ALPHABET))
+        a1, a2 = parse_word("a1", A_ALPHABET), parse_word("a2", A_ALPHABET)
+        assert (order.compare(a1, a2), order.compare(a2, a1)) == ("LT", "GT")
 
 
 class TestInnerLift:
@@ -137,6 +145,13 @@ class TestInnerLift:
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(ValueError):
             zb_less(zb("b1"), zb("z"), lex_order(), insep_oracle(mock_pair()))
+
+    def test_order_that_ties_distinct_values_is_rejected(self):
+        ties = OrderOracle("ties", X_ALPHABET, lambda u, v: "EQ")
+        with pytest.raises(ValueError, match="order 'ties' is not total"):
+            zb_compare(zb("b1"), zb(""), ties, H)
+        with pytest.raises(ValueError, match="order 'ties' is not total"):
+            fs_compare(twogen.encode_word(x("x1")), twogen.FSElement.identity(), ties, H)
 
 
 class TestOuterLift:
@@ -187,7 +202,7 @@ class TestOuterLift:
     def test_order_oracle_wrapper(self):
         order = lifted_order(H, HORD)
         assert order.alphabet == FS_ALPHABET
-        assert order.less(parse_word("", FS_ALPHABET), parse_word("s", FS_ALPHABET))
+        assert order.compare(parse_word("", FS_ALPHABET), parse_word("s", FS_ALPHABET)) == "LT"
 
 
 class TestTransport:
@@ -236,7 +251,7 @@ class TestAxiomChecker:
         rng = random.Random(10)
         sample = [random_fs_element(rng, 3, 4, 2, 2).to_word() for _ in range(12)]
         order = lifted_order(H, HORD)
-        relation = lambda u, v: not order.less(v, u)
+        relation = lambda u, v: order.compare(u, v) != "GT"
         report = check_order_axioms(
             sample, relation, lambda w: twogen.is_trivial(twogen.from_word(w), H), n_max=3
         )

@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
+from wreathembed import twogen
 from wreathembed.base_groups import halting_pair, insep_oracle, mock_pair
 from wreathembed.machines import index_to_program, run_status
 from wreathembed.orders import lifted_order, pair_adapted_order
 from wreathembed.reductions import (
+    _sign,
     merge_probe,
     report_lines,
     separation_report,
@@ -25,6 +29,18 @@ class TestSeparator:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             separator(0, mock_order())
+
+    def test_sign_costs_one_comparison(self):
+        order = mock_order()
+        calls = []
+
+        def compare(u, v):
+            calls.append((u, v))
+            return order.compare(u, v)
+
+        counted = dataclasses.replace(order, compare=compare)
+        assert _sign(twogen.generator_word(4), counted) == "-"
+        assert len(calls) == 1
 
 
 class TestSeparationReport:
