@@ -16,29 +16,3 @@ enumerations of register-machine behaviour (:mod:`wreathembed.base_groups`,
 :mod:`wreathembed.machines`) together with the separation and probe reports
 built from them (:mod:`wreathembed.reductions`).
 """
-
-from wreathembed.words import (
-    A_ALPHABET,
-    FS_ALPHABET,
-    X_ALPHABET,
-    ZB_ALPHABET,
-    Alphabet,
-    Gen,
-    Word,
-    WordError,
-    parse_word,
-    word_to_text,
-)
-
-__all__ = [
-    "A_ALPHABET",
-    "FS_ALPHABET",
-    "X_ALPHABET",
-    "ZB_ALPHABET",
-    "Alphabet",
-    "Gen",
-    "Word",
-    "WordError",
-    "parse_word",
-    "word_to_text",
-]

@@ -20,15 +20,16 @@ trivial exactly when each of its pairs ``(e_lo, e_hi)`` of exponent sums
   ``e_lo + e_hi == 0`` and k lies in N, which a fueled check certifies by
   finding k among the first ``fuel`` members.
 
-A :class:`GroupOracle` packages an alphabet with one triviality check,
-``check(word, fuel)``, and a ``total`` flag.  A total check decides the word
-problem and ignores the fuel; a fueled one certifies triviality within its
-budget and otherwise gives up, never refuting.
+A :class:`GroupOracle` packages an alphabet, a ``total`` flag and one check,
+``check(word, fuel)``, answering a :class:`SemiVerdict`.  A total check
+decides the word problem (TRIVIAL or NONTRIVIAL) and ignores the fuel; a
+fueled one answers TRIVIAL within its budget, else UNKNOWN, never refuting.
 """
 
 from __future__ import annotations
 
 import bisect
+import enum
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -37,37 +38,39 @@ from wreathembed import machines
 from wreathembed.words import A_ALPHABET, X_ALPHABET, Alphabet, Word
 
 
-@dataclass(frozen=True)
-class SemiVerdict:
-    """Outcome of a fuel-bounded triviality check.
+class SemiVerdict(enum.Enum):
+    """Outcome of a fuel-bounded triviality check; the value is its CLI name."""
 
-    ``trivial`` is a proof of triviality, ``nontrivial`` a fuel-independent
-    refutation; with both flags down the budget was simply exhausted.
-    """
+    TRIVIAL = "TRIVIAL"  # a proof of triviality
+    NONTRIVIAL = "NONTRIVIAL"  # a fuel-independent refutation
+    UNKNOWN = "UNKNOWN"  # the budget ran out first
 
-    trivial: bool = False
-    nontrivial: bool = False
+    @property
+    def trivial(self) -> bool:
+        return self is TRIVIAL
+
+    @property
+    def nontrivial(self) -> bool:
+        return self is NONTRIVIAL
 
     @property
     def unknown(self) -> bool:
-        return not (self.trivial or self.nontrivial)
+        return self is UNKNOWN
 
 
-TRIVIAL = SemiVerdict(trivial=True)
-NONTRIVIAL = SemiVerdict(nontrivial=True)
-UNKNOWN = SemiVerdict()
+TRIVIAL, NONTRIVIAL, UNKNOWN = SemiVerdict
 
 
 @dataclass(frozen=True)
 class GroupOracle:
     """A group given by generators plus a triviality check for words.
 
-    ``check(word, fuel)`` returns a :class:`SemiVerdict`.  With ``total``
-    set the group has decidable word problem: the check answers TRIVIAL or
-    NONTRIVIAL and ignores the fuel.  Otherwise the group is merely
-    recursively presented: the check answers TRIVIAL when triviality is
-    certified within the fuel budget and UNKNOWN when it is not, and never
-    refutes.
+    ``check(word, fuel)`` returns one of the three :class:`SemiVerdict`
+    members.  With ``total`` set the group has decidable word problem: the
+    check answers TRIVIAL or NONTRIVIAL, never UNKNOWN, and ignores the
+    fuel.  Otherwise the group is merely recursively presented: the check
+    answers TRIVIAL when triviality is certified within the fuel budget and
+    UNKNOWN when it is not, never NONTRIVIAL.
     """
 
     name: str
@@ -180,10 +183,6 @@ class EnumeratedPair:
     enum_n: Callable[[int], int]
     enum_m: Callable[[int], int]
     classify: Callable[[int], tuple[str, int | None]] | None = None
-
-    @property
-    def has_hint(self) -> bool:
-        return self.classify is not None
 
 
 def _classify_odd_even(k: int) -> tuple[str, int | None]:

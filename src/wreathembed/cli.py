@@ -121,8 +121,7 @@ def cmd_normalize(args):
 
 def cmd_trivial(args):
     element = _element(args, args.word)
-    verdict = _group(args.group).stage.semi_trivial(element, BASES[args.base](), args.fuel)
-    name = "TRIVIAL" if verdict.trivial else "NONTRIVIAL" if verdict.nontrivial else "UNKNOWN"
+    name = _group(args.group).stage.semi_trivial(element, BASES[args.base](), args.fuel).value
     record = {"command": "trivial", "group": args.group, "base": args.base, "verdict": name}
     return 2 if name == "UNKNOWN" else 0, [record], [name]
 

@@ -152,11 +152,11 @@ class _RunState:
     """
 
     program: Program
-    config: Config = (1, 0, 0)
-    steps: int = 0
-    tortoise: Config = (1, 0, 0)
-    power: int = 1
-    lam: int = 0
+    config: Config = field(default=(1, 0, 0), init=False)
+    steps: int = field(default=0, init=False)
+    tortoise: Config = field(default=(1, 0, 0), init=False)
+    power: int = field(default=1, init=False)
+    lam: int = field(default=0, init=False)
 
     def advance(self, budget: int) -> str | None:
         """Run until ``budget`` total steps; "halt" or "cycle" once decided."""
@@ -207,11 +207,11 @@ class DovetailEnumeration:
     run belongs to a program already decided.
     """
 
-    halted: list[int] = field(default_factory=list)
-    cycling: list[int] = field(default_factory=list)
-    _tick: int = 0
-    _states: dict[int, _RunState] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    halted: list[int] = field(default_factory=list, init=False)
+    cycling: list[int] = field(default_factory=list, init=False)
+    _tick: int = field(default=0, init=False)
+    _states: dict[int, _RunState] = field(default_factory=dict, init=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     def _advance_one_tick(self) -> None:
         self._tick += 1
@@ -228,23 +228,21 @@ class DovetailEnumeration:
             del self._states[g]
             (self.halted if fate == "halt" else self.cycling).append(g)
 
-    def halting(self, i: int) -> int:
-        """The i-th (1-based) program observed to halt."""
+    def _nth(self, stream: list[int], i: int) -> int:
         if i < 1:
             raise ValueError("enumeration index must be >= 1")
         with self._lock:
-            while len(self.halted) < i:
+            while len(stream) < i:
                 self._advance_one_tick()
-            return self.halted[i - 1]
+            return stream[i - 1]
+
+    def halting(self, i: int) -> int:
+        """The i-th (1-based) program observed to halt."""
+        return self._nth(self.halted, i)
 
     def cycling_at(self, i: int) -> int:
         """The i-th (1-based) program observed to cycle."""
-        if i < 1:
-            raise ValueError("enumeration index must be >= 1")
-        with self._lock:
-            while len(self.cycling) < i:
-                self._advance_one_tick()
-            return self.cycling[i - 1]
+        return self._nth(self.cycling, i)
 
 
 _shared: DovetailEnumeration | None = None

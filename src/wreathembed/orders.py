@@ -44,21 +44,24 @@ class OrderOracle:
     compare: Callable[[Word, Word], str]
 
 
-def _vector_compare(u: dict[int, int], v: dict[int, int]) -> str:
-    # Lexicographic on sparse integer vectors: the smallest coordinate where
-    # they differ decides, smaller value first.
-    for key in sorted(set(u) | set(v)):
-        a, b = u.get(key, 0), v.get(key, 0)
-        if a != b:
-            return "LT" if a < b else "GT"
-    return "EQ"
+def _vector_order(
+    name: str, alphabet: Alphabet, vector: Callable[[Word], dict[int, int]]
+) -> OrderOracle:
+    # Lexicographic on the words' sparse vectors: the least differing coordinate decides.
+    def compare(u: Word, v: Word) -> str:
+        vu, vv = vector(u), vector(v)
+        for key in sorted(set(vu) | set(vv)):
+            a, b = vu.get(key, 0), vv.get(key, 0)
+            if a != b:
+                return "LT" if a < b else "GT"
+        return "EQ"
+
+    return OrderOracle(name, alphabet, compare)
 
 
 def lex_order() -> OrderOracle:
     """Lexicographic order on the free abelian group."""
-    return OrderOracle(
-        "lex", X_ALPHABET, lambda u, v: _vector_compare(exponent_vector(u), exponent_vector(v))
-    )
+    return _vector_order("lex", X_ALPHABET, exponent_vector)
 
 
 def pair_adapted_order(pair: EnumeratedPair) -> OrderOracle:
@@ -67,11 +70,7 @@ def pair_adapted_order(pair: EnumeratedPair) -> OrderOracle:
     Needs the pair's membership hint to rewrite words; equal group elements
     get equal vectors, so the order is well defined on the group.
     """
-
-    def compare(u: Word, v: Word) -> str:
-        return _vector_compare(pair_basis_vector(u, pair), pair_basis_vector(v, pair))
-
-    return OrderOracle(f"lex[{pair.name}]", A_ALPHABET, compare)
+    return _vector_order(f"lex[{pair.name}]", A_ALPHABET, lambda w: pair_basis_vector(w, pair))
 
 
 def _lift(a, b, stage, H_order: OrderOracle, H: GroupOracle, compare_at):

@@ -85,9 +85,8 @@ def separation_report(pair: EnumeratedPair, max_n: int) -> SeparatorReport:
     Needs a pair with a membership hint, both to build a computable order
     on the base group and to know the expected answers.
     """
-    if not pair.has_hint:
+    if pair.classify is None:
         raise ValueError(f"pair {pair.name!r} has no membership hint")
-    assert pair.classify is not None
     H = insep_oracle(pair)
     order = lifted_order(H, pair_adapted_order(pair))
     entries = []

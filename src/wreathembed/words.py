@@ -102,6 +102,15 @@ def _push(runs: list, entry: tuple) -> None:
     runs.append(entry)
 
 
+def _power(element, identity, n: int):
+    """The n-th power of ``element``: ``identity`` when n is 0."""
+    base = element if n >= 0 else ~element
+    out = base if n else identity
+    for _ in range(abs(n) - 1):
+        out = out * base
+    return out
+
+
 @dataclass(frozen=True)
 class Word:
     """A canonical word.  Build with :meth:`make` or :func:`parse_word`."""
@@ -140,13 +149,7 @@ class Word:
         return Word(self.alphabet, tuple((g, -e) for g, e in reversed(self.runs)))
 
     def __pow__(self, n: int) -> Word:
-        if n == 0:
-            return Word.identity(self.alphabet)
-        base = self if n > 0 else ~self
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        return _power(self, Word.identity(self.alphabet), n)
 
     def __str__(self) -> str:
         return word_to_text(self)
@@ -262,11 +265,7 @@ class WreathElement:
         return type(self)(tuple(factors), -self.tail)
 
     def __pow__(self, n: int):
-        base = self if n >= 0 else ~self
-        out = type(self)()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return _power(self, self.identity(), n)
 
     @classmethod
     def from_word(cls, word: Word):

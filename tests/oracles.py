@@ -9,9 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from wreathembed.base_groups import EnumeratedPair, pair_basis_vector
+from wreathembed.base_groups import EnumeratedPair, GroupOracle, pair_basis_vector
 from wreathembed.orders import OrderOracle
-from wreathembed.words import Word
+from wreathembed.words import X_ALPHABET, Word
+
+# The free group on x1, x2, ...: a canonical word is freely reduced, so it is
+# trivial iff it is empty.  The only base in the tests whose values do not
+# commute.
+FREE = GroupOracle.deciding("free", X_ALPHABET, lambda w: w.is_identity())
 
 
 def insep_trivial_bruteforce(word: Word, pair: EnumeratedPair) -> bool:

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from oracles import insep_trivial_bruteforce
 from wreathembed import machines
 from wreathembed.base_groups import (
+    NONTRIVIAL,
+    TRIVIAL,
+    UNKNOWN,
     EnumeratedPair,
+    SemiVerdict,
     exponent_vector,
     free_abelian_oracle,
     free_abelian_trivial,
@@ -66,6 +70,16 @@ def relator_product_word(rng: random.Random, pair: EnumeratedPair) -> Word:
     if rng.random() < 0.5:
         word = word * random_a_word(rng, max_letters=3, max_index=2 * pair.enum_m(6))
     return word
+
+
+def test_semi_verdict_has_three_exclusive_members_named_as_the_cli_prints_them():
+    assert list(SemiVerdict) == [TRIVIAL, NONTRIVIAL, UNKNOWN]
+    for verdict in SemiVerdict:
+        flags = (verdict.trivial, verdict.nontrivial, verdict.unknown)
+        assert all(type(flag) is bool for flag in flags)
+        assert flags.count(True) == 1
+    assert [v.value for v in SemiVerdict] == ["TRIVIAL", "NONTRIVIAL", "UNKNOWN"]
+    assert (TRIVIAL.trivial, NONTRIVIAL.nontrivial, UNKNOWN.unknown) == (True, True, True)
 
 
 class TestPrimes:
@@ -184,7 +198,7 @@ class TestHaltingPair:
         assert pair.enum_n(1) == 1
 
     def test_no_hint(self):
-        assert not halting_pair().has_hint
+        assert halting_pair().classify is None
 
     def test_streams_skip_only_the_empty_program(self, monkeypatch):
         enum = machines.DovetailEnumeration()

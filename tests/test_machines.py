@@ -4,6 +4,7 @@ import pytest
 
 from wreathembed.machines import (
     DovetailEnumeration,
+    _RunState,
     cantor_pair,
     cantor_unpair,
     index_to_program,
@@ -154,6 +155,12 @@ class TestDovetail:
         # already decided (about 380 bytes per stream entry if it were).
         entries = len(enum.halted) + len(enum.cycling)
         assert peak <= 64 * entries + 4096 * len(enum._states)
+
+    def test_streams_and_run_states_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            DovetailEnumeration(halted=[5])
+        with pytest.raises(TypeError):
+            _RunState((), (1, 0, 0))
 
     def test_shared_enumeration_is_memoized(self):
         assert shared_enumeration() is shared_enumeration()

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_scans
+from oracles import FREE
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
     free_abelian_oracle,
@@ -19,6 +20,7 @@ from wreathembed.words import (
     X_ALPHABET,
     Gen,
     Word,
+    commutator,
     parse_word,
     word_to_text,
 )
@@ -252,6 +254,50 @@ class TestEmbedding:
         assert twogen.is_trivial(
             twogen.encode_word(u) * twogen.encode_word(~u), H
         )
+
+
+class TestFreeBase:
+    """The embedding over a base whose values do not commute."""
+
+    @staticmethod
+    def pairs(seed: int, count: int = 300):
+        # v is u, u with its runs shuffled (equal only up to commuting), or
+        # an unrelated word, a third of the time each.
+        rng = random.Random(seed)
+        for _ in range(count):
+            u = random_x_word(rng, max_letters=8, max_index=4)
+            kind = rng.randrange(3)
+            if kind == 0:
+                v = u
+            elif kind == 1:
+                v = Word.make(X_ALPHABET, rng.sample(u.runs, len(u.runs)))
+            else:
+                v = random_x_word(rng, max_letters=8, max_index=4)
+            yield u, v
+
+    def test_encoding_is_injective(self):
+        outcomes = set()
+        for u, v in self.pairs(43):
+            equal = twogen.is_trivial(twogen.encode_word(u) * ~twogen.encode_word(v), FREE)
+            assert equal == (u == v), (str(u), str(v))
+            outcomes.add((equal, twogen.is_trivial(twogen.encode_word(u * ~v), H)))
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+    def test_decode_inverts_encode(self):
+        for u, _ in self.pairs(47):
+            assert twogen.decode(twogen.encode_word(u), FREE) == u
+
+    def test_image_is_closed_under_products(self):
+        for u, v in self.pairs(53):
+            product = twogen.encode_word(u) * twogen.encode_word(v)
+            assert twogen.in_image(product, FREE)
+            assert twogen.decode(product, FREE) == u * v
+
+    def test_commutator_survives_only_in_the_free_group(self):
+        x1, x2 = (parse_word(t, X_ALPHABET) for t in ("x1", "x2"))
+        a = twogen.encode_word(commutator(x1, x2))
+        assert not twogen.is_trivial(a, FREE)
+        assert twogen.is_trivial(a, H)
 
 
 class TestMembership:
