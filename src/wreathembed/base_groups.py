@@ -18,7 +18,10 @@ trivial exactly when each of its pairs ``(e_lo, e_hi)`` of exponent sums
 * for a single enumerated index set N, the group that only identifies
   ``a(2n)`` with ``a(2n-1)`` for n in N.  A pair vanishes iff
   ``e_lo + e_hi == 0`` and k lies in N, which a fueled check certifies by
-  finding k among the first ``fuel`` members.
+  finding k among the first ``fuel`` members.  It reads k's position from
+  an index of the values fetched so far, one per ``enum_n``, shared by all
+  its oracles, held no longer than ``enum_n`` is alive, no larger than the
+  largest fuel asked for, and guarded by one lock (see :func:`re_oracle`).
 
 A :class:`GroupOracle` packages an alphabet, a ``total`` flag and one check,
 ``check(word, fuel)``, answering a :class:`SemiVerdict`.  A total check
@@ -31,6 +34,7 @@ from __future__ import annotations
 import bisect
 import enum
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -275,18 +279,43 @@ def insep_oracle(pair: EnumeratedPair) -> GroupOracle:
     )
 
 
+_positions: weakref.WeakKeyDictionary[Callable[[int], int], dict[int, int]] = (
+    weakref.WeakKeyDictionary()
+)
+_positions_lock = threading.Lock()
+
+
 def re_oracle(enum_n: Callable[[int], int], name: str = "re") -> GroupOracle:
+    """The merge-relation group over ``enum_n``, with a fueled check.
+
+    ``check(word, fuel)`` answers TRIVIAL iff every pair is a multiple of
+    ``a(2k) a(2k-1)^-1`` and each such k is among ``enum_n(1..fuel)``, else
+    UNKNOWN; the verdict depends only on (word, fuel).
+
+    Every oracle over the same ``enum_n`` object answers from one position
+    index: a dict from each value fetched so far to its first 1-based
+    position.  A check extends it only while some needed k is missing and
+    the fuel is not reached, so each position is fetched at most once per
+    ``enum_n``, and the index holds at most as many entries as the largest
+    fuel asked for.  It lives as long as ``enum_n`` does: the module keeps
+    it under a weak reference to ``enum_n``, which must therefore be weakly
+    referenceable (functions, lambdas and bound methods are).  One lock
+    guards every lookup and extension, so threads may share ``enum_n``.
+    """
+
     def check(word: Word, fuel: int) -> SemiVerdict:
-        # TRIVIAL iff every pair is a multiple of a(2k) a(2k-1)^-1 and each
-        # such k is among enum_n(1..fuel); the scan stops once all are seen.
         pairs = _pairs(word)
         if any(lo + hi for lo, hi in pairs.values()):
             return UNKNOWN
-        needed = set(pairs)
-        i = 0
-        while needed and i < fuel:
-            i += 1
-            needed.discard(enum_n(i))
-        return UNKNOWN if needed else TRIVIAL
+        with _positions_lock:
+            index = _positions.setdefault(enum_n, {})
+            missing = set(pairs).difference(index)
+            i = len(index)
+            while missing and i < fuel:
+                i += 1
+                value = enum_n(i)
+                index.setdefault(value, i)
+                missing.discard(value)
+            return TRIVIAL if all(index.get(k, fuel + 1) <= fuel for k in pairs) else UNKNOWN
 
     return GroupOracle(f"re:{name}", A_ALPHABET, check)

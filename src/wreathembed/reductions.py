@@ -116,7 +116,9 @@ def merge_probe(n: int, enum_n, fuel: int) -> SemiVerdict:
     Probes triviality of the embedded word ``a(2n) a(2n-1)^-1`` over the
     merge-relation base group: trivial exactly when some enumerated value
     equals n.  Trivial verdicts are final; unknown only means the fuel ran
-    out before n showed up.
+    out before n showed up.  Repeated probes over the same ``enum_n``
+    share its position index (see :func:`base_groups.re_oracle`), so each
+    enumerated value is fetched once, however many probes ask for it.
     """
     if n < 1:
         raise ValueError("index must be >= 1")

@@ -9,7 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from wreathembed.base_groups import EnumeratedPair, GroupOracle, pair_basis_vector
+from wreathembed.base_groups import (
+    TRIVIAL,
+    UNKNOWN,
+    EnumeratedPair,
+    GroupOracle,
+    SemiVerdict,
+    exponent_vector,
+    pair_basis_vector,
+)
 from wreathembed.orders import OrderOracle
 from wreathembed.words import X_ALPHABET, Word
 
@@ -22,6 +30,27 @@ FREE = GroupOracle.deciding("free", X_ALPHABET, lambda w: w.is_identity())
 def insep_trivial_bruteforce(word: Word, pair: EnumeratedPair) -> bool:
     """Reference decider: rewrite into the adapted basis and test zero."""
     return not pair_basis_vector(word, pair)
+
+
+def re_check_by_scan(word: Word, enum_n: Callable[[int], int], fuel: int) -> SemiVerdict:
+    """Reference fueled check of the merge-relation group over ``enum_n``.
+
+    TRIVIAL iff every coordinate pair k with a nonzero exponent has exponent
+    sum zero (so it is a multiple of ``a(2k) a(2k-1)^-1``) and each such k
+    shows up in ``enum_n(1..fuel)``, scanned afresh from 1 on every call.
+    """
+    sums: dict[int, int] = {}
+    for index, exp in exponent_vector(word).items():
+        k = (index + 1) // 2
+        sums[k] = sums.get(k, 0) + exp
+    if any(sums.values()):
+        return UNKNOWN
+    needed = set(sums)
+    for i in range(1, fuel + 1):
+        if not needed:
+            break
+        needed.discard(enum_n(i))
+    return UNKNOWN if needed else TRIVIAL
 
 
 def transport_less(u: Word, v: Word, images: dict, target_order: OrderOracle) -> bool:

@@ -1,12 +1,15 @@
+import gc
 import random
 import sys
 import threading
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import insep_trivial_bruteforce
+from oracles import insep_trivial_bruteforce, re_check_by_scan
 from wreathembed import machines
 from wreathembed.base_groups import (
     NONTRIVIAL,
@@ -25,6 +28,7 @@ from wreathembed.base_groups import (
     prime,
     re_oracle,
 )
+from wreathembed.reductions import merge_probe
 from wreathembed.words import A_ALPHABET, X_ALPHABET, Gen, Word, parse_word
 
 
@@ -274,6 +278,123 @@ class TestReSemiDecider:
         assert not oracle.total
         assert oracle.check(a_word("a2 a1^-1"), 3).trivial
         assert oracle.check(a_word("a4 a3^-1"), 3).unknown  # never refutes
+
+
+def merge_words(rng: random.Random, enum_n, fuel: int, count: int) -> list[Word]:
+    """Products of one to three multiples ``(a(2k) a(2k-1)^-1)^t``.
+
+    Each k is either enumerated within twice the fuel or drawn at random
+    below the largest such value; one word in four gets a stray letter,
+    which leaves some pair with a nonzero exponent sum.
+    """
+    values = [enum_n(i) for i in range(1, 2 * fuel + 1)]
+    words = []
+    for _ in range(count):
+        runs = []
+        for _ in range(rng.randint(1, 3)):
+            k = rng.choice(values) if rng.random() < 0.7 else rng.randint(1, max(values))
+            t = rng.choice([-2, -1, 1, 2])
+            runs += [(Gen("a", 2 * k), t), (Gen("a", 2 * k - 1), -t)]
+        if rng.random() < 0.25:
+            runs.append((Gen("a", rng.randint(1, 2 * max(values))), rng.choice([-1, 1])))
+        rng.shuffle(runs)
+        words.append(Word.make(A_ALPHABET, runs))
+    return words
+
+
+class TestPositionIndex:
+    FUEL = 120
+
+    @pytest.mark.parametrize("oracles", [1, 3], ids=["one-oracle", "shared-enum"])
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+    @pytest.mark.parametrize("make_pair", [mock_pair, sparse_pair, halting_pair],
+                             ids=["mock", "sparse", "halting"])
+    def test_matches_the_scan(self, make_pair, order, oracles):
+        # A fresh pair starts a fresh index; the fuel order decides how the
+        # index grows, and sharing it between oracles must not matter.
+        rng = random.Random(f"{make_pair.__name__}-{order}-{oracles}")
+        enum_n = make_pair().enum_n
+        checks = [re_oracle(enum_n, name=f"re{j}").check for j in range(oracles)]
+        fuels = [0, 1, 2, 3, 5, 8, 13, 30, 60, self.FUEL]
+        queries = [(w, f) for f in fuels for w in merge_words(rng, enum_n, self.FUEL, 40)]
+        if order == "decreasing":
+            queries.reverse()
+        elif order == "shuffled":
+            rng.shuffle(queries)
+        seen = set()
+        for j, (word, fuel) in enumerate(queries):
+            verdict = checks[j % oracles](word, fuel)
+            assert verdict == re_check_by_scan(word, enum_n, fuel), (str(word), fuel)
+            seen.add(verdict)
+        assert seen == {TRIVIAL, UNKNOWN}
+
+    def test_each_position_is_fetched_once_and_no_further_than_needed(self):
+        enum = mock_pair().enum_n  # n = 2i - 1 sits at position i
+        fetched: Counter[int] = Counter()
+
+        def counted(i: int) -> int:
+            fetched[i] += 1
+            return enum(i)
+
+        # Odd n (positions up to 30) get fuel up to 400; even n, never
+        # enumerated, walk their whole fuel of at most 40.
+        probes = [(n, fuel) for n in range(1, 61) for fuel in (5, 10, 20, 40, 400)
+                  if n % 2 or fuel <= 40]
+        random.Random(5).shuffle(probes)
+        for n, fuel in probes:
+            assert merge_probe(n, counted, fuel).trivial == (n % 2 == 1 and (n + 1) // 2 <= fuel)
+        assert max(fetched.values()) == 1
+        assert set(fetched) == set(range(1, 41))
+
+    def test_index_dies_with_its_enumeration(self):
+        pair = mock_pair()
+        ref = weakref.ref(pair.enum_n)
+        oracle = re_oracle(pair.enum_n)
+        assert oracle.check(a_word("a2 a1^-1 a6 a5^-1"), 4).trivial
+        assert merge_probe(5, pair.enum_n, 10).trivial
+        del pair, oracle
+        gc.collect()
+        assert ref() is None
+
+    def test_concurrent_probes_agree_with_a_serial_run(self, monkeypatch):
+        # Eight threads probe one fresh enumeration at mixed fuels while the
+        # interpreter switches between them as often as it can; each must
+        # answer as a serial run does, and no position may be fetched twice.
+        rng = random.Random(8)
+        probes = [(n, rng.choice((0, 1, 10, 50, 200, 400))) for n in range(1, 41) for _ in range(2)]
+        serial = halting_pair().enum_n
+        expected = {probe: merge_probe(probe[0], serial, probe[1]) for probe in probes}
+        assert set(expected.values()) == {TRIVIAL, UNKNOWN}
+        monkeypatch.setattr(machines, "_shared", machines.DovetailEnumeration())
+        fresh = halting_pair().enum_n
+        fetched: Counter[int] = Counter()
+
+        def enum_n(i: int) -> int:
+            fetched[i] += 1
+            return fresh(i)
+
+        seen: list[dict] = [{} for _ in range(8)]
+
+        def probe_all(out: dict, seed: int) -> None:
+            mine = list(probes)
+            random.Random(seed).shuffle(mine)
+            for n, fuel in mine:
+                out[n, fuel] = merge_probe(n, enum_n, fuel)
+
+        threads = [threading.Thread(target=probe_all, args=(out, seed), daemon=True)
+                   for seed, out in enumerate(seen)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(out == expected for out in seen)
+        assert max(fetched.values()) == 1
 
 
 @given(st.lists(st.tuples(st.integers(1, 12), st.integers(-3, 3)), max_size=10))
