@@ -310,6 +310,8 @@ def re_oracle(enum_n: Callable[[int], int], name: str = "re") -> GroupOracle:
         with _positions_lock:
             index = _positions.setdefault(enum_n, {})
             missing = set(pairs).difference(index)
+            # The enumeration is injective, so positions 1..len(index) are
+            # the ones fetched so far.
             i = len(index)
             while missing and i < fuel:
                 i += 1
