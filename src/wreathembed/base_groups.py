@@ -215,15 +215,11 @@ def halting_pair() -> EnumeratedPair:
     The empty program halts at the first tick, so it is always the first
     halting program and never a cycling one: the i-th value of N is the
     (i+1)-th halting program, and M is the cycling stream as it stands.
+    Both are read through the enumeration's one locked read.
     """
     enum = machines.shared_enumeration()
-    halted = enum.halted
 
     def enum_n(i: int) -> int:
-        # Entries are appended only under the enumeration's lock and never
-        # change, so one already discovered can be read without it.
-        if 0 < i < len(halted):
-            return halted[i]
         if i < 1:
             raise ValueError("enumeration index must be >= 1")
         return enum.halting(i + 1)

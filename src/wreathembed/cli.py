@@ -29,7 +29,7 @@ from wreathembed.base_groups import (
     re_oracle,
 )
 from wreathembed.orders import fs_compare, lex_order, pair_adapted_order, zb_compare
-from wreathembed.words import FS_ALPHABET, ZB_ALPHABET, WordError, parse_word, word_to_text
+from wreathembed.words import FS_ALPHABET, ZB_ALPHABET, parse_word, word_to_text
 
 # One table per selector flag, mapping each choice, in the order ``--help``
 # lists it, to a factory.  A factory looks its callee up when it is called,
@@ -250,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
             lines = [json.dumps(record, sort_keys=True) for record in records]
         print("\n".join(lines))
         return code
-    except (WordError, ValueError) as exc:
+    except ValueError as exc:  # WordError included
         print(f"wreathembed: error: {exc}", file=sys.stderr)
         return 1
 

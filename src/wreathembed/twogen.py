@@ -11,14 +11,16 @@ inner stage, here with factors ``(gamma, beta)``, each denoting the
 ``s^gamma``-conjugate of ``f`` raised to ``beta``, followed by a trailing
 ``s^tail``.  Only adjacent factors with equal ``gamma`` merge.
 
-A factor ``(gamma, beta)`` contributes a value only at points ``mu`` with
-``gamma + mu`` equal to 1 or a power of two.  Once every conjugacy class
-of factors has exponent sum zero, a point where a single class is active
-carries ``z^0`` or ``b_i^0``, the identity; only the collision points,
-where two classes are active at once, can carry anything else.  Two
-classes collide at most once, at a point found with a few big-integer
-operations (see :func:`collision_points`), so an element with d distinct
-conjugating exponents is decided by evaluating at most d(d-1)/2 points.
+A factor ``(gamma, beta)`` contributes a letter only at points ``mu`` with
+``gamma + mu`` equal to 1 or a power of two; the value at ``mu`` is the
+``z``/``b`` word of those letters (see :func:`value_at`).  Once every
+conjugacy class of factors has exponent sum zero, a point where a single
+class is active carries ``z^0`` or ``b_i^0``, the identity; only the
+collision points, where two classes are active at once, can carry
+anything else.  Two classes collide at most once, at a point found with a
+few big-integer operations (see :func:`collision_points`), so an element
+with d distinct conjugating exponents is decided by evaluating at most
+d(d-1)/2 points.
 Every decision procedure runs one scan, :func:`_first_failure`, over them.
 The conjugating exponents themselves may be astronomically large (they are
 ``2^i - 1`` for the embedding of the i-th base generator) and everything
@@ -38,7 +40,7 @@ from typing import Iterable
 
 from wreathembed import wreath
 from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, GroupOracle, SemiVerdict
-from wreathembed.words import FS_ALPHABET, Gen, Word, WreathElement
+from wreathembed.words import FS_ALPHABET, ZB_ALPHABET, Gen, Word, WreathElement
 from wreathembed.wreath import ZBElement
 
 
@@ -61,23 +63,20 @@ def class_sums(a: FSElement) -> dict[int, int]:
     return out
 
 
-def _f_value_at(n: int, beta: int) -> ZBElement | None:
-    # The defining values of f: z at 1, b_i at 2^i, identity elsewhere.
-    if n == 1:
-        return ZBElement((), beta)
-    if n >= 2 and n & (n - 1) == 0:
-        return ZBElement(((n.bit_length() - 1, 0, beta),), 0)
-    return None
-
-
 def value_at(a: FSElement, mu: int) -> ZBElement:
-    """The inner-stage element this element carries at the point ``mu``."""
-    out = ZBElement.identity()
+    """The inner-stage element this element carries at the point ``mu``.
+
+    The ``z``/``b`` word of the letters ``f`` carries there, in factor
+    order, normalised by :meth:`ZBElement.from_word`: a factor ``(gamma,
+    beta)`` gives ``z^beta`` where ``gamma + mu = 1``, ``b_i^beta`` where
+    ``gamma + mu = 2^i``, and nothing elsewhere.
+    """
+    runs = []
     for gamma, beta in a.factors:
-        value = _f_value_at(gamma + mu, beta)
-        if value is not None:
-            out = out * value
-    return out
+        n = gamma + mu
+        if n >= 1 and n & (n - 1) == 0:
+            runs.append((Gen("z", None) if n == 1 else Gen("b", n.bit_length() - 1), beta))
+    return ZBElement.from_word(Word.make(ZB_ALPHABET, runs))
 
 
 def collision_points(a: FSElement) -> list[int]:
@@ -132,7 +131,13 @@ def _first_failure(
 
 
 def is_trivial(a: FSElement, H: GroupOracle) -> bool:
-    """Word problem relative to a total base oracle.
+    """Word problem relative to a total base oracle, by :func:`semi_trivial`."""
+    H.require_total()
+    return semi_trivial(a, H, 0).trivial
+
+
+def semi_trivial(a: FSElement, H: GroupOracle, fuel: int) -> SemiVerdict:
+    """Fuel-bounded word problem; refutations are fuel-independent.
 
     Trivial iff the trailing ``s`` power vanishes, every conjugacy class of
     factors has exponent sum zero (a class with a nonzero sum leaves a
@@ -141,17 +146,7 @@ def is_trivial(a: FSElement, H: GroupOracle) -> bool:
     collision point.  Once the class sums vanish, a point where a single
     class is active carries ``z^0`` or ``b_i^0``, the identity whatever the
     base group, so only the O(d^2) collision points of the d classes need
-    evaluating.
-    """
-    H.require_total()
-    return _balanced(a) and _first_failure(a, H, 0, collision_points(a))[0] is None
-
-
-def semi_trivial(a: FSElement, H: GroupOracle, fuel: int) -> SemiVerdict:
-    """Fuel-bounded word problem; refutations are fuel-independent.
-
-    The same collision-point reduction as :func:`is_trivial`; the first
-    collision point whose verdict is not TRIVIAL decides.
+    evaluating; the first of them whose verdict is not TRIVIAL decides.
     """
     if not _balanced(a):
         return NONTRIVIAL
@@ -207,7 +202,7 @@ def in_image(a: FSElement, H: GroupOracle) -> bool:
     """Membership in the embedded copy of the base group.
 
     Image elements are supported at the single point 1, where their value
-    lies in the inner diagonal subgroup.  As in :func:`is_trivial`, once
+    lies in the inner diagonal subgroup.  As in :func:`semi_trivial`, once
     the tail and the class sums vanish only collision points can carry a
     nontrivial value, so the test reads the collision points other than 1
     and then the value at 1.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Iterator, NamedTuple
+from typing import ClassVar, Iterable, NamedTuple
 
 
 class WordError(ValueError):
@@ -133,9 +133,6 @@ class Word:
 
     def is_identity(self) -> bool:
         return not self.runs
-
-    def __iter__(self) -> Iterator[tuple[Gen, int]]:
-        return iter(self.runs)
 
     def __mul__(self, other: Word) -> Word:
         if self.alphabet != other.alphabet:

@@ -9,7 +9,7 @@ identity elsewhere; ``z`` shifts arguments: conjugating a function by
 Normal form: the shared :class:`~wreathembed.words.WreathElement`, here
 with factors ``(i, eta, xi)``, each denoting the ``z^eta``-conjugate of
 ``b_i`` raised to ``xi``, followed by a trailing ``z^tail``.  Only adjacent
-factors with equal ``(i, eta)`` merge.  The decider is :func:`is_trivial`
+factors with equal ``(i, eta)`` merge.  The decider is :func:`semi_trivial`
 relative to a base oracle.
 
 Every factor switches on at the single step point ``1 - eta``, so the value
@@ -77,9 +77,9 @@ def _first_failure(
 
 
 def is_trivial(a: ZBElement, H: GroupOracle) -> bool:
-    """Word problem relative to a total base oracle."""
+    """Word problem relative to a total base oracle, by :func:`semi_trivial`."""
     H.require_total()
-    return a.tail == 0 and _first_failure(a, H, 0, step_points(a))[0] is None
+    return semi_trivial(a, H, 0).trivial
 
 
 def semi_trivial(a: ZBElement, H: GroupOracle, fuel: int) -> SemiVerdict:

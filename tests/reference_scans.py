@@ -3,7 +3,10 @@
 Each function here visits every point of a bounded window, which is simple
 enough to trust but costs time in proportion to the size of the exponents.
 The property tests compare the library's sparse deciders, which evaluate
-only inner step points and outer collision points, against these.
+only inner step points and outer collision points, against these.  The
+outer scans read values through :func:`fs_value_at_by_product`, which
+multiplies the values of single factors, rather than the library's
+``twogen.value_at``.
 """
 
 from __future__ import annotations
@@ -86,6 +89,25 @@ def active_points(a: FSElement, lo: int, hi: int) -> list[int]:
     return sorted(points)
 
 
+def _f_value_at(n: int, beta: int) -> ZBElement | None:
+    # The defining values of f: z at 1, b_i at 2^i, identity elsewhere.
+    if n == 1:
+        return ZBElement((), beta)
+    if n >= 2 and n & (n - 1) == 0:
+        return ZBElement(((n.bit_length() - 1, 0, beta),), 0)
+    return None
+
+
+def fs_value_at_by_product(a: FSElement, mu: int) -> ZBElement:
+    """The value at ``mu`` as the product of each factor's own value there."""
+    out = ZBElement.identity()
+    for gamma, beta in a.factors:
+        value = _f_value_at(gamma + mu, beta)
+        if value is not None:
+            out = out * value
+    return out
+
+
 def _balanced(a: FSElement) -> bool:
     return a.tail == 0 and all(total == 0 for total in twogen.class_sums(a).values())
 
@@ -95,7 +117,7 @@ def fs_is_trivial(a: FSElement, H: GroupOracle) -> bool:
         return False
     bound = 3 * gamma_bound(a)
     return all(
-        zb_is_trivial(twogen.value_at(a, mu), H) for mu in active_points(a, -bound, bound)
+        zb_is_trivial(fs_value_at_by_product(a, mu), H) for mu in active_points(a, -bound, bound)
     )
 
 
@@ -105,7 +127,7 @@ def fs_semi_trivial(a: FSElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     bound = 3 * gamma_bound(a)
     confirmed = True
     for mu in active_points(a, -bound, bound):
-        verdict = zb_semi_trivial(twogen.value_at(a, mu), H, fuel)
+        verdict = zb_semi_trivial(fs_value_at_by_product(a, mu), H, fuel)
         if verdict.nontrivial:
             return NONTRIVIAL
         confirmed = confirmed and verdict.trivial
@@ -118,7 +140,7 @@ def fs_min_support(a: FSElement, H: GroupOracle) -> int | None:
     sum, nontrivial exactly when that sum is (generators of infinite order)."""
     bound = 5 * gamma_bound(a) + 2
     for mu in active_points(a, -bound, bound):
-        if not zb_is_trivial(twogen.value_at(a, mu), H):
+        if not zb_is_trivial(fs_value_at_by_product(a, mu), H):
             return mu
     candidates = []
     for gamma, total in twogen.class_sums(a).items():
@@ -134,6 +156,6 @@ def fs_in_image(a: FSElement, H: GroupOracle) -> bool:
         return False
     bound = 3 * gamma_bound(a)
     for mu in active_points(a, -bound, bound):
-        if mu != 1 and not zb_is_trivial(twogen.value_at(a, mu), H):
+        if mu != 1 and not zb_is_trivial(fs_value_at_by_product(a, mu), H):
             return False
-    return zb_in_diagonal(twogen.value_at(a, 1), H)
+    return zb_in_diagonal(fs_value_at_by_product(a, 1), H)

@@ -227,3 +227,26 @@ def test_huge_classes_collide_where_predicted():
     b = FSElement.make([(big + 1, 1), (0, 1), (big + 1, -1), (0, -1)])
     assert twogen.collision_points(b) == []
     assert twogen.is_trivial(b, FREE)
+
+
+def test_value_at_matches_product_of_factor_values():
+    # twogen.value_at reads f's letters into one word; the reference
+    # multiplies the value of each factor on its own.  Compare them at every
+    # collision point, at each 1 - gamma and at random points, on random
+    # elements, some carrying conjugators 2^i - 1 with i up to 600.
+    rng = random.Random(108)
+    for _ in range(400):
+        a = random_fs(rng)
+        if rng.random() < 0.5:
+            i = rng.randrange(1, 601)
+            huge = FSElement.make(
+                [((1 << i) - 1 + rng.randrange(-2, 3), rng.choice([-2, -1, 1, 2]))
+                 for _ in range(rng.randrange(1, 4))]
+            )
+            a = rng.choice([huge * a, a * huge, twogen.from_word(twogen.generator_word(i)) * a])
+        classes = sorted({gamma for gamma, _ in a.factors})
+        points = twogen.collision_points(a) + [1 - gamma for gamma in classes]
+        points += [rng.randrange(-20, 21) for _ in range(5)]
+        points += [(1 << rng.randrange(0, 700)) - gamma for gamma in classes]
+        for mu in points:
+            assert twogen.value_at(a, mu) == ref.fs_value_at_by_product(a, mu), (a, mu)

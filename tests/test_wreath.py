@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wreathembed import wreath
+from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
     free_abelian_oracle,
     insep_oracle,
     mock_pair,
     re_oracle,
 )
+from wreathembed.orders import fs_compare, pair_adapted_order, zb_compare
+from wreathembed.twogen import FSElement
 from wreathembed.words import (
     A_ALPHABET,
+    FS_ALPHABET,
     X_ALPHABET,
     ZB_ALPHABET,
     Gen,
@@ -153,6 +156,26 @@ class TestGroupOperations:
         assert a**n == expected
 
 
+def fs(text: str) -> FSElement:
+    return twogen.from_word(parse_word(text, FS_ALPHABET))
+
+
+# Each function that needs a total base, applied to fixed elements.  The
+# compared pairs share their trailing power, so the lift reaches the scan.
+NEEDS_TOTAL = {
+    "wreath.is_trivial": lambda H: wreath.is_trivial(zb("b1"), H),
+    "wreath.min_support": lambda H: wreath.min_support(zb("b1"), H),
+    "wreath.in_diagonal": lambda H: wreath.in_diagonal(zb("z"), H),
+    "wreath.decode": lambda H: wreath.decode(zb("z b1 z^-1 b1^-1"), H),
+    "twogen.is_trivial": lambda H: twogen.is_trivial(fs("f"), H),
+    "twogen.min_support": lambda H: twogen.min_support(fs("f"), H),
+    "twogen.in_image": lambda H: twogen.in_image(fs("s"), H),
+    "twogen.decode": lambda H: twogen.decode(fs("f s f s^-1 f^-1 s f^-1 s^-1"), H),
+    "zb_compare": lambda H: zb_compare(zb("b1"), zb("b2"), pair_adapted_order(mock_pair()), H),
+    "fs_compare": lambda H: fs_compare(fs("f"), fs("s f s^-1"), pair_adapted_order(mock_pair()), H),
+}
+
+
 class TestWordProblem:
     def test_identity_is_trivial(self):
         assert wreath.is_trivial(ZBElement.identity(), H)
@@ -189,10 +212,13 @@ class TestWordProblem:
         a = zb("z b2 z^-1 b1")
         assert wreath.min_support(a, H) == 0
 
-    def test_requires_total_oracle(self):
+    @pytest.mark.parametrize("name", sorted(NEEDS_TOTAL))
+    def test_requires_total_oracle(self, name):
+        # Every caller that needs a total base refuses a fueled one, even
+        # where the element alone would settle the answer.
         fueled = re_oracle(mock_pair().enum_n, name="mock")
         with pytest.raises(ValueError):
-            wreath.is_trivial(zb("b1"), fueled)
+            NEEDS_TOTAL[name](fueled)
 
 
 class TestDiagonal:
