@@ -1,9 +1,10 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 on usage or input errors, 2 when a fueled
-verdict comes back unknown.  Output is deterministic: identical invocations
-produce identical bytes.  With ``--output structured`` every command prints
-one JSON record per line instead of plain text.
+Exit codes: 0 on success, 1 on usage or input errors, 2 when ``trivial``
+answers UNKNOWN; ``demo theorem2`` counts its unknown probes and exits 0.
+Output is deterministic: identical invocations produce identical bytes.  With
+``--output structured`` every command prints one JSON record per line instead
+of plain text.
 
 Each ``cmd_*`` handler returns (exit code, records, text lines): the records
 are what ``--output structured`` prints, one JSON object per line, and the

@@ -73,10 +73,10 @@ def pair_adapted_order(pair: EnumeratedPair) -> OrderOracle:
     return _vector_order(f"lex[{pair.name}]", A_ALPHABET, lambda w: pair_basis_vector(w, pair))
 
 
-def _lift(a, b, stage, H_order: OrderOracle, H: GroupOracle, compare_at):
+def _lift(a, b, stage, value, compare, H_order: OrderOracle, H: GroupOracle):
     # One lift step at either stage: the trailing shift powers decide first,
-    # else ``compare_at(point)`` compares the values at the least support
-    # point, found by ``stage.min_support``.
+    # else ``compare`` orders ``value(a, point)`` and ``value(b, point)`` at
+    # the least support point of ``a * ~b``, found by ``stage.min_support``.
     if H.alphabet != H_order.alphabet:
         raise ValueError(f"oracle {H.name!r} and order {H_order.name!r} use different alphabets")
     if a.tail != b.tail:
@@ -84,7 +84,7 @@ def _lift(a, b, stage, H_order: OrderOracle, H: GroupOracle, compare_at):
     point = stage.min_support(a * ~b, H)
     if point is None:
         return ("EQ", "equal", None)
-    verdict = compare_at(point)
+    verdict = compare(value(a, point), value(b, point))
     if verdict == "EQ":
         raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
     return (verdict, "value", point)
@@ -99,23 +99,16 @@ def zb_compare(
     when the carried values decide at their least differing point, and
     "equal" otherwise.
     """
-
-    def compare_at(nu: int) -> str:
-        va, vb = wreath.value_at(a, nu, H.alphabet), wreath.value_at(b, nu, H.alphabet)
-        return H_order.compare(va, vb)
-
-    return _lift(a, b, wreath, H_order, H, compare_at)
+    value = lambda x, nu: wreath.value_at(x, nu, H.alphabet)
+    return _lift(a, b, wreath, value, H_order.compare, H_order, H)
 
 
 def fs_compare(
     a: FSElement, b: FSElement, H_order: OrderOracle, H: GroupOracle
 ) -> tuple[str, str, int | None]:
     """Like :func:`zb_compare`, one level up."""
-
-    def compare_at(mu: int) -> str:
-        return zb_compare(twogen.value_at(a, mu), twogen.value_at(b, mu), H_order, H)[0]
-
-    return _lift(a, b, twogen, H_order, H, compare_at)
+    compare = lambda u, v: zb_compare(u, v, H_order, H)[0]
+    return _lift(a, b, twogen, twogen.value_at, compare, H_order, H)
 
 
 def lifted_order(H: GroupOracle, H_order: OrderOracle) -> OrderOracle:

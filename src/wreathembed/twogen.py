@@ -21,7 +21,8 @@ anything else.  Two classes collide at most once, at a point found with a
 few big-integer operations (see :func:`collision_points`), so an element
 with d distinct conjugating exponents is decided by evaluating at most
 d(d-1)/2 points.
-Every decision procedure runs one scan, :func:`_first_failure`, over them.
+Every decider runs the one scan of both stages, :func:`wreath._first_failure`,
+over them, and :func:`wreathembed.orders._lift` orders both stages.
 The conjugating exponents themselves may be astronomically large (they are
 ``2^i - 1`` for the embedding of the i-th base generator) and everything
 stays exact integer arithmetic.
@@ -36,10 +37,10 @@ two-stage embedding of H into this group, with image recognized by
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable
 
 from wreathembed import wreath
-from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, GroupOracle, SemiVerdict
+from wreathembed.base_groups import NONTRIVIAL, GroupOracle, SemiVerdict
 from wreathembed.words import FS_ALPHABET, ZB_ALPHABET, Gen, Word, WreathElement
 from wreathembed.wreath import ZBElement
 
@@ -107,27 +108,13 @@ def _balanced(a: FSElement) -> bool:
     return a.tail == 0 and all(total == 0 for total in class_sums(a).values())
 
 
-def _first_failure(
-    a: FSElement, H: GroupOracle, fuel: int, points: Iterable[int]
-) -> tuple[int | None, SemiVerdict]:
-    """The scan behind every outer decider.
-
-    Decides the inner value at each point in turn and stops at the first
-    verdict that is not TRIVIAL, returning that point and verdict; ``(None,
-    TRIVIAL)`` when every value is certified trivial.  On a balanced element
-    (see :func:`_balanced`) every value carries ``z``-power 0: ``f`` takes
-    the value ``z`` only at 1, so at the point ``mu`` only the class
-    ``1 - mu`` supplies ``z`` letters, and its sum is zero.  An inner
-    refutation can then only come from the base, which never refutes when
-    fueled and is never UNKNOWN when total, so the first verdict that is
-    not TRIVIAL is the verdict of the whole scan, as in
-    :func:`wreath.semi_trivial`.
-    """
-    for mu in points:
-        verdict = wreath.semi_trivial(value_at(a, mu), H, fuel)
-        if not verdict.trivial:
-            return mu, verdict
-    return None, TRIVIAL
+def _check(a: FSElement, H: GroupOracle, fuel: int) -> Callable[[int], SemiVerdict]:
+    # This stage's verdict rule: the inner stage decides the value at the
+    # point.  On a balanced element (see _balanced) that value carries z-power
+    # 0, since only the class 1 - mu supplies z letters at mu and its sum is
+    # zero; an inner refutation then comes only from the base, so the first
+    # verdict that is not TRIVIAL is exact, as in wreath.semi_trivial.
+    return lambda mu: wreath.semi_trivial(value_at(a, mu), H, fuel)
 
 
 def is_trivial(a: FSElement, H: GroupOracle) -> bool:
@@ -150,7 +137,7 @@ def semi_trivial(a: FSElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     """
     if not _balanced(a):
         return NONTRIVIAL
-    return _first_failure(a, H, fuel, collision_points(a))[1]
+    return wreath._first_failure(_check(a, H, fuel), collision_points(a))[1]
 
 
 def min_support(a: FSElement, H: GroupOracle) -> int | None:
@@ -168,7 +155,7 @@ def min_support(a: FSElement, H: GroupOracle) -> int | None:
     H.require_total()
     best = min((1 - gamma for gamma, total in class_sums(a).items() if total != 0), default=None)
     points = [mu for mu in collision_points(a) if best is None or mu < best]
-    mu = _first_failure(a, H, 0, points)[0]
+    mu = wreath._first_failure(_check(a, H, 0), points)[0]
     return best if mu is None else mu
 
 
@@ -211,7 +198,8 @@ def in_image(a: FSElement, H: GroupOracle) -> bool:
     if not _balanced(a):
         return False
     off_one = [mu for mu in collision_points(a) if mu != 1]
-    return _first_failure(a, H, 0, off_one)[0] is None and wreath.in_diagonal(value_at(a, 1), H)
+    clear = wreath._first_failure(_check(a, H, 0), off_one)[0] is None
+    return clear and wreath.in_diagonal(value_at(a, 1), H)
 
 
 def decode(a: FSElement, H: GroupOracle) -> Word:

@@ -17,12 +17,13 @@ function is the identity left of the least step point and constant from
 each step point up to the next.  Every decision procedure therefore runs
 one scan, :func:`_first_failure`, over the step points in increasing order:
 its cost depends on the number of factors, not on the size of the
-exponents.
+exponents.  The outer stage decides through this scan too, with its own
+verdict rule, and :func:`wreathembed.orders._lift` orders both stages.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, GroupOracle, SemiVerdict
 from wreathembed.words import X_ALPHABET, ZB_ALPHABET, Alphabet, Gen, Word, WreathElement
@@ -61,19 +62,24 @@ def step_points(a: ZBElement) -> list[int]:
 
 
 def _first_failure(
-    a: ZBElement, H: GroupOracle, fuel: int, points: Iterable[int]
+    verdict_at: Callable[[int], SemiVerdict], points: Iterable[int]
 ) -> tuple[int | None, SemiVerdict]:
-    """The scan behind every inner decider.
+    """The scan behind every decider at both stages.
 
-    Checks the value at each point in turn and stops at the first verdict
+    Asks ``verdict_at`` at each point in turn and stops at the first verdict
     that is not TRIVIAL, returning that point and verdict; ``(None,
     TRIVIAL)`` when every value is certified trivial.
     """
-    for nu in points:
-        verdict = H.check(value_at(a, nu, H.alphabet), fuel)
+    for point in points:
+        verdict = verdict_at(point)
         if not verdict.trivial:
-            return nu, verdict
+            return point, verdict
     return None, TRIVIAL
+
+
+def _check(a: ZBElement, H: GroupOracle, fuel: int) -> Callable[[int], SemiVerdict]:
+    # This stage's verdict rule: the base checks the value at the point.
+    return lambda nu: H.check(value_at(a, nu, H.alphabet), fuel)
 
 
 def is_trivial(a: ZBElement, H: GroupOracle) -> bool:
@@ -94,7 +100,7 @@ def semi_trivial(a: ZBElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     """
     if a.tail != 0:
         return NONTRIVIAL
-    return _first_failure(a, H, fuel, step_points(a))[1]
+    return _first_failure(_check(a, H, fuel), step_points(a))[1]
 
 
 def min_support(a: ZBElement, H: GroupOracle) -> int | None:
@@ -105,7 +111,7 @@ def min_support(a: ZBElement, H: GroupOracle) -> int | None:
     least nontrivial point, if any, is a step point.
     """
     H.require_total()
-    return _first_failure(a, H, 0, step_points(a))[0]
+    return _first_failure(_check(a, H, 0), step_points(a))[0]
 
 
 def in_diagonal(a: ZBElement, H: GroupOracle) -> bool:
@@ -124,7 +130,7 @@ def in_diagonal(a: ZBElement, H: GroupOracle) -> bool:
         return False
     steps = step_points(a)
     points = [nu for nu, nxt in zip(steps, steps[1:] + [None]) if (nu, nxt) != (0, 1)]
-    return _first_failure(a, H, 0, points)[0] is None
+    return _first_failure(_check(a, H, 0), points)[0] is None
 
 
 def diagonal_encode(word: Word) -> ZBElement:

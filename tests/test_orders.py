@@ -143,8 +143,11 @@ class TestInnerLift:
             assert outcomes.count(True) == 1
 
     def test_alphabet_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        # The tails differ, so the mismatch must raise before the tail clause.
+        with pytest.raises(ValueError, match="use different alphabets"):
             zb_less(zb("b1"), zb("z"), lex_order(), insep_oracle(mock_pair()))
+        with pytest.raises(ValueError, match="use different alphabets"):
+            fs_less(fs("f"), fs("s"), lex_order(), insep_oracle(mock_pair()))
 
     def test_order_that_ties_distinct_values_is_rejected(self):
         ties = OrderOracle("ties", X_ALPHABET, lambda u, v: "EQ")

@@ -11,8 +11,11 @@ import random
 import pytest
 
 import reference_scans as ref
+from oracles import FREE as FREE_GROUP
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
+    NONTRIVIAL,
+    TRIVIAL,
     GroupOracle,
     exponent_vector,
     free_abelian_oracle,
@@ -25,7 +28,8 @@ from wreathembed.words import A_ALPHABET, X_ALPHABET, ZB_ALPHABET, Gen, Word, pa
 from wreathembed.wreath import ZBElement
 
 FREE = free_abelian_oracle()
-TOTAL_BASES = [FREE, insep_oracle(mock_pair())]
+# FREE_GROUP is the one base whose values do not commute.
+TOTAL_BASES = [FREE, insep_oracle(mock_pair()), FREE_GROUP]
 
 
 def random_zb(rng: random.Random) -> ZBElement:
@@ -74,12 +78,16 @@ def random_fs(rng: random.Random) -> FSElement:
 @pytest.mark.parametrize("H", TOTAL_BASES, ids=lambda H: H.name)
 def test_inner_deciders_match_window_scan(H):
     rng = random.Random(101)
+    verdicts = set()
     for _ in range(600):
         a = random_zb(rng)
         assert wreath.is_trivial(a, H) == ref.zb_is_trivial(a, H), a
-        assert wreath.semi_trivial(a, H, 0) == ref.zb_semi_trivial(a, H, 0), a
+        verdict = wreath.semi_trivial(a, H, 0)
+        assert verdict == ref.zb_semi_trivial(a, H, 0), a
+        verdicts.add(verdict)
         assert wreath.min_support(a, H) == ref.zb_min_support(a, H), a
         assert wreath.in_diagonal(a, H) == ref.zb_in_diagonal(a, H), a
+    assert verdicts == {TRIVIAL, NONTRIVIAL}
 
 
 def test_inner_semi_trivial_matches_window_scan_with_fuel():
@@ -94,12 +102,16 @@ def test_inner_semi_trivial_matches_window_scan_with_fuel():
 @pytest.mark.parametrize("H", TOTAL_BASES, ids=lambda H: H.name)
 def test_outer_deciders_match_window_scan(H):
     rng = random.Random(103)
+    verdicts = set()
     for _ in range(500):
         a = random_fs(rng)
         assert twogen.is_trivial(a, H) == ref.fs_is_trivial(a, H), a
-        assert twogen.semi_trivial(a, H, 0) == ref.fs_semi_trivial(a, H, 0), a
+        verdict = twogen.semi_trivial(a, H, 0)
+        assert verdict == ref.fs_semi_trivial(a, H, 0), a
+        verdicts.add(verdict)
         assert twogen.min_support(a, H) == ref.fs_min_support(a, H), a
         assert twogen.in_image(a, H) == ref.fs_in_image(a, H), a
+    assert verdicts == {TRIVIAL, NONTRIVIAL}
 
 
 def test_outer_semi_trivial_matches_window_scan_with_fuel():
@@ -119,18 +131,22 @@ TORSION = GroupOracle.deciding(
 )
 
 
-@pytest.mark.parametrize("H", [FREE, TORSION], ids=lambda H: H.name)
+@pytest.mark.parametrize("H", [FREE, TORSION, FREE_GROUP], ids=lambda H: H.name)
 def test_outer_deciders_match_point_scan(H):
     # Independent of both scans: read value_at at every point of a range
     # that holds every collision and every 1 - gamma of these elements.
     rng = random.Random(105)
+    verdicts = set()
     for _ in range(150):
         a = random_fs(rng)
         support = [
             mu for mu in range(-200, 201) if not wreath.is_trivial(twogen.value_at(a, mu), H)
         ]
         assert twogen.min_support(a, H) == (support[0] if support else None), a
-        assert twogen.is_trivial(a, H) == (a.tail == 0 and not support), a
+        trivial = twogen.is_trivial(a, H)
+        assert trivial == (a.tail == 0 and not support), a
+        verdicts.add(trivial)
+    assert verdicts == {True, False}
 
 
 def test_merge_probes_match_window_scan():
