@@ -8,13 +8,12 @@ the classification — this is the order-theoretic separation argument in
 executable form.
 """
 
-from wreathembed import reductions
+from wreathembed import cli, reductions
 from wreathembed.base_groups import mock_pair
 
-report = reductions.separation_report(mock_pair(), max_n=12)
+cli.main(["demo", "theorem1", "--max-n", "12"])
 
-for line in reductions.report_lines(report):
-    print(line)
+report = reductions.separation_report(mock_pair(), max_n=12)
 
 print()
 sides = {entry.n: entry.side for entry in report.entries}

@@ -8,9 +8,10 @@ of plain text.
 
 Each ``cmd_*`` handler returns (exit code, records, text lines): the records
 are what ``--output structured`` prints, one JSON object per line, and the
-text lines are what plain text prints.  ``main`` alone writes standard output.
-It builds the parser once per process, on its first call, and reuses it; the
-parser holds no per-call state, since every parse fills a fresh namespace.
+text lines are what plain text prints; the demo sweeps render each text line
+from its record.  ``main`` alone writes standard output.  It builds the parser
+once per process, on its first call, and reuses it; the parser holds no
+per-call state, since every parse fills a fresh namespace.
 """
 
 from __future__ import annotations
@@ -172,6 +173,13 @@ def cmd_decode(args):
     return 0, [{"command": "decode", "base": args.base, "word": decoded}], [decoded]
 
 
+def _line(record: dict, *keys: str) -> str:
+    """A sweep's text line: ``key=value`` for the given keys, or all; booleans as yes/NO."""
+    def text(value):
+        return ("yes" if value else "NO") if isinstance(value, bool) else value
+    return " ".join(f"{key}={text(record[key])}" for key in keys or record)
+
+
 def cmd_demo_theorem1(args):
     report = reductions.separation_report(PAIRS[args.pair](), args.max_n)
     records = [
@@ -179,9 +187,10 @@ def cmd_demo_theorem1(args):
          "sign_lo": e.sign_lo, "sign_hi": e.sign_hi, "ok": e.consistent}
         for e in report.entries
     ]
-    records.append({"entries": len(report.entries), "pair": report.pair_name,
-                    "violations": len(report.violations)})
-    return 0, records, reductions.report_lines(report)
+    summary = {"pair": report.pair_name, "entries": len(report.entries),
+               "violations": len(report.violations)}
+    lines = [*map(_line, records), *(_line(summary, key) for key in summary)]
+    return 0, [*records, summary], lines
 
 
 def cmd_demo_theorem2(args):
@@ -192,13 +201,11 @@ def cmd_demo_theorem2(args):
     ]
     probed, confirmed = len(verdicts), verdicts.count("trivial")
     records = [{"n": n, "verdict": verdict} for n, verdict in enumerate(verdicts, 1)]
-    records.append({"confirmed": confirmed, "fuel": args.fuel, "pair": args.pair,
-                    "probed": probed, "unknown": probed - confirmed})
-    lines = [f"n={n} verdict={verdict}" for n, verdict in enumerate(verdicts, 1)]
-    lines.append(f"pair={args.pair}")
-    lines.append(f"probed={probed} confirmed={confirmed} "
-                 f"unknown={probed - confirmed} fuel={args.fuel}")
-    return 0, records, lines
+    summary = {"pair": args.pair, "probed": probed, "confirmed": confirmed,
+               "unknown": probed - confirmed, "fuel": args.fuel}
+    lines = [*map(_line, records), _line(summary, "pair"),
+             _line(summary, "probed", "confirmed", "unknown", "fuel")]
+    return 0, [*records, summary], lines
 
 
 @functools.cache
@@ -254,7 +261,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # WordError included
         print(f"wreathembed: error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -97,19 +97,6 @@ def separation_report(pair: EnumeratedPair, max_n: int) -> SeparatorReport:
     return SeparatorReport(pair.name, tuple(entries))
 
 
-def report_lines(report: SeparatorReport) -> list[str]:
-    """Machine-readable rendering: one line per index, then a summary."""
-    lines = [
-        f"n={e.n} side={e.side} separator={'in' if e.separated else 'out'} "
-        f"sign_lo={e.sign_lo} sign_hi={e.sign_hi} ok={'yes' if e.consistent else 'NO'}"
-        for e in report.entries
-    ]
-    lines.append(f"pair={report.pair_name}")
-    lines.append(f"entries={len(report.entries)}")
-    lines.append(f"violations={len(report.violations)}")
-    return lines
-
-
 def merge_probe(n: int, enum_n, fuel: int) -> SemiVerdict:
     """Fueled semi-decision of "n lies in the enumerated set".
 

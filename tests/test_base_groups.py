@@ -10,13 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import insep_trivial_bruteforce, re_check_by_scan
-from wreathembed import machines
+from wreathembed import base_groups, machines
 from wreathembed.base_groups import (
     NONTRIVIAL,
     TRIVIAL,
     UNKNOWN,
     EnumeratedPair,
     SemiVerdict,
+    _prime_index,
     exponent_vector,
     free_abelian_oracle,
     free_abelian_trivial,
@@ -28,8 +29,9 @@ from wreathembed.base_groups import (
     prime,
     re_oracle,
 )
+from wreathembed.orders import pair_adapted_order
 from wreathembed.reductions import merge_probe
-from wreathembed.words import A_ALPHABET, X_ALPHABET, Gen, Word, parse_word
+from wreathembed.words import A_ALPHABET, FS_ALPHABET, X_ALPHABET, Gen, Word, parse_word
 
 
 def a_word(text: str) -> Word:
@@ -98,6 +100,16 @@ class TestPrimes:
         with pytest.raises(ValueError):
             prime(0)
 
+    def test_prime_index_grows_the_list_past_fermat_pseudoprimes(self, monkeypatch):
+        primes = [2, 3]
+        monkeypatch.setattr(base_groups, "_primes", primes)
+        # 341 = 11 * 31 and 561 = 3 * 11 * 17 pass the base-2 Fermat test,
+        # so only the grown list tells them from primes.
+        assert _prime_index(341) is None
+        assert len(primes) > 2
+        assert _prime_index(561) is None
+        assert _prime_index(563) == 103
+
 
 class TestFreeAbelian:
     def test_commutator_is_trivial(self):
@@ -110,6 +122,10 @@ class TestFreeAbelian:
     def test_exponent_vector(self):
         w = parse_word("x2^3 x1 x2^-1", X_ALPHABET)
         assert exponent_vector(w) == {1: 1, 2: 2}
+
+    def test_exponent_vector_rejects_letter_without_index(self):
+        with pytest.raises(ValueError, match="carries no index"):
+            exponent_vector(parse_word("f", FS_ALPHABET))
 
     def test_oracle_is_total(self):
         oracle = free_abelian_oracle()
@@ -179,6 +195,11 @@ class TestInsepDecider:
         pair = mock_pair()
         assert pair_basis_vector(a_word("a4 a3^2"), pair) == {}
         assert pair_basis_vector(a_word("a3 a4"), pair) == {3: -1}
+
+    def test_adapted_order_needs_a_hint(self):
+        order = pair_adapted_order(halting_pair())
+        with pytest.raises(ValueError, match="has no membership hint"):
+            order.compare(a_word("a1"), a_word("a2"))
 
     def test_oracle_works_for_halting_pair_without_hint(self):
         oracle = insep_oracle(halting_pair())

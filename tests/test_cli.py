@@ -1,10 +1,16 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from wreathembed import cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -254,3 +260,21 @@ def test_pair_glued_base_with_large_index_or_exponent(args, expected):
     result = run_cli(*args)
     assert result.returncode == 0
     assert result.stdout == expected + "\n"
+
+
+def test_readme_command_line_examples(capsys):
+    # Each "$ wreathembed ..." line of the fenced block under "## Command
+    # line", with the output line that follows it, if any (a prompt stands
+    # in after the block's last line).
+    block = README.read_text().split("## Command line", 1)[1].split("```\n")[1]
+    lines = block.splitlines()
+    shown = 0
+    for line, following in zip(lines, [*lines[1:], "$ "]):
+        if not line.startswith("$ wreathembed "):
+            continue
+        assert cli.main(shlex.split(line)[2:]) == 0, line
+        out = capsys.readouterr().out
+        if not following.startswith("$ "):
+            assert out == following + "\n", line
+            shown += 1
+    assert (shown, sum(line.startswith("$ ") for line in lines)) == (7, 9)

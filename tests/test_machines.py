@@ -1,4 +1,6 @@
+import doctest
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,15 @@ from wreathembed.machines import (
     shared_enumeration,
     step,
 )
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+
+def test_register_machine_page_examples():
+    # The page's examples, claims about the text format and the numbering.
+    results = doctest.testfile(str(DOCS / "register_machine.md"), module_relative=False)
+    assert results == (0, 9)
 
 
 class TestText:

@@ -2,14 +2,14 @@ import dataclasses
 
 import pytest
 
-from wreathembed import twogen
+from wreathembed import cli, twogen
 from wreathembed.base_groups import halting_pair, insep_oracle, mock_pair
 from wreathembed.machines import index_to_program, run_status
 from wreathembed.orders import lifted_order, pair_adapted_order
 from wreathembed.reductions import (
+    SeparatorEntry,
     _sign,
     merge_probe,
-    report_lines,
     separation_report,
     separator,
 )
@@ -57,15 +57,20 @@ class TestSeparationReport:
             assert e.sign_lo == "+"
             assert e.sign_hi == ("+" if e.side == "n" else "-")
 
-    def test_lines_format(self):
-        report = separation_report(mock_pair(), 3)
-        lines = report_lines(report)
+    def test_lines_format(self, capsys):
+        assert cli.main(["demo", "theorem1", "--max-n", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "n=1 side=n separator=in sign_lo=+ sign_hi=+ ok=yes"
         assert lines[-3:] == ["pair=mock-odd-even", "entries=3", "violations=0"]
 
     def test_needs_hint(self):
         with pytest.raises(ValueError):
             separation_report(halting_pair(), 3)
+
+    def test_free_side_is_always_consistent(self):
+        # Neither N nor M constrains an index on the free side.
+        for separated in (False, True):
+            assert SeparatorEntry(1, "free", separated, "+", "-").consistent
 
 
 class TestMergeProbe:

@@ -9,6 +9,7 @@ from wreathembed.words import (
     FS_ALPHABET,
     X_ALPHABET,
     ZB_ALPHABET,
+    Alphabet,
     Gen,
     Word,
     WordError,
@@ -143,6 +144,13 @@ def test_roundtrip_bulk_random():
 def test_alphabet_mismatch_rejected():
     with pytest.raises(WordError):
         parse_word("x1", X_ALPHABET) * parse_word("a1", A_ALPHABET)
+
+
+def test_alphabet_letters_are_single_lowercase_and_of_one_kind():
+    with pytest.raises(WordError, match="one lowercase char"):
+        Alphabet("bad", plain=frozenset({"ab"}))
+    with pytest.raises(WordError, match="both plain and indexed"):
+        Alphabet("bad", plain=frozenset({"a"}), indexed=frozenset({"a"}))
 
 
 def test_invert_of_parse_example():

@@ -41,6 +41,12 @@ def zb_word_strategy() -> st.SearchStrategy[Word]:
     return pairs.map(lambda ps: Word.make(ZB_ALPHABET, ps))
 
 
+def fs_word_strategy() -> st.SearchStrategy[Word]:
+    gen = st.sampled_from([Gen("f", None), Gen("s", None)])
+    pairs = st.lists(st.tuples(gen, st.integers(min_value=-3, max_value=3)), max_size=10)
+    return pairs.map(lambda ps: Word.make(FS_ALPHABET, ps))
+
+
 def x_word_strategy() -> st.SearchStrategy[Word]:
     pairs = st.lists(
         st.tuples(
@@ -125,35 +131,50 @@ class TestValues:
         assert word_to_text(w) == "a2"
 
 
+# Both stages share one normal form, WreathElement, so its group laws are
+# stated once and checked on the words of each stage.
+@pytest.mark.parametrize(
+    "stage, words",
+    [
+        pytest.param(wreath, zb_word_strategy(), id="wreath"),
+        pytest.param(twogen, fs_word_strategy(), id="twogen"),
+    ],
+)
 class TestGroupOperations:
-    @given(zb_word_strategy(), zb_word_strategy())
-    def test_from_word_is_multiplicative(self, u, v):
-        assert wreath.from_word(u) * wreath.from_word(v) == wreath.from_word(u * v)
+    @given(st.data())
+    def test_from_word_is_multiplicative(self, stage, words, data):
+        u, v = data.draw(words), data.draw(words)
+        assert stage.from_word(u) * stage.from_word(v) == stage.from_word(u * v)
 
-    @given(zb_word_strategy())
-    def test_inverse_cancels(self, u):
-        a = wreath.from_word(u)
-        assert a * ~a == ZBElement.identity()
-        assert ~a * a == ZBElement.identity()
+    @given(st.data())
+    def test_inverse_cancels(self, stage, words, data):
+        a = stage.from_word(data.draw(words))
+        assert a * ~a == type(a).identity()
+        assert ~a * a == type(a).identity()
 
-    @given(zb_word_strategy(), zb_word_strategy(), zb_word_strategy())
-    def test_associativity(self, u, v, w):
-        a, b, c = map(wreath.from_word, (u, v, w))
+    @given(st.data())
+    def test_associativity(self, stage, words, data):
+        a, b, c = (stage.from_word(data.draw(words)) for _ in range(3))
         assert (a * b) * c == a * (b * c)
 
-    @given(zb_word_strategy())
-    def test_word_roundtrip(self, u):
-        a = wreath.from_word(u)
-        assert wreath.from_word(a.to_word()) == a
+    @given(st.data())
+    def test_word_roundtrip(self, stage, words, data):
+        a = stage.from_word(data.draw(words))
+        assert stage.from_word(a.to_word()) == a
 
-    @given(zb_word_strategy(), st.integers(min_value=-3, max_value=3))
-    def test_power(self, u, n):
-        a = wreath.from_word(u)
-        expected = ZBElement.identity()
+    @given(st.data(), st.integers(min_value=-3, max_value=3))
+    def test_power(self, stage, words, data, n):
+        a = stage.from_word(data.draw(words))
+        expected = type(a).identity()
         step = a if n >= 0 else ~a
         for _ in range(abs(n)):
             expected = expected * step
         assert a**n == expected
+
+
+def test_from_word_rejects_another_stage_alphabet():
+    with pytest.raises(ValueError, match="expected the inner-wreath alphabet"):
+        wreath.from_word(parse_word("f", FS_ALPHABET))
 
 
 def fs(text: str) -> FSElement:
