@@ -11,10 +11,11 @@ Execution starts at line 1 with both counters zero and stops on HALT or when
 control moves past the last line (a jump target beyond the program also
 stops, one step later, when it is dispatched).
 
-Programs are numbered by a bijection with the naturals (including 0): a
-program is a list of instruction codes, lists are coded by
-``nil = 0``, ``cons(a, rest) = cantor_pair(a, rest) + 1``, and instruction
-codes are ``HALT = 0``, ``INC r = 1 + r``, ``JZDEC r l = 3 + 2*(l-1) + r``.
+A program is the tuple of its instruction codes: ``HALT = 0``,
+``INC r = 1 + r``, ``JZDEC r l = 3 + 2*(l-1) + r``, so a code ``c >= 3`` is
+``JZDEC (c-3) % 2, (c-3) // 2 + 1``.  Programs are numbered by a bijection
+with the naturals (including 0): tuples are coded by ``nil = 0``,
+``cons(a, rest) = cantor_pair(a, rest) + 1``.
 
 :class:`DovetailEnumeration` interleaves the runs of all programs and emits
 two disjoint, duplicate-free streams: programs observed to halt, in order of
@@ -29,36 +30,30 @@ import math
 import threading
 from dataclasses import dataclass, field
 
-HALT = 0
-INC = 1
-JZDEC = 2
-
-# An instruction is (op, register, jump_target); unused slots are 0.
-Instruction = tuple[int, int, int]
-Program = tuple[Instruction, ...]
+Program = tuple[int, ...]  # instruction codes, as in the module docstring
 
 
 def parse_program(text: str) -> Program:
-    """Parse program text; raises ValueError naming the offending line."""
-    out: list[Instruction] = []
+    """Parse program text; raises ValueError naming the offending line.
+
+    Operands are ASCII decimal digits.
+    """
+    out: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        parts = line.split()
+        op, *args = line.split()
         try:
-            if parts[0] == "HALT" and len(parts) == 1:
-                out.append((HALT, 0, 0))
-            elif parts[0] == "INC" and len(parts) == 2:
-                reg = int(parts[1])
-                if reg not in (0, 1):
-                    raise ValueError
-                out.append((INC, reg, 0))
-            elif parts[0] == "JZDEC" and len(parts) == 3:
-                reg, target = int(parts[1]), int(parts[2])
-                if reg not in (0, 1) or target < 1:
-                    raise ValueError
-                out.append((JZDEC, reg, target))
+            if not all(a.isascii() and a.isdigit() for a in args):
+                raise ValueError
+            nums = [int(a) for a in args]
+            if op == "HALT" and not nums:
+                out.append(0)
+            elif op == "INC" and nums in ([0], [1]):
+                out.append(1 + nums[0])
+            elif op == "JZDEC" and len(nums) == 2 and nums[0] in (0, 1) and nums[1] >= 1:
+                out.append(3 + 2 * (nums[1] - 1) + nums[0])
             else:
                 raise ValueError
         except ValueError:
@@ -68,13 +63,13 @@ def parse_program(text: str) -> Program:
 
 def program_to_text(program: Program) -> str:
     lines = []
-    for op, reg, target in program:
-        if op == HALT:
+    for code in program:
+        if code == 0:
             lines.append("HALT")
-        elif op == INC:
-            lines.append(f"INC {reg}")
+        elif code <= 2:
+            lines.append(f"INC {code - 1}")
         else:
-            lines.append(f"JZDEC {reg} {target}")
+            lines.append(f"JZDEC {(code - 3) % 2} {(code - 3) // 2 + 1}")
     return "\n".join(lines)
 
 
@@ -88,36 +83,18 @@ def cantor_unpair(n: int) -> tuple[int, int]:
     return w - b, b
 
 
-def instruction_to_code(ins: Instruction) -> int:
-    op, reg, target = ins
-    if op == HALT:
-        return 0
-    if op == INC:
-        return 1 + reg
-    return 3 + 2 * (target - 1) + reg
-
-
-def code_to_instruction(code: int) -> Instruction:
-    if code == 0:
-        return (HALT, 0, 0)
-    if code <= 2:
-        return (INC, code - 1, 0)
-    q = code - 3
-    return (JZDEC, q % 2, q // 2 + 1)
-
-
 def program_to_index(program: Program) -> int:
     n = 0
-    for ins in reversed(program):
-        n = cantor_pair(instruction_to_code(ins), n) + 1
+    for code in reversed(program):
+        n = cantor_pair(code, n) + 1
     return n
 
 
 def index_to_program(n: int) -> Program:
-    out: list[Instruction] = []
+    out: list[int] = []
     while n > 0:
         code, n = cantor_unpair(n - 1)
-        out.append(code_to_instruction(code))
+        out.append(code)
     return tuple(out)
 
 
@@ -129,14 +106,15 @@ def step(program: Program, config: Config) -> Config | None:
     pc, c0, c1 = config
     if pc > len(program):
         return None
-    op, reg, target = program[pc - 1]
-    if op == HALT:
+    code = program[pc - 1]
+    if code == 0:
         return None
-    if op == INC:
-        return (pc + 1, c0 + 1, c1) if reg == 0 else (pc + 1, c0, c1 + 1)
+    if code <= 2:
+        return (pc + 1, c0 + 1, c1) if code == 1 else (pc + 1, c0, c1 + 1)
+    q, reg = divmod(code - 3, 2)  # JZDEC reg, q + 1
     value = c0 if reg == 0 else c1
     if value == 0:
-        return (target, c0, c1)
+        return (q + 1, c0, c1)
     if reg == 0:
         return (pc + 1, c0 - 1, c1)
     return (pc + 1, c0, c1 - 1)

@@ -25,7 +25,7 @@ DOCS = Path(__file__).resolve().parent.parent / "docs"
 def test_register_machine_page_examples():
     # The page's examples, claims about the text format and the numbering.
     results = doctest.testfile(str(DOCS / "register_machine.md"), module_relative=False)
-    assert results == (0, 9)
+    assert results == (0, 10)
 
 
 class TestText:
@@ -48,6 +48,12 @@ class TestText:
         with pytest.raises(ValueError, match="line 1"):
             parse_program("NOP")
 
+    # int() would read each of these as a number the text does not spell.
+    @pytest.mark.parametrize("text", ["INC 0_1", "INC +1", "JZDEC 0 \u0663"])
+    def test_operand_is_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="line 1: bad instruction"):
+            parse_program(text)
+
 
 class TestNumbering:
     def test_pairing_roundtrip(self):
@@ -56,8 +62,10 @@ class TestNumbering:
             assert cantor_pair(a, b) == n
 
     def test_program_bijection(self):
-        for n in range(2000):
-            assert program_to_index(index_to_program(n)) == n
+        for n in range(20_000):
+            program = index_to_program(n)
+            assert program_to_index(program) == n
+            assert parse_program(program_to_text(program)) == program
 
     def test_known_small_indices(self):
         assert index_to_program(0) == ()

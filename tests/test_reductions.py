@@ -1,9 +1,10 @@
 import dataclasses
+import json
 
 import pytest
 
-from wreathembed import cli, twogen
-from wreathembed.base_groups import halting_pair, insep_oracle, mock_pair
+from wreathembed import cli, reductions, twogen
+from wreathembed.base_groups import halting_pair, insep_oracle, mock_pair, pair_basis_vector
 from wreathembed.machines import index_to_program, run_status
 from wreathembed.orders import lifted_order, pair_adapted_order
 from wreathembed.reductions import (
@@ -18,6 +19,18 @@ from wreathembed.reductions import (
 def mock_order():
     pair = mock_pair()
     return lifted_order(insep_oracle(pair), pair_adapted_order(pair))
+
+
+def norm_then_lex_order(pair):
+    # Total, but not translation-invariant: the l1 norm of the adapted
+    # vector decides first, so every nonzero element exceeds the identity.
+    lex = pair_adapted_order(pair)
+
+    def compare(u, v):
+        nu, nv = (sum(map(abs, pair_basis_vector(w, pair).values())) for w in (u, v))
+        return lex.compare(u, v) if nu == nv else ("LT" if nu < nv else "GT")
+
+    return dataclasses.replace(lex, name=f"norm-lex[{pair.name}]", compare=compare)
 
 
 class TestSeparator:
@@ -62,6 +75,25 @@ class TestSeparationReport:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "n=1 side=n separator=in sign_lo=+ sign_hi=+ ok=yes"
         assert lines[-3:] == ["pair=mock-odd-even", "entries=3", "violations=0"]
+
+    @pytest.mark.parametrize("output", ["text", "structured"])
+    def test_order_without_invariance_shows_violations(self, monkeypatch, capsys, output):
+        # Negative control: under an order that is not bi-invariant both
+        # embedded generators of every index are positive, so each M-side
+        # index (n = 2, 4) lands on the N side and the sweep says so.
+        monkeypatch.setattr(reductions, "pair_adapted_order", norm_then_lex_order)
+        assert cli.main(["--output", output, "demo", "theorem1", "--max-n", "4"]) == 0
+        out = capsys.readouterr().out
+        if output == "text":
+            lines = out.splitlines()
+            assert lines[1] == "n=2 side=m separator=in sign_lo=+ sign_hi=+ ok=NO"
+            assert lines[3] == "n=4 side=m separator=in sign_lo=+ sign_hi=+ ok=NO"
+            assert lines[-1] == "violations=2"
+        else:
+            records = [json.loads(line) for line in out.splitlines()]
+            assert '"ok": false' in out
+            assert [r["n"] for r in records[:-1] if not r["ok"]] == [2, 4]
+            assert records[-1]["violations"] == 2
 
     def test_needs_hint(self):
         with pytest.raises(ValueError):
