@@ -36,7 +36,7 @@ Program = tuple[int, ...]  # instruction codes, as in the module docstring
 def parse_program(text: str) -> Program:
     """Parse program text; raises ValueError naming the offending line.
 
-    Operands are ASCII decimal digits.
+    Operands are ASCII decimal digits without leading zeros.
     """
     out: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -45,7 +45,7 @@ def parse_program(text: str) -> Program:
             continue
         op, *args = line.split()
         try:
-            if not all(a.isascii() and a.isdigit() for a in args):
+            if not all(a.isascii() and a.isdigit() and (a == "0" or a[0] != "0") for a in args):
                 raise ValueError
             nums = [int(a) for a in args]
             if op == "HALT" and not nums:

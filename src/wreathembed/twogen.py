@@ -13,7 +13,8 @@ inner stage, here with factors ``(gamma, beta)``, each denoting the
 
 A factor ``(gamma, beta)`` contributes a letter only at points ``mu`` with
 ``gamma + mu`` equal to 1 or a power of two; the value at ``mu`` is the
-``z``/``b`` word of those letters (see :func:`value_at`).  Once every
+inner element those letters spell, built in normal form (see
+:func:`value_at`).  Once every
 conjugacy class of factors has exponent sum zero, a point where a single
 class is active carries ``z^0`` or ``b_i^0``, the identity; only the
 collision points, where two classes are active at once, can carry
@@ -41,7 +42,7 @@ from typing import Callable
 
 from wreathembed import wreath
 from wreathembed.base_groups import NONTRIVIAL, GroupOracle, SemiVerdict
-from wreathembed.words import FS_ALPHABET, ZB_ALPHABET, Gen, Word, WreathElement
+from wreathembed.words import FS_ALPHABET, Word, WreathElement, _push
 from wreathembed.wreath import ZBElement
 
 
@@ -67,17 +68,21 @@ def class_sums(a: FSElement) -> dict[int, int]:
 def value_at(a: FSElement, mu: int) -> ZBElement:
     """The inner-stage element this element carries at the point ``mu``.
 
-    The ``z``/``b`` word of the letters ``f`` carries there, in factor
-    order, normalised by :meth:`ZBElement.from_word`: a factor ``(gamma,
-    beta)`` gives ``z^beta`` where ``gamma + mu = 1``, ``b_i^beta`` where
-    ``gamma + mu = 2^i``, and nothing elsewhere.
+    Built directly in normal form from the letters ``f`` carries there, in
+    factor order: a factor ``(gamma, beta)`` gives ``z^beta`` where ``gamma +
+    mu = 1``, ``b_i^beta`` where ``gamma + mu = 2^i``, and nothing elsewhere.
+    Each ``z^beta`` moves the running shift; each ``b_i^beta`` is pushed as
+    the factor ``(i, shift, beta)``, with ``i >= 1`` since ``2^i >= 2``.
     """
-    runs = []
+    factors: list[tuple[int, int, int]] = []
+    offset = 0
     for gamma, beta in a.factors:
         n = gamma + mu
-        if n >= 1 and n & (n - 1) == 0:
-            runs.append((Gen("z", None) if n == 1 else Gen("b", n.bit_length() - 1), beta))
-    return ZBElement.from_word(Word.make(ZB_ALPHABET, runs))
+        if n == 1:
+            offset += beta
+        elif n >= 2 and n & (n - 1) == 0:
+            _push(factors, (n.bit_length() - 1, offset, beta))
+    return ZBElement(tuple(factors), offset)
 
 
 def collision_points(a: FSElement) -> list[int]:
@@ -159,30 +164,36 @@ def min_support(a: FSElement, H: GroupOracle) -> int | None:
     return best if mu is None else mu
 
 
+def _generator(i: int) -> FSElement:
+    # The commutator f s^k f s^-k f^-1 s^k f^-1 s^-k with k = 2^i - 1, in
+    # normal form; k >= 1, so no two adjacent factors share a class.
+    if i < 1:
+        raise ValueError(f"generator index must be >= 1, got {i}")
+    k = (1 << i) - 1
+    return FSElement(((0, 1), (k, 1), (0, -1), (k, -1)))
+
+
 def generator_word(i: int) -> Word:
     """The ``f``/``s`` word embedding the i-th base generator.
 
     The commutator of ``f`` with its ``s^(2^i - 1)``-conjugate: supported
     at the single point 1, carrying the inner commutator ``[z, b_i]``.
     """
-    if i < 1:
-        raise ValueError(f"generator index must be >= 1, got {i}")
-    k = (1 << i) - 1
-    f, s = Gen("f", None), Gen("s", None)
-    return Word.make(
-        FS_ALPHABET,
-        [(f, 1), (s, k), (f, 1), (s, -k), (f, -1), (s, k), (f, -1), (s, -k)],
-    )
+    return _generator(i).to_word()
 
 
 def encode_word(word: Word) -> FSElement:
-    """Embed a word of the base group, letter by letter."""
-    out = Word.identity(FS_ALPHABET)
+    """Embed a word of the base group, letter by letter.
+
+    The embedding is built directly in normal form, as the product of the
+    embedded generators' powers; no ``f``/``s`` word is formed.
+    """
+    out = FSElement.identity()
     for gen, exp in word.runs:
         if gen.index is None:
             raise ValueError(f"generator {gen} carries no index")
-        out = out * generator_word(gen.index) ** exp
-    return from_word(out)
+        out = out * _generator(gen.index) ** exp
+    return out
 
 
 def in_image(a: FSElement, H: GroupOracle) -> bool:

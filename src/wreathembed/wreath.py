@@ -26,7 +26,16 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, GroupOracle, SemiVerdict
-from wreathembed.words import X_ALPHABET, ZB_ALPHABET, Alphabet, Gen, Word, WreathElement
+from wreathembed.words import (
+    X_ALPHABET,
+    ZB_ALPHABET,
+    Alphabet,
+    Gen,
+    Word,
+    WordError,
+    WreathElement,
+    _push,
+)
 
 
 class ZBElement(WreathElement):
@@ -44,11 +53,18 @@ def value_at(a: ZBElement, nu: int, alphabet: Alphabet = X_ALPHABET) -> Word:
     """The base-group word this element carries at the point ``nu``.
 
     A factor ``(i, eta, xi)`` contributes ``x_i^xi`` exactly when
-    ``nu + eta >= 1``; the trailing ``z`` power carries no base value.
+    ``nu + eta >= 1``; the trailing ``z`` power carries no base value.  The
+    letter is the alphabet's own indexed letter, so an index below 1 is the
+    only letter a raw factor can get wrong.
     """
     letter = next(iter(alphabet.indexed))
-    pairs = [(Gen(letter, i), xi) for i, eta, xi in a.factors if nu + eta >= 1]
-    return Word.make(alphabet, pairs)
+    runs: list[tuple[Gen, int]] = []
+    for i, eta, xi in a.factors:
+        if nu + eta >= 1:
+            if i < 1:
+                raise WordError(f"index must be >= 1, got {letter}{i}")
+            _push(runs, (Gen(letter, i), xi))
+    return Word(alphabet, tuple(runs))
 
 
 def step_points(a: ZBElement) -> list[int]:

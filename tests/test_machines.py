@@ -48,8 +48,10 @@ class TestText:
         with pytest.raises(ValueError, match="line 1"):
             parse_program("NOP")
 
-    # int() would read each of these as a number the text does not spell.
-    @pytest.mark.parametrize("text", ["INC 0_1", "INC +1", "JZDEC 0 \u0663"])
+    # int() would read each of these, but not as text that program_to_text prints.
+    @pytest.mark.parametrize(
+        "text", ["INC 0_1", "INC +1", "JZDEC 0 \u0663", "INC 00", "JZDEC 0 03", "JZDEC 1 010"]
+    )
     def test_operand_is_ascii_digits(self, text):
         with pytest.raises(ValueError, match="line 1: bad instruction"):
             parse_program(text)

@@ -245,8 +245,37 @@ def test_huge_classes_collide_where_predicted():
     assert twogen.is_trivial(b, FREE)
 
 
+def random_base_word(rng: random.Random, alphabet) -> Word:
+    """Words with repeated indices, negative powers and indices up to 600."""
+    letter = next(iter(alphabet.indexed))
+    indices = [rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(1, 601)]
+    runs = [(Gen(letter, rng.choice(indices)), rng.choice([-3, -2, -1, 1, 2, 3]))]
+    runs += [(Gen(letter, rng.choice(indices)), rng.choice([-2, -1, 1, 2])) for _ in range(6)]
+    return Word.make(alphabet, runs[: rng.randrange(0, 8)])
+
+
+@pytest.mark.parametrize("alphabet", [A_ALPHABET, X_ALPHABET], ids=lambda a: a.name)
+def test_encode_word_matches_route_through_words(alphabet):
+    # The same normal form, factor for factor, not just the same element.
+    rng = random.Random(109)
+    for _ in range(300):
+        word = random_base_word(rng, alphabet)
+        fast, slow = twogen.encode_word(word), ref.encode_word_by_words(word)
+        assert (fast.factors, fast.tail) == (slow.factors, slow.tail), word
+
+
+def test_inner_value_at_matches_route_through_make():
+    rng = random.Random(110)
+    for _ in range(600):
+        a = random_zb(rng)
+        for alphabet in (X_ALPHABET, A_ALPHABET):
+            for nu in wreath.step_points(a):
+                fast = wreath.value_at(a, nu, alphabet)
+                assert fast.runs == ref.zb_value_at_by_make(a, nu, alphabet).runs, (a, nu)
+
+
 def test_value_at_matches_product_of_factor_values():
-    # twogen.value_at reads f's letters into one word; the reference
+    # twogen.value_at reads f's letters in one pass; the reference
     # multiplies the value of each factor on its own.  Compare them at every
     # collision point, at each 1 - gamma and at random points, on random
     # elements, some carrying conjugators 2^i - 1 with i up to 600.

@@ -20,6 +20,7 @@ from wreathembed.words import (
     ZB_ALPHABET,
     Gen,
     Word,
+    WordError,
     parse_word,
     word_to_text,
 )
@@ -129,6 +130,13 @@ class TestValues:
     def test_value_alphabet_parameter(self):
         w = wreath.value_at(zb("b2"), 1, A_ALPHABET)
         assert word_to_text(w) == "a2"
+
+    def test_raw_factor_with_index_zero_rejected(self):
+        # A raw element skips make's check; the value still names no x0.
+        a = ZBElement(((0, 5, 1),), 0)
+        with pytest.raises(WordError, match="index must be >= 1, got x0"):
+            wreath.value_at(a, 0)
+        assert wreath.value_at(a, -5).is_identity()
 
 
 # Both stages share one normal form, WreathElement, so its group laws are
