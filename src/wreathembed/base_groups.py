@@ -145,10 +145,10 @@ def _shift(vec: dict[int, int], key: int, delta: int) -> None:
 def exponent_vector(word: Word) -> dict[int, int]:
     """Total exponent per generator index; zero entries are dropped."""
     out: dict[int, int] = {}
-    for gen, exp in word.runs:
-        if gen.index is None:
-            raise ValueError(f"generator {gen} carries no index")
-        _shift(out, gen.index, exp)
+    for letter, index, exp in word.runs:
+        if index is None:
+            raise ValueError(f"generator {letter} carries no index")
+        _shift(out, index, exp)
     return out
 
 

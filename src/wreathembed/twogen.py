@@ -189,10 +189,10 @@ def encode_word(word: Word) -> FSElement:
     embedded generators' powers; no ``f``/``s`` word is formed.
     """
     out = FSElement.identity()
-    for gen, exp in word.runs:
-        if gen.index is None:
-            raise ValueError(f"generator {gen} carries no index")
-        out = out * _generator(gen.index) ** exp
+    for letter, index, exp in word.runs:
+        if index is None:
+            raise ValueError(f"generator {letter} carries no index")
+        out = out * _generator(index) ** exp
     return out
 
 

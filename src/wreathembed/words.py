@@ -7,21 +7,23 @@ a positive decimal index glued to the letter.  Examples of terms::
 
     f    s^-1    z^3    b3    x17^-2
 
-Words are stored in run-length canonical form: a tuple of (generator,
-exponent) runs with no zero exponents and no two adjacent runs sharing a
-generator.  Canonical form is exactly free reduction for words in distinct
-letters, so two words are freely equal iff their canonical forms are equal.
+Words are stored in run-length canonical form: a tuple of runs ``(letter,
+index, exponent)``, ``index`` None for a plain letter, with no zero exponents
+and no two adjacent runs sharing a generator.  Canonical form is exactly free
+reduction for words in distinct letters, so two words are freely equal iff
+their canonical forms are equal.
 
 The normal forms of both wreath stages are run lists too, with factors
 keyed by a generator index and a conjugating shift: :class:`WreathElement`
-holds them, and one push keeps words and both stages canonical.
+holds them.  Every run list in the package is ``(*key, exponent)``, and one
+push keeps words and both stages canonical.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, NamedTuple
+from typing import ClassVar, Iterable
 
 
 class WordError(ValueError):
@@ -38,16 +40,6 @@ class WordError(ValueError):
         self.position = position
 
 
-class Gen(NamedTuple):
-    """A single generator: a letter plus an index (None for plain letters)."""
-
-    letter: str
-    index: int | None
-
-    def __str__(self) -> str:
-        return self.letter if self.index is None else f"{self.letter}{self.index}"
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """A finite set of plain letters plus a set of indexed letter families."""
@@ -58,24 +50,26 @@ class Alphabet:
 
     def __post_init__(self) -> None:
         for letter in self.plain | self.indexed:
-            if not (len(letter) == 1 and letter.islower()):
+            if not (len(letter) == 1 and "a" <= letter <= "z"):
                 raise WordError(f"alphabet letter must be one lowercase char, got {letter!r}")
         if self.plain & self.indexed:
             raise WordError("a letter cannot be both plain and indexed")
 
-    def gen(self, letter: str, index: int | None = None) -> Gen:
-        """Build a validated generator of this alphabet."""
+    def validate(self, letter: str, index: int | None = None) -> None:
+        """Raise WordError unless ``(letter, index)`` is a generator here."""
         if letter in self.plain:
             if index is not None:
                 raise WordError(f"letter {letter!r} does not take an index")
-            return Gen(letter, None)
-        if letter in self.indexed:
+        elif letter in self.indexed:
             if index is None:
                 raise WordError(f"letter {letter!r} requires an index")
             if index < 1:
                 raise WordError(f"index must be >= 1, got {letter}{index}")
-            return Gen(letter, index)
-        raise WordError(f"unknown letter {letter!r} for alphabet {self.name}")
+        else:
+            raise WordError(f"unknown letter {letter!r} for alphabet {self.name}")
+
+
+_Run = tuple[str, int | None, int]  # (letter, index, exponent)
 
 
 def _push(runs: list, entry: tuple) -> None:
@@ -85,7 +79,7 @@ def _push(runs: list, entry: tuple) -> None:
     key equals the key of the last run merges into it, a zero sum drops
     that run, and a zero exponent adds nothing.  Since each push looks only
     at the new last run, cancellation cascades.  Keys have one or two
-    entries; they are compared in place, without slicing.
+    entries (``(letter, index)`` for a word); they are compared in place.
     """
     exp = entry[-1]
     if exp == 0:
@@ -113,19 +107,20 @@ def _power(element, identity, n: int):
 
 @dataclass(frozen=True)
 class Word:
-    """A canonical word.  Build with :meth:`make` or :func:`parse_word`."""
+    """A canonical word: runs ``(letter, index, exponent)``, ``index`` None for
+    a plain letter.  Build with :meth:`make` or :func:`parse_word`."""
 
     alphabet: Alphabet
-    runs: tuple[tuple[Gen, int], ...] = ()
+    runs: tuple[_Run, ...] = ()
 
     @staticmethod
-    def make(alphabet: Alphabet, pairs: Iterable[tuple[Gen, int]]) -> Word:
-        """Canonicalize an iterable of (generator, exponent) pairs."""
-        runs: list[tuple[Gen, int]] = []
-        for gen, exp in pairs:
-            alphabet.gen(gen.letter, gen.index)
-            _push(runs, (gen, exp))
-        return Word(alphabet, tuple(runs))
+    def make(alphabet: Alphabet, runs: Iterable[_Run]) -> Word:
+        """Check and canonicalize an iterable of (letter, index, exponent) runs."""
+        out: list[_Run] = []
+        for letter, index, exp in runs:
+            alphabet.validate(letter, index)
+            _push(out, (letter, index, exp))
+        return Word(alphabet, tuple(out))
 
     @staticmethod
     def identity(alphabet: Alphabet) -> Word:
@@ -143,7 +138,7 @@ class Word:
         return Word(self.alphabet, tuple(runs))
 
     def __invert__(self) -> Word:
-        return Word(self.alphabet, tuple((g, -e) for g, e in reversed(self.runs)))
+        return Word(self.alphabet, tuple((g, i, -e) for g, i, e in reversed(self.runs)))
 
     def __pow__(self, n: int) -> Word:
         return _power(self, Word.identity(self.alphabet), n)
@@ -157,7 +152,7 @@ _TERM = re.compile(r"([a-z])([0-9]*)(?:\^([+-]?[0-9]+))?\Z")
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse word text; raises WordError with a 1-based column on bad input."""
-    runs: list[tuple[Gen, int]] = []
+    runs: list[_Run] = []
     for token_match in re.finditer(r"\S+", text):
         token = token_match.group(0)
         pos = token_match.start() + 1
@@ -171,18 +166,19 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         except ValueError:  # the digits pass Python's integer-to-text limit
             raise WordError("index or exponent has too many digits", pos) from None
         try:
-            gen = alphabet.gen(letter, index)
+            alphabet.validate(letter, index)
         except WordError as exc:
             raise WordError(str(exc), pos) from None
-        _push(runs, (gen, exp))
+        _push(runs, (letter, index, exp))
     return Word(alphabet, tuple(runs))
 
 
 def word_to_text(word: Word) -> str:
     """Inverse of parse_word on canonical words; identity prints as ''."""
     terms = []
-    for gen, exp in word.runs:
-        terms.append(str(gen) if exp == 1 else f"{gen}^{exp}")
+    for letter, index, exp in word.runs:
+        gen = letter if index is None else f"{letter}{index}"
+        terms.append(gen if exp == 1 else f"{gen}^{exp}")
     return " ".join(terms)
 
 
@@ -233,7 +229,7 @@ class WreathElement:
         """Canonicalize factors; an invalid generator index is an error."""
         out: list[tuple[int, ...]] = []
         for factor in factors:
-            cls._gen(factor)
+            cls._run(factor)
             _push(out, tuple(factor))
         return cls(tuple(out), tail)
 
@@ -242,8 +238,11 @@ class WreathElement:
         return cls()
 
     @classmethod
-    def _gen(cls, factor: tuple[int, ...]) -> Gen:
-        return cls.ALPHABET.gen(cls.GENERATOR, *factor[:-2])
+    def _run(cls, factor: tuple[int, ...]) -> _Run:
+        # The checked generator run of a factor: ``(letter, index, exponent)``.
+        index = factor[0] if len(factor) == 3 else None
+        cls.ALPHABET.validate(cls.GENERATOR, index)
+        return cls.GENERATOR, index, factor[-1]
 
     @staticmethod
     def _push_shifted(out: list, factors: Iterable[tuple[int, ...]], by: int, sign: int) -> None:
@@ -271,25 +270,24 @@ class WreathElement:
             raise ValueError(f"expected the {cls.ALPHABET.name} alphabet")
         factors: list[tuple[int, ...]] = []
         offset = 0
-        for gen, exp in word.runs:
-            if gen.letter == cls.SHIFT:
+        for letter, index, exp in word.runs:
+            if letter == cls.SHIFT:
                 offset += exp
-            elif gen.index is None:
+            elif index is None:
                 _push(factors, (offset, exp))
             else:
-                _push(factors, (gen.index, offset, exp))
+                _push(factors, (index, offset, exp))
         return cls(tuple(factors), offset)
 
     def to_word(self) -> Word:
-        shift = Gen(self.SHIFT, None)
-        pairs: list[tuple[Gen, int]] = []
+        runs: list[_Run] = []
         at = 0
         for factor in self.factors:
-            pairs.append((shift, factor[-2] - at))
-            pairs.append((self._gen(factor), factor[-1]))
+            _push(runs, (self.SHIFT, None, factor[-2] - at))
+            _push(runs, self._run(factor))
             at = factor[-2]
-        pairs.append((shift, self.tail - at))
-        return Word.make(self.ALPHABET, pairs)
+        _push(runs, (self.SHIFT, None, self.tail - at))
+        return Word(self.ALPHABET, tuple(runs))
 
     def normal_form_text(self) -> str:
         body = ",".join("(" + ",".join(map(str, factor)) + ")" for factor in self.factors)

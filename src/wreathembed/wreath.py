@@ -30,7 +30,6 @@ from wreathembed.words import (
     X_ALPHABET,
     ZB_ALPHABET,
     Alphabet,
-    Gen,
     Word,
     WordError,
     WreathElement,
@@ -58,12 +57,12 @@ def value_at(a: ZBElement, nu: int, alphabet: Alphabet = X_ALPHABET) -> Word:
     only letter a raw factor can get wrong.
     """
     letter = next(iter(alphabet.indexed))
-    runs: list[tuple[Gen, int]] = []
+    runs: list[tuple[str, int, int]] = []
     for i, eta, xi in a.factors:
         if nu + eta >= 1:
             if i < 1:
                 raise WordError(f"index must be >= 1, got {letter}{i}")
-            _push(runs, (Gen(letter, i), xi))
+            _push(runs, (letter, i, xi))
     return Word(alphabet, tuple(runs))
 
 
@@ -152,7 +151,7 @@ def in_diagonal(a: ZBElement, H: GroupOracle) -> bool:
 def diagonal_encode(word: Word) -> ZBElement:
     """Send the letter with index i to ``[z, b_i]``; a group embedding."""
     return ZBElement.make(
-        (gen.index, eta, sign * exp) for gen, exp in word.runs for eta, sign in ((1, 1), (0, -1))
+        (index, eta, sign * exp) for _, index, exp in word.runs for eta, sign in ((1, 1), (0, -1))
     )
 
 

@@ -56,17 +56,17 @@ def re_check_by_scan(word: Word, enum_n: Callable[[int], int], fuel: int) -> Sem
 def transport_less(u: Word, v: Word, images: dict, target_order: OrderOracle) -> bool:
     """Pull the target order back along the substitution ``images``.
 
-    ``images`` maps generators to words of the target order's alphabet; a
+    ``images`` maps generator indices to words of the target order's alphabet; a
     letter without an image is an error.  When the substitution is an
     injective homomorphism this is again a strict order.
     """
 
     def substitute(w: Word) -> Word:
         out = Word.identity(target_order.alphabet)
-        for gen, exp in w.runs:
-            image = images.get(gen)
+        for letter, index, exp in w.runs:
+            image = images.get(index)
             if image is None:
-                raise ValueError(f"no image given for generator {gen}")
+                raise ValueError(f"no image given for generator {letter}{index}")
             out = out * image**exp
         return out
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, UNKNOWN, GroupOracle, SemiVerdict
 from wreathembed.twogen import FSElement
-from wreathembed.words import FS_ALPHABET, X_ALPHABET, Alphabet, Gen, Word
+from wreathembed.words import FS_ALPHABET, X_ALPHABET, Alphabet, Word
 from wreathembed.wreath import ZBElement
 
 # -- the routes through words ---------------------------------------------------
@@ -29,15 +29,15 @@ from wreathembed.wreath import ZBElement
 def encode_word_by_words(word: Word) -> FSElement:
     """The embedding as the product of ``generator_word(i) ** e``, parsed."""
     out = Word.identity(FS_ALPHABET)
-    for gen, exp in word.runs:
-        out = out * twogen.generator_word(gen.index) ** exp
+    for _, index, exp in word.runs:
+        out = out * twogen.generator_word(index) ** exp
     return twogen.from_word(out)
 
 
 def zb_value_at_by_make(a: ZBElement, nu: int, alphabet: Alphabet = X_ALPHABET) -> Word:
     """The base value at ``nu``, canonicalized and validated by ``Word.make``."""
     letter = next(iter(alphabet.indexed))
-    return Word.make(alphabet, [(Gen(letter, i), xi) for i, eta, xi in a.factors if nu + eta >= 1])
+    return Word.make(alphabet, [(letter, i, xi) for i, eta, xi in a.factors if nu + eta >= 1])
 
 
 # -- inner stage: every integer between the smallest and largest step point --

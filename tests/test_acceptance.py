@@ -31,7 +31,6 @@ from wreathembed.words import (
     FS_ALPHABET,
     X_ALPHABET,
     ZB_ALPHABET,
-    Gen,
     Word,
     commutator,
     parse_word,
@@ -45,7 +44,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def _rand_xword(rng: random.Random, max_letters: int = 12, max_index: int = 8) -> Word:
     runs = [
-        (Gen("x", rng.randint(1, max_index)), rng.choice([-2, -1, 1, 2]))
+        ("x", rng.randint(1, max_index), rng.choice([-2, -1, 1, 2]))
         for _ in range(rng.randint(0, max_letters // 2))
     ]
     return Word.make(X_ALPHABET, runs)
@@ -61,7 +60,7 @@ def _rand_fs_element(rng: random.Random, max_factors: int = 10) -> twogen.FSElem
 
 def _rand_fsword(rng: random.Random, max_letters: int = 4) -> Word:
     runs = [
-        (Gen(rng.choice("fs"), None), rng.choice([-2, -1, 1, 2]))
+        (rng.choice("fs"), None, rng.choice([-2, -1, 1, 2]))
         for _ in range(rng.randint(1, max_letters))
     ]
     return Word.make(FS_ALPHABET, runs)
@@ -254,7 +253,7 @@ def test_criterion_7_pair_decider_matches_bruteforce():
     disagreements = 0
     for _ in range(1000):
         runs = [
-            (Gen("a", rng.randint(1, 20)), rng.choice([-3, -2, -1, 1, 2, 3]))
+            ("a", rng.randint(1, 20), rng.choice([-3, -2, -1, 1, 2, 3]))
             for _ in range(rng.randint(0, 13))
         ]
         w = Word.make(A_ALPHABET, runs)

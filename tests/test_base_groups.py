@@ -31,7 +31,7 @@ from wreathembed.base_groups import (
 )
 from wreathembed.orders import pair_adapted_order
 from wreathembed.reductions import merge_probe
-from wreathembed.words import A_ALPHABET, FS_ALPHABET, X_ALPHABET, Gen, Word, parse_word
+from wreathembed.words import A_ALPHABET, FS_ALPHABET, X_ALPHABET, Word, parse_word
 
 
 def a_word(text: str) -> Word:
@@ -39,10 +39,10 @@ def a_word(text: str) -> Word:
 
 
 def random_a_word(rng: random.Random, max_letters: int = 40, max_index: int = 20) -> Word:
-    pairs = []
+    runs = []
     for _ in range(rng.randrange(0, max_letters + 1)):
-        pairs.append((Gen("a", rng.randrange(1, max_index + 1)), rng.choice([-1, 1])))
-    return Word.make(A_ALPHABET, pairs)
+        runs.append(("a", rng.randrange(1, max_index + 1), rng.choice([-1, 1])))
+    return Word.make(A_ALPHABET, runs)
 
 
 def sparse_pair() -> EnumeratedPair:
@@ -70,7 +70,7 @@ def relator_product_word(rng: random.Random, pair: EnumeratedPair) -> Word:
         k = (pair.enum_n if side == "n" else pair.enum_m)(i)
         t = rng.choice([-2, -1, 1, 2])
         q = prime(i) if side == "n" else -prime(i)
-        runs += [(Gen("a", 2 * k), t), (Gen("a", 2 * k - 1), -q * t)]
+        runs += [("a", 2 * k, t), ("a", 2 * k - 1, -q * t)]
     rng.shuffle(runs)
     word = Word.make(A_ALPHABET, runs)
     if rng.random() < 0.5:
@@ -315,9 +315,9 @@ def merge_words(rng: random.Random, enum_n, fuel: int, count: int) -> list[Word]
         for _ in range(rng.randint(1, 3)):
             k = rng.choice(values) if rng.random() < 0.7 else rng.randint(1, max(values))
             t = rng.choice([-2, -1, 1, 2])
-            runs += [(Gen("a", 2 * k), t), (Gen("a", 2 * k - 1), -t)]
+            runs += [("a", 2 * k, t), ("a", 2 * k - 1, -t)]
         if rng.random() < 0.25:
-            runs.append((Gen("a", rng.randint(1, 2 * max(values))), rng.choice([-1, 1])))
+            runs.append(("a", rng.randint(1, 2 * max(values)), rng.choice([-1, 1])))
         rng.shuffle(runs)
         words.append(Word.make(A_ALPHABET, runs))
     return words
@@ -421,7 +421,7 @@ class TestPositionIndex:
 @given(st.lists(st.tuples(st.integers(1, 12), st.integers(-3, 3)), max_size=10))
 def test_insep_respects_free_reduction(pairs):
     pair = mock_pair()
-    w = Word.make(A_ALPHABET, [(Gen("a", i), e) for i, e in pairs])
-    shuffled = Word.make(A_ALPHABET, [(Gen("a", i), e) for i, e in reversed(pairs)])
+    w = Word.make(A_ALPHABET, [("a", i, e) for i, e in pairs])
+    shuffled = Word.make(A_ALPHABET, [("a", i, e) for i, e in reversed(pairs)])
     # Abelian base: order of letters cannot change the verdict.
     assert insep_trivial(w, pair) == insep_trivial(shuffled, pair)

@@ -18,7 +18,6 @@ from wreathembed.words import (
     FS_ALPHABET,
     X_ALPHABET,
     ZB_ALPHABET,
-    Gen,
     Word,
     parse_word,
 )
@@ -52,11 +51,11 @@ def fs(text: str):
 
 
 def random_x_word(rng, max_letters=8, max_index=6) -> Word:
-    pairs = [
-        (Gen("x", rng.randrange(1, max_index + 1)), rng.choice([-1, 1]))
+    runs = [
+        ("x", rng.randrange(1, max_index + 1), rng.choice([-1, 1]))
         for _ in range(rng.randrange(0, max_letters + 1))
     ]
-    return Word.make(X_ALPHABET, pairs)
+    return Word.make(X_ALPHABET, runs)
 
 
 def random_fs_element(rng, max_factors=6, gamma=8, beta=3, tail=3):
@@ -210,19 +209,19 @@ class TestOuterLift:
 
 class TestTransport:
     def test_shifted_injection(self):
-        images = {Gen("x", i): x(f"x{i + 1}") for i in range(1, 7)}
+        images = {i: x(f"x{i + 1}") for i in range(1, 7)}
         rng = random.Random(7)
         for _ in range(100):
             u, v = random_x_word(rng), random_x_word(rng)
-            shifted_u = Word.make(X_ALPHABET, [(Gen("x", g.index + 1), e) for g, e in u.runs])
-            shifted_v = Word.make(X_ALPHABET, [(Gen("x", g.index + 1), e) for g, e in v.runs])
+            shifted_u = Word.make(X_ALPHABET, [("x", i + 1, e) for _, i, e in u.runs])
+            shifted_v = Word.make(X_ALPHABET, [("x", i + 1, e) for _, i, e in v.runs])
             assert transport_less(u, v, images, lex_order()) == lex_less(shifted_u, shifted_v)
 
     def test_transport_through_embedding_agrees_with_lex(self):
         # Substituting each generator by its embedded word and comparing in
         # the lifted order must reproduce the base order.
         order = lifted_order(H, HORD)
-        images = {Gen("x", i): twogen.generator_word(i) for i in range(1, 6)}
+        images = {i: twogen.generator_word(i) for i in range(1, 6)}
         rng = random.Random(8)
         for _ in range(40):
             u, v = random_x_word(rng, 5, 5), random_x_word(rng, 5, 5)

@@ -24,7 +24,7 @@ from wreathembed.base_groups import (
     re_oracle,
 )
 from wreathembed.twogen import FSElement
-from wreathembed.words import A_ALPHABET, X_ALPHABET, ZB_ALPHABET, Gen, Word, parse_word
+from wreathembed.words import A_ALPHABET, X_ALPHABET, ZB_ALPHABET, Word, parse_word
 from wreathembed.wreath import ZBElement
 
 FREE = free_abelian_oracle()
@@ -45,8 +45,8 @@ def random_zb(rng: random.Random) -> ZBElement:
         rng.shuffle(shuffled)
         return a * ~ZBElement.make(shuffled, a.tail)
     if kind == 2:  # diagonal, perhaps with one extra factor
-        pairs = [(Gen("x", rng.randrange(1, 5)), rng.choice([-1, 1])) for _ in range(3)]
-        diag = wreath.diagonal_encode(Word.make(X_ALPHABET, pairs))
+        runs = [("x", rng.randrange(1, 5), rng.choice([-1, 1])) for _ in range(3)]
+        diag = wreath.diagonal_encode(Word.make(X_ALPHABET, runs))
         if rng.random() < 0.5:
             diag = diag * ZBElement.make([(rng.randrange(1, 5), rng.randrange(-3, 4), 1)])
         return diag
@@ -66,10 +66,10 @@ def random_fs(rng: random.Random) -> FSElement:
         )
         return a * b * ~a * ~b
     if kind == 2:  # an encoded base word, perhaps conjugated or perturbed
-        pairs = [
-            (Gen("x", rng.randrange(1, 4)), rng.choice([-1, 1])) for _ in range(rng.randrange(0, 4))
+        runs = [
+            ("x", rng.randrange(1, 4), rng.choice([-1, 1])) for _ in range(rng.randrange(0, 4))
         ]
-        enc = twogen.encode_word(Word.make(X_ALPHABET, pairs))
+        enc = twogen.encode_word(Word.make(X_ALPHABET, runs))
         shift = FSElement((), rng.choice([0, 0, 1, -2]))
         return shift * enc * ~shift * FSElement.make([(rng.randrange(-3, 4), rng.choice([0, 1]))])
     return a
@@ -249,8 +249,8 @@ def random_base_word(rng: random.Random, alphabet) -> Word:
     """Words with repeated indices, negative powers and indices up to 600."""
     letter = next(iter(alphabet.indexed))
     indices = [rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(1, 601)]
-    runs = [(Gen(letter, rng.choice(indices)), rng.choice([-3, -2, -1, 1, 2, 3]))]
-    runs += [(Gen(letter, rng.choice(indices)), rng.choice([-2, -1, 1, 2])) for _ in range(6)]
+    runs = [(letter, rng.choice(indices), rng.choice([-3, -2, -1, 1, 2, 3]))]
+    runs += [(letter, rng.choice(indices), rng.choice([-2, -1, 1, 2])) for _ in range(6)]
     return Word.make(alphabet, runs[: rng.randrange(0, 8)])
 
 

@@ -16,7 +16,6 @@ from wreathembed.words import (
     A_ALPHABET,
     FS_ALPHABET,
     X_ALPHABET,
-    Gen,
     Word,
     commutator,
     parse_word,
@@ -32,10 +31,10 @@ def fs(text: str) -> FSElement:
 
 
 def random_x_word(rng: random.Random, max_letters: int = 12, max_index: int = 8) -> Word:
-    pairs = []
+    runs = []
     for _ in range(rng.randrange(0, max_letters + 1)):
-        pairs.append((Gen("x", rng.randrange(1, max_index + 1)), rng.choice([-1, 1])))
-    return Word.make(X_ALPHABET, pairs)
+        runs.append(("x", rng.randrange(1, max_index + 1), rng.choice([-1, 1])))
+    return Word.make(X_ALPHABET, runs)
 
 
 class TestNormalForm:
@@ -142,7 +141,7 @@ class TestWordProblem:
             w = Word.make(
                 FS_ALPHABET,
                 [
-                    (rng.choice([Gen("f", None), Gen("s", None)]), rng.choice([-2, -1, 1, 2]))
+                    (rng.choice("fs"), None, rng.choice([-2, -1, 1, 2]))
                     for _ in range(rng.randrange(0, 8))
                 ],
             )

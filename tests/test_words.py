@@ -10,7 +10,6 @@ from wreathembed.words import (
     X_ALPHABET,
     ZB_ALPHABET,
     Alphabet,
-    Gen,
     Word,
     WordError,
     parse_word,
@@ -18,21 +17,20 @@ from wreathembed.words import (
 )
 
 
-def zb_gens() -> st.SearchStrategy[Gen]:
-    plain = st.just(Gen("z", None))
-    indexed = st.integers(min_value=1, max_value=9).map(lambda i: Gen("b", i))
+def zb_runs() -> st.SearchStrategy[tuple]:
+    exps = st.integers(min_value=-5, max_value=5)
+    plain = st.tuples(st.just("z"), st.none(), exps)
+    indexed = st.tuples(st.just("b"), st.integers(min_value=1, max_value=9), exps)
     return st.one_of(plain, indexed)
 
 
-zb_words = st.lists(
-    st.tuples(zb_gens(), st.integers(min_value=-5, max_value=5)), max_size=12
-).map(lambda pairs: Word.make(ZB_ALPHABET, pairs))
+zb_words = st.lists(zb_runs(), max_size=12).map(lambda runs: Word.make(ZB_ALPHABET, runs))
 
 
 class TestCanonicalForm:
     def test_adjacent_runs_merge(self):
         w = parse_word("b1 b1", ZB_ALPHABET)
-        assert w.runs == ((Gen("b", 1), 2),)
+        assert w.runs == (("b", 1, 2),)
 
     def test_cancellation_cascades(self):
         w = parse_word("b1 b2 b2^-1 b1^-1", ZB_ALPHABET)
@@ -44,13 +42,13 @@ class TestCanonicalForm:
 
     def test_zero_exponent_dropped(self):
         w = parse_word("z^0 b1", ZB_ALPHABET)
-        assert w.runs == ((Gen("b", 1), 1),)
+        assert w.runs == (("b", 1, 1),)
 
 
 class TestParse:
     def test_plain_and_indexed(self):
         w = parse_word("f s^-1", FS_ALPHABET)
-        assert w.runs == ((Gen("f", None), 1), (Gen("s", None), -1))
+        assert w.runs == (("f", None, 1), ("s", None, -1))
 
     def test_empty_text_is_identity(self):
         assert parse_word("", FS_ALPHABET).is_identity()
@@ -58,7 +56,7 @@ class TestParse:
 
     def test_signed_exponent(self):
         w = parse_word("x3^+4", X_ALPHABET)
-        assert w.runs == ((Gen("x", 3), 4),)
+        assert w.runs == (("x", 3, 4),)
 
     def test_unknown_letter_reports_position(self):
         with pytest.raises(WordError) as err:
@@ -132,12 +130,12 @@ def test_roundtrip_bulk_random():
     alphabets = [X_ALPHABET, A_ALPHABET, ZB_ALPHABET, FS_ALPHABET]
     for _ in range(10_000):
         alphabet = rng.choice(alphabets)
-        pairs = []
+        runs = []
         for _ in range(rng.randrange(0, 10)):
             letter = rng.choice(sorted(alphabet.plain | alphabet.indexed))
             index = rng.randrange(1, 30) if letter in alphabet.indexed else None
-            pairs.append((Gen(letter, index), rng.choice([-3, -2, -1, 1, 2, 3])))
-        w = Word.make(alphabet, pairs)
+            runs.append((letter, index, rng.choice([-3, -2, -1, 1, 2, 3])))
+        w = Word.make(alphabet, runs)
         assert parse_word(word_to_text(w), alphabet) == w
 
 
@@ -149,6 +147,8 @@ def test_alphabet_mismatch_rejected():
 def test_alphabet_letters_are_single_lowercase_and_of_one_kind():
     with pytest.raises(WordError, match="one lowercase char"):
         Alphabet("bad", plain=frozenset({"ab"}))
+    with pytest.raises(WordError, match="one lowercase char"):
+        Alphabet("bad", indexed=frozenset({"é"}))  # would print terms parse_word rejects
     with pytest.raises(WordError, match="both plain and indexed"):
         Alphabet("bad", plain=frozenset({"a"}), indexed=frozenset({"a"}))
 

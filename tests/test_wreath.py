@@ -18,7 +18,6 @@ from wreathembed.words import (
     FS_ALPHABET,
     X_ALPHABET,
     ZB_ALPHABET,
-    Gen,
     Word,
     WordError,
     parse_word,
@@ -34,29 +33,24 @@ def zb(text: str) -> ZBElement:
 
 
 def zb_word_strategy() -> st.SearchStrategy[Word]:
-    gen = st.one_of(
-        st.just(Gen("z", None)),
-        st.integers(min_value=1, max_value=6).map(lambda i: Gen("b", i)),
+    exps = st.integers(min_value=-3, max_value=3)
+    run = st.one_of(
+        st.tuples(st.just("z"), st.none(), exps),
+        st.tuples(st.just("b"), st.integers(min_value=1, max_value=6), exps),
     )
-    pairs = st.lists(st.tuples(gen, st.integers(min_value=-3, max_value=3)), max_size=10)
-    return pairs.map(lambda ps: Word.make(ZB_ALPHABET, ps))
+    return st.lists(run, max_size=10).map(lambda runs: Word.make(ZB_ALPHABET, runs))
 
 
 def fs_word_strategy() -> st.SearchStrategy[Word]:
-    gen = st.sampled_from([Gen("f", None), Gen("s", None)])
-    pairs = st.lists(st.tuples(gen, st.integers(min_value=-3, max_value=3)), max_size=10)
-    return pairs.map(lambda ps: Word.make(FS_ALPHABET, ps))
+    run = st.tuples(st.sampled_from("fs"), st.none(), st.integers(min_value=-3, max_value=3))
+    return st.lists(run, max_size=10).map(lambda runs: Word.make(FS_ALPHABET, runs))
 
 
 def x_word_strategy() -> st.SearchStrategy[Word]:
-    pairs = st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=8).map(lambda i: Gen("x", i)),
-            st.integers(min_value=-3, max_value=3),
-        ),
-        max_size=8,
+    run = st.tuples(
+        st.just("x"), st.integers(min_value=1, max_value=8), st.integers(min_value=-3, max_value=3)
     )
-    return pairs.map(lambda ps: Word.make(X_ALPHABET, ps))
+    return st.lists(run, max_size=8).map(lambda runs: Word.make(X_ALPHABET, runs))
 
 
 class TestNormalForm:
@@ -137,6 +131,13 @@ class TestValues:
         with pytest.raises(WordError, match="index must be >= 1, got x0"):
             wreath.value_at(a, 0)
         assert wreath.value_at(a, -5).is_identity()
+
+    def test_raw_factor_rejected_by_to_word(self):
+        # to_word checks each generator once, on the way into the word.
+        with pytest.raises(WordError, match="index must be >= 1, got b0"):
+            ZBElement(((0, 5, 1),), 0).to_word()
+        with pytest.raises(WordError, match="does not take an index"):
+            FSElement(((1, 0, 1),)).to_word()
 
 
 # Both stages share one normal form, WreathElement, so its group laws are
@@ -274,8 +275,8 @@ class TestDiagonal:
     def test_member_values_vanish_off_zero(self):
         rng = random.Random(5)
         for _ in range(50):
-            pairs = [(Gen("x", rng.randrange(1, 6)), rng.choice([-2, -1, 1, 2])) for _ in range(4)]
-            a = wreath.diagonal_encode(Word.make(X_ALPHABET, pairs))
+            runs = [("x", rng.randrange(1, 6), rng.choice([-2, -1, 1, 2])) for _ in range(4)]
+            a = wreath.diagonal_encode(Word.make(X_ALPHABET, runs))
             eta0 = max((abs(eta) for _, eta, _ in a.factors), default=0)
             for nu in range(-3 * eta0 - 3, 3 * eta0 + 4):
                 if nu != 0:
