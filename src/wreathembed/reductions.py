@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from wreathembed import twogen
 from wreathembed.base_groups import EnumeratedPair, SemiVerdict, insep_oracle, re_oracle
 from wreathembed.orders import OrderOracle, lifted_order, pair_adapted_order
-from wreathembed.words import A_ALPHABET, Word, parse_word
+from wreathembed.words import A_ALPHABET, Word
 
 
 def _sign(word: Word, order: OrderOracle) -> str:
@@ -106,9 +106,10 @@ def merge_probe(n: int, enum_n, fuel: int) -> SemiVerdict:
     out before n showed up.  Repeated probes over the same ``enum_n``
     share its position index (see :func:`base_groups.re_oracle`), so each
     enumerated value is fetched once, however many probes ask for it.
+    The base word is built directly as its two runs, with no text.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    word = parse_word(f"a{2 * n} a{2 * n - 1}^-1", A_ALPHABET)
+    word = Word(A_ALPHABET, (("a", 2 * n, 1), ("a", 2 * n - 1, -1)))
     element = twogen.encode_word(word)
     return twogen.semi_trivial(element, re_oracle(enum_n), fuel)

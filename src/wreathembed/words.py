@@ -1,9 +1,11 @@
 """Words over indexed generator alphabets.
 
-A word is a whitespace-separated sequence of terms.  Each term is a generator
-name, optionally followed by ``^`` and a decimal exponent (with optional
-sign).  Generator names are a single lowercase letter; indexed letters carry
-a positive decimal index glued to the letter.  Examples of terms::
+A word is a whitespace-separated sequence of terms: a term is a maximal run
+of non-whitespace.  A well-formed term is a generator name, optionally
+followed by ``^`` and a decimal exponent (with optional sign).  Generator
+names are a single lowercase letter; indexed letters carry a positive
+decimal index glued to the letter.  Anything else in the run is a malformed
+term.  Examples of terms::
 
     f    s^-1    z^3    b3    x17^-2
 
@@ -147,28 +149,28 @@ class Word:
         return word_to_text(self)
 
 
-_TERM = re.compile(r"([a-z])([0-9]*)(?:\^([+-]?[0-9]+))?\Z")
+# One match per term: a well-formed term fills the groups, and any other
+# maximal run of non-whitespace matches the second branch as a malformed term.
+# ``[0-9]``, not ``\d``, so that non-ASCII digits stay malformed.
+_TOKEN = re.compile(r"([a-z])([0-9]*)(?:\^([+-]?[0-9]+))?(?!\S)|\S+")
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse word text; raises WordError with a 1-based column on bad input."""
     runs: list[_Run] = []
-    for token_match in re.finditer(r"\S+", text):
-        token = token_match.group(0)
-        pos = token_match.start() + 1
-        m = _TERM.match(token)
-        if m is None:
-            raise WordError(f"malformed term {token!r}", pos)
-        letter, digits, exp_text = m.group(1), m.group(2), m.group(3)
+    for m in _TOKEN.finditer(text):
+        letter, digits, exp_text = m.groups()
+        if letter is None:
+            raise WordError(f"malformed term {m.group()!r}", m.start() + 1)
         try:
             index = int(digits) if digits else None
             exp = int(exp_text) if exp_text is not None else 1
         except ValueError:  # the digits pass Python's integer-to-text limit
-            raise WordError("index or exponent has too many digits", pos) from None
+            raise WordError("index or exponent has too many digits", m.start() + 1) from None
         try:
             alphabet.validate(letter, index)
         except WordError as exc:
-            raise WordError(str(exc), pos) from None
+            raise WordError(str(exc), m.start() + 1) from None
         _push(runs, (letter, index, exp))
     return Word(alphabet, tuple(runs))
 

@@ -12,15 +12,19 @@ Two more oracles keep the routes through validated words that the library
 replaced by building normal forms directly: :func:`encode_word_by_words`
 multiplies the generator words and parses the product, and
 :func:`zb_value_at_by_make` canonicalizes the base value with
-``Word.make``.
+``Word.make``.  :func:`parse_word_by_tokens` is the word parser the library
+replaced by a one-pass tokenizer: it cuts the text into runs of
+non-whitespace first and matches each with a second pattern.
 """
 
 from __future__ import annotations
 
+import re
+
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, UNKNOWN, GroupOracle, SemiVerdict
 from wreathembed.twogen import FSElement
-from wreathembed.words import FS_ALPHABET, X_ALPHABET, Alphabet, Word
+from wreathembed.words import FS_ALPHABET, X_ALPHABET, Alphabet, Word, WordError, _push
 from wreathembed.wreath import ZBElement
 
 # -- the routes through words ---------------------------------------------------
@@ -38,6 +42,33 @@ def zb_value_at_by_make(a: ZBElement, nu: int, alphabet: Alphabet = X_ALPHABET) 
     """The base value at ``nu``, canonicalized and validated by ``Word.make``."""
     letter = next(iter(alphabet.indexed))
     return Word.make(alphabet, [(letter, i, xi) for i, eta, xi in a.factors if nu + eta >= 1])
+
+
+_TERM = re.compile(r"([a-z])([0-9]*)(?:\^([+-]?[0-9]+))?\Z")
+
+
+def parse_word_by_tokens(text: str, alphabet: Alphabet) -> Word:
+    """Word text parsed token by token: each run of non-whitespace is one
+    term, matched on its own."""
+    runs: list = []
+    for token_match in re.finditer(r"\S+", text):
+        token = token_match.group(0)
+        pos = token_match.start() + 1
+        m = _TERM.match(token)
+        if m is None:
+            raise WordError(f"malformed term {token!r}", pos)
+        letter, digits, exp_text = m.group(1), m.group(2), m.group(3)
+        try:
+            index = int(digits) if digits else None
+            exp = int(exp_text) if exp_text is not None else 1
+        except ValueError:  # the digits pass Python's integer-to-text limit
+            raise WordError("index or exponent has too many digits", pos) from None
+        try:
+            alphabet.validate(letter, index)
+        except WordError as exc:
+            raise WordError(str(exc), pos) from None
+        _push(runs, (letter, index, exp))
+    return Word(alphabet, tuple(runs))
 
 
 # -- inner stage: every integer between the smallest and largest step point --

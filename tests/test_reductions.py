@@ -4,7 +4,15 @@ import json
 import pytest
 
 from wreathembed import cli, reductions, twogen
-from wreathembed.base_groups import halting_pair, insep_oracle, mock_pair, pair_basis_vector
+from wreathembed.base_groups import (
+    TRIVIAL,
+    UNKNOWN,
+    halting_pair,
+    insep_oracle,
+    mock_pair,
+    pair_basis_vector,
+    re_oracle,
+)
 from wreathembed.machines import index_to_program, run_status
 from wreathembed.orders import lifted_order, pair_adapted_order
 from wreathembed.reductions import (
@@ -14,6 +22,7 @@ from wreathembed.reductions import (
     separation_report,
     separator,
 )
+from wreathembed.words import A_ALPHABET, parse_word
 
 
 def mock_order():
@@ -143,3 +152,18 @@ class TestMergeProbe:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             merge_probe(0, mock_pair().enum_n, 1)
+
+    @pytest.mark.parametrize(
+        "pair, max_n, fuels", [(mock_pair, 100, (0, 1, 50, 400)), (halting_pair, 40, (5000,))]
+    )
+    def test_matches_the_route_through_word_text(self, pair, max_n, fuels):
+        # The probe builds its base word directly; parsing the text gives the same verdicts.
+        enum_n = pair().enum_n
+        seen = set()
+        for fuel in fuels:
+            for n in range(1, max_n + 1):
+                word = parse_word(f"a{2 * n} a{2 * n - 1}^-1", A_ALPHABET)
+                by_text = twogen.semi_trivial(twogen.encode_word(word), re_oracle(enum_n), fuel)
+                assert merge_probe(n, enum_n, fuel) == by_text, (n, fuel)
+                seen.add(by_text)
+        assert seen == {TRIVIAL, UNKNOWN}

@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,8 @@ from wreathembed.words import (
     parse_word,
     word_to_text,
 )
+
+from reference_scans import parse_word_by_tokens
 
 
 def zb_runs() -> st.SearchStrategy[tuple]:
@@ -164,3 +167,75 @@ def test_overlong_numbers_are_positioned_word_errors():
         parse_word("z^" + "9" * 4400, ZB_ALPHABET)
     assert exc.value.position == 1
     assert "too many digits" in str(exc.value)
+
+
+# -- the one-pass tokenizer against the token-by-token parser ------------------
+
+ALPHABETS = [X_ALPHABET, A_ALPHABET, ZB_ALPHABET, FS_ALPHABET]
+# Single characters that may break a term: letters of either case, ASCII and
+# non-ASCII digits (Arabic-Indic three, fullwidth zero, superscript two,
+# Devanagari nine), the exponent marks, and ASCII and non-ASCII whitespace.
+NOISE = (
+    string.ascii_lowercase + "AZBX" + string.digits + "\u0663\uff10\u00b2\u096f" + "^+-"
+    + " \t\n\u00a0\u2003"
+)
+SPACES = [" ", " ", "  ", "\t", "\n", "\u00a0", "\u2003"]
+
+
+def _outcome(parse, text, alphabet):
+    # The parsed word, or the error text and column.
+    try:
+        return parse(text, alphabet)
+    except WordError as exc:
+        return str(exc), exc.position
+
+
+def _random_text(rng: random.Random, alphabet: Alphabet) -> str:
+    # Terms that are mostly well formed, noise, and mixed whitespace.
+    letters = sorted(alphabet.plain | alphabet.indexed)
+    pieces = [rng.choice(SPACES)] if rng.random() < 0.2 else []
+    for _ in range(rng.randrange(0, 8)):
+        if rng.random() < 0.85:
+            term = rng.choice(letters if rng.random() < 0.95 else string.ascii_lowercase)
+            if rng.random() < (0.95 if term in alphabet.indexed else 0.05):
+                term += str(rng.randrange(0, 40))
+            if rng.random() < 0.4:
+                term += "^" + rng.choice(["", "+", "-"]) + str(rng.randrange(0, 10))
+            if rng.random() < 0.05:
+                term += rng.choice(NOISE)
+        else:
+            term = "".join(rng.choice(NOISE) for _ in range(rng.randrange(1, 4)))
+        pieces += [term, rng.choice(SPACES)]
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=lambda a: a.name)
+def test_parse_matches_token_by_token_parser(alphabet):
+    rng = random.Random(f"parse-{alphabet.name}")
+    kinds = {Word: 0, tuple: 0}
+    for _ in range(20_000):
+        text = _random_text(rng, alphabet)
+        got = _outcome(parse_word, text, alphabet)
+        assert got == _outcome(parse_word_by_tokens, text, alphabet), repr(text)
+        kinds[type(got)] += 1
+    # Both the words and the errors are well represented.
+    assert min(kinds.values()) > 4_000, kinds
+
+
+def test_parse_matches_token_by_token_parser_on_large_texts():
+    rng = random.Random(16)
+    long_index = "z b" + "1" * 4400 + " z"
+    runs = []
+    for _ in range(8_000):
+        if rng.random() < 0.5:
+            runs.append(f"z^{rng.randrange(-10**6, 10**6)}")
+        else:
+            runs.append(f"b{rng.randrange(1, 10**9)}^{rng.randrange(-10**6, 10**6)}")
+    long_word = " ".join(runs)
+    assert len(long_word) > 100_000
+    for text in (long_index, long_word, long_word + " q1", long_word + " " + long_index):
+        got = _outcome(parse_word, text, ZB_ALPHABET)
+        assert got == _outcome(parse_word_by_tokens, text, ZB_ALPHABET)
+    assert _outcome(parse_word, long_index, ZB_ALPHABET) == (
+        "column 3: index or exponent has too many digits", 3)
+    assert isinstance(_outcome(parse_word, long_word, ZB_ALPHABET), Word)
