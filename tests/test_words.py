@@ -237,5 +237,7 @@ def test_parse_matches_token_by_token_parser_on_large_texts():
         got = _outcome(parse_word, text, ZB_ALPHABET)
         assert got == _outcome(parse_word_by_tokens, text, ZB_ALPHABET)
     assert _outcome(parse_word, long_index, ZB_ALPHABET) == (
-        "column 3: index or exponent has too many digits", 3)
+        "column 3: index or exponent has too many digits",
+        3,
+    )
     assert isinstance(_outcome(parse_word, long_word, ZB_ALPHABET), Word)
