@@ -4,10 +4,10 @@ An :class:`OrderOracle` is a total order (modulo group equality) on the
 words of one group, given as one computable three-way comparison
 ``compare(u, v)`` that answers "LT", "EQ" or "GT", with "EQ" exactly when
 u and v are equal in the group.  Orders on a base group lift to the inner
-wreath stage and from there to the two-generator group by one lift step:
-compare the trailing shift exponents first, and when those agree compare
-the carried values at the least point where they differ.  Lifting a
-bi-invariant order this way again yields a bi-invariant order.
+wreath stage and on to the two-generator group: the trailing shift exponents
+decide first, then the values at the least point where they differ, which the
+outer stage finds by the inner compare of each support candidate, as equal
+tails give ``value(a * ~b) = value(a) value(b)^-1``.  Lifts keep bi-invariance.
 
 For the pair-relation base groups the order compares exponent vectors
 rewritten into a basis adapted to the relations, so equal group elements
@@ -73,21 +73,12 @@ def pair_adapted_order(pair: EnumeratedPair) -> OrderOracle:
     return _vector_order(f"lex[{pair.name}]", A_ALPHABET, lambda w: pair_basis_vector(w, pair))
 
 
-def _lift(a, b, stage, value, compare, H_order: OrderOracle, H: GroupOracle):
-    # One lift step at either stage: the trailing shift powers decide first,
-    # else ``compare`` orders ``value(a, point)`` and ``value(b, point)`` at
-    # the least support point of ``a * ~b``, found by ``stage.min_support``.
+def _tail_clause(a, b, H_order: OrderOracle, H: GroupOracle):
+    # The first clause at both stages: the trailing shift powers decide; None when equal.
     if H.alphabet != H_order.alphabet:
         raise ValueError(f"oracle {H.name!r} and order {H_order.name!r} use different alphabets")
     if a.tail != b.tail:
         return ("LT" if a.tail < b.tail else "GT", "tail", None)
-    point = stage.min_support(a * ~b, H)
-    if point is None:
-        return ("EQ", "equal", None)
-    verdict = compare(value(a, point), value(b, point))
-    if verdict == "EQ":
-        raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
-    return (verdict, "value", point)
 
 
 def zb_compare(
@@ -99,16 +90,29 @@ def zb_compare(
     when the carried values decide at their least differing point, and
     "equal" otherwise.
     """
-    value = lambda x, nu: wreath.value_at(x, nu, H.alphabet)
-    return _lift(a, b, wreath, value, H_order.compare, H_order, H)
+    if (clause := _tail_clause(a, b, H_order, H)) is not None:
+        return clause
+    point = wreath.min_support(a * ~b, H)
+    if point is None:
+        return ("EQ", "equal", None)
+    verdict = H_order.compare(*(wreath.value_at(x, point, H.alphabet) for x in (a, b)))
+    if verdict == "EQ":
+        raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
+    return (verdict, "value", point)
 
 
 def fs_compare(
     a: FSElement, b: FSElement, H_order: OrderOracle, H: GroupOracle
 ) -> tuple[str, str, int | None]:
     """Like :func:`zb_compare`, one level up."""
-    compare = lambda u, v: zb_compare(u, v, H_order, H)[0]
-    return _lift(a, b, twogen, twogen.value_at, compare, H_order, H)
+    if (clause := _tail_clause(a, b, H_order, H)) is not None:
+        return clause
+    H.require_total()
+    for mu in twogen._support_points(a * ~b):
+        verdict = zb_compare(twogen.value_at(a, mu), twogen.value_at(b, mu), H_order, H)[0]
+        if verdict != "EQ":
+            return (verdict, "value", mu)
+    return ("EQ", "equal", None)
 
 
 def lifted_order(H: GroupOracle, H_order: OrderOracle) -> OrderOracle:

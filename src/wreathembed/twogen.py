@@ -23,7 +23,8 @@ few big-integer operations (see :func:`collision_points`), so an element
 with d distinct conjugating exponents is decided by evaluating at most
 d(d-1)/2 points.
 Every decider runs the one scan of both stages, :func:`wreath._first_failure`,
-over them, and :func:`wreathembed.orders._lift` orders both stages.
+over them; :func:`wreathembed.orders.fs_compare` orders each support candidate
+with the inner compare, as equal tails give ``value(a * ~b) = value(a) value(b)^-1``.
 The conjugating exponents themselves may be astronomically large (they are
 ``2^i - 1`` for the embedding of the i-th base generator) and everything
 stays exact integer arithmetic.
@@ -158,10 +159,14 @@ def min_support(a: FSElement, H: GroupOracle) -> int | None:
     sum.  No assumption on the orders of the base generators is needed.
     """
     H.require_total()
-    best = min((1 - gamma for gamma, total in class_sums(a).items() if total != 0), default=None)
-    points = [mu for mu in collision_points(a) if best is None or mu < best]
-    mu = wreath._first_failure(_check(a, H, 0), points)[0]
-    return best if mu is None else mu
+    return wreath._first_failure(_check(a, H, 0), _support_points(a))[0]
+
+
+def _support_points(a: FSElement) -> list[int]:
+    # The candidates of min_support in increasing order: the collision points
+    # below the least 1 - gamma of a class with a nonzero sum, then that point.
+    best = sorted(1 - gamma for gamma, total in class_sums(a).items() if total != 0)[:1]
+    return [mu for mu in collision_points(a) if not best or mu < best[0]] + best
 
 
 def _generator(i: int) -> FSElement:

@@ -18,7 +18,8 @@ each step point up to the next.  Every decision procedure therefore runs
 one scan, :func:`_first_failure`, over the step points in increasing order:
 its cost depends on the number of factors, not on the size of the
 exponents.  The outer stage decides through this scan too, with its own
-verdict rule, and :func:`wreathembed.orders._lift` orders both stages.
+verdict rule, and orders each support candidate with the inner compare, as
+equal tails give ``value(a * ~b) = value(a) value(b)^-1`` at every point.
 """
 
 from __future__ import annotations

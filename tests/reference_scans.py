@@ -15,13 +15,17 @@ multiplies the generator words and parses the product, and
 ``Word.make``.  :func:`parse_word_by_tokens` is the word parser the library
 replaced by a one-pass tokenizer: it cuts the text into runs of
 non-whitespace first and matches each with a second pattern.
+:func:`fs_compare_by_min_support` is the outer order as it was computed
+before ``orders.fs_compare`` ordered each support candidate with the inner
+compare: the least support point of ``a * ~b`` first, then one inner
+compare there.
 """
 
 from __future__ import annotations
 
 import re
 
-from wreathembed import twogen, wreath
+from wreathembed import orders, twogen, wreath
 from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, UNKNOWN, GroupOracle, SemiVerdict
 from wreathembed.twogen import FSElement
 from wreathembed.words import FS_ALPHABET, X_ALPHABET, Alphabet, Word, WordError, _push
@@ -214,3 +218,17 @@ def fs_in_image(a: FSElement, H: GroupOracle) -> bool:
         if mu != 1 and not zb_is_trivial(fs_value_at_by_product(a, mu), H):
             return False
     return zb_in_diagonal(fs_value_at_by_product(a, 1), H)
+
+
+def fs_compare_by_min_support(a: FSElement, b: FSElement, H_order, H: GroupOracle):
+    """The tail clause, then the inner compare of the values at the least
+    support point of ``a * ~b``, found by :func:`fs_min_support`."""
+    if a.tail != b.tail:
+        return ("LT" if a.tail < b.tail else "GT", "tail", None)
+    point = fs_min_support(a * ~b, H)
+    if point is None:
+        return ("EQ", "equal", None)
+    u, v = fs_value_at_by_product(a, point), fs_value_at_by_product(b, point)
+    verdict = orders.zb_compare(u, v, H_order, H)[0]
+    assert verdict != "EQ", (a, b, point)
+    return (verdict, "value", point)

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+import reference_scans as ref
 from oracles import OrderAxiomReport, check_order_axioms, transport_less
 from wreathembed import orders, twogen, wreath
 from wreathembed.base_groups import free_abelian_oracle, free_abelian_trivial, insep_oracle, mock_pair
@@ -13,6 +15,7 @@ from wreathembed.orders import (
     pair_adapted_order,
     zb_compare,
 )
+from wreathembed.twogen import FSElement
 from wreathembed.words import (
     A_ALPHABET,
     FS_ALPHABET,
@@ -63,8 +66,6 @@ def random_fs_element(rng, max_factors=6, gamma=8, beta=3, tail=3):
         (rng.randrange(-gamma, gamma + 1), rng.randrange(-beta, beta + 1))
         for _ in range(rng.randrange(0, max_factors + 1))
     ]
-    from wreathembed.twogen import FSElement
-
     return FSElement.make(factors, rng.randrange(-tail, tail + 1))
 
 
@@ -205,6 +206,58 @@ class TestOuterLift:
         order = lifted_order(H, HORD)
         assert order.alphabet == FS_ALPHABET
         assert order.compare(parse_word("", FS_ALPHABET), parse_word("s", FS_ALPHABET)) == "LT"
+
+
+def late_difference(rng) -> FSElement:
+    """Commutators of single ``f``-conjugates.  All but one meet only on
+    ``b`` letters, at points below ``mu0``, where the values commute in an
+    abelian base; the last meets a ``z`` letter at ``mu0``.  So a compare of
+    ``a`` with ``~d * a`` walks past trivial collision points first."""
+    mu0 = rng.randrange(0, 10)
+    pairs = []
+    for _ in range(rng.randrange(2, 5)):
+        mu, q = rng.randrange(-6, mu0), rng.randrange(1, 4)
+        pairs.append(((1 << (q + rng.randrange(1, 3))) - mu, (1 << q) - mu))
+    pairs.append((1 - mu0, (1 << rng.randrange(1, 4)) - mu0))
+    rng.shuffle(pairs)
+    out = FSElement.identity()
+    for g, h in pairs:
+        u, v = FSElement(((g, rng.choice([-1, 1])),)), FSElement(((h, rng.choice([-1, 1])),))
+        out = out * u * v * ~u * ~v
+    return out
+
+
+@pytest.mark.parametrize(
+    "H, H_order",
+    [(H, HORD), (insep_oracle(mock_pair()), pair_adapted_order(mock_pair()))],
+    ids=["free-abelian", "insep:mock-odd-even"],
+)
+def test_fs_compare_matches_route_through_min_support(H, H_order):
+    # b has another tail, equals a (times a commutator of two conjugates
+    # whose shift difference is not 2^p - 1, trivial in an abelian base),
+    # differs from a by a late_difference, or is random with a's tail.
+    rng = random.Random(111)
+    seen = Counter()
+    for _ in range(400):
+        a = random_fs_element(rng)
+        kind = rng.randrange(4)
+        if kind == 0:
+            b = random_fs_element(rng) * FSElement((), rng.choice([-1, 1]))
+        elif kind == 1:
+            g = rng.randrange(-8, 9)
+            u, v = FSElement(((g, 1),)), FSElement(((g + rng.choice([2, 4, 5, 6, 8]), 1),))
+            b = a * u * v * ~u * ~v
+        elif kind == 2:
+            b = ~late_difference(rng) * a
+        else:
+            b = FSElement(random_fs_element(rng).factors, a.tail)
+        verdict = fs_compare(a, b, H_order, H)
+        assert verdict == ref.fs_compare_by_min_support(a, b, H_order, H), (a, b)
+        clause, point = verdict[1:]
+        if clause == "value" and twogen._support_points(a * ~b).index(point) >= 2:
+            clause = "late"
+        seen[clause] += 1
+    assert seen["tail"] >= 50 and seen["equal"] >= 50 and seen["late"] >= 50, seen
 
 
 class TestTransport:

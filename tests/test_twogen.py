@@ -166,6 +166,25 @@ class TestWordProblem:
         a = twogen.encode_word(parse_word("x1", X_ALPHABET))
         assert twogen.min_support(a, H) == 1
 
+    def test_support_points(self):
+        # Every class of a sums to zero: the candidates are its collision points.
+        a = fs("s^2 f s f^-1 s^-8 f^-1 s^4 f^2 s^4 f s^-4 f^-2 s^3 f^-1 s^-7 f s^5")
+        assert set(twogen.class_sums(a).values()) == {0}
+        assert twogen._support_points(a) == twogen.collision_points(a) == [-1, 2, 5, 6, 9, 13]
+        # A new class -3 with sum 1 is first active at 4 and cuts off the
+        # collision points above it, 5, 6, 7, 9 and 13, one of them its own.
+        cut = a * FSElement(((-3, 1),), 0)
+        assert twogen.collision_points(cut) == [-1, 2, 5, 6, 7, 9, 13]
+        assert twogen._support_points(cut) == [-1, 2, 4]
+        # A first-active point that is also a collision point is listed once.
+        assert twogen._support_points(a * FSElement(((-1, 1),), 0)) == [-1, 2]
+        # The least first-active point of the classes with nonzero sums counts.
+        b = FSElement(((0, 1), (1, 1), (0, -1), (3, 1)), 0)
+        assert twogen.collision_points(b) == [1]
+        assert twogen._support_points(b) == [-2]
+        assert twogen._support_points(fs("")) == []
+        assert twogen._support_points(fs("s^4")) == []
+
     def test_min_support_shifted(self):
         # Conjugating by s^c moves the support by -c.
         a = twogen.encode_word(parse_word("x2", X_ALPHABET))
