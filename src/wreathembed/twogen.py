@@ -169,13 +169,18 @@ def _support_points(a: FSElement) -> list[int]:
     return [mu for mu in collision_points(a) if not best or mu < best[0]] + best
 
 
-def _generator(i: int) -> FSElement:
-    # The commutator f s^k f s^-k f^-1 s^k f^-1 s^-k with k = 2^i - 1, in
-    # normal form; k >= 1, so no two adjacent factors share a class.
+def _generator_factors(i: int, sign: int) -> tuple[tuple[int, int], ...]:
+    # The commutator f s^k f s^-k f^-1 s^k f^-1 s^-k with k = 2^i - 1 in normal
+    # form or, for sign < 0, its inverse: [x, y]^-1 = [y, x] swaps the classes
+    # 0 and k.  k >= 1, so no two adjacent factors share a class, even across copies.
     if i < 1:
         raise ValueError(f"generator index must be >= 1, got {i}")
-    k = (1 << i) - 1
-    return FSElement(((0, 1), (k, 1), (0, -1), (k, -1)))
+    x, y = (0, (1 << i) - 1) if sign > 0 else ((1 << i) - 1, 0)
+    return ((x, 1), (y, 1), (x, -1), (y, -1))
+
+
+def _generator(i: int) -> FSElement:
+    return FSElement(_generator_factors(i, 1))
 
 
 def generator_word(i: int) -> Word:
@@ -188,17 +193,20 @@ def generator_word(i: int) -> Word:
 
 
 def encode_word(word: Word) -> FSElement:
-    """Embed a word of the base group, letter by letter.
+    """Embed a word of the base group in one pass over its runs.
 
-    The embedding is built directly in normal form, as the product of the
-    embedded generators' powers; no ``f``/``s`` word is formed.
+    Each run ``x_i^e`` pushes the factors of the embedded generator, or of
+    its inverse if ``e < 0``, ``|e|`` times, with no other element formed.
+    Only a junction of two runs can merge, and pushing is associative, so
+    this is the product of the generators' powers, factor for factor.
     """
-    out = FSElement.identity()
+    factors: list[tuple[int, int]] = []
     for letter, index, exp in word.runs:
         if index is None:
             raise ValueError(f"generator {letter} carries no index")
-        out = out * _generator(index) ** exp
-    return out
+        for factor in _generator_factors(index, exp) * abs(exp):
+            _push(factors, factor)
+    return FSElement(tuple(factors))
 
 
 def in_image(a: FSElement, H: GroupOracle) -> bool:

@@ -10,8 +10,9 @@ multiplies the values of single factors, rather than the library's
 
 Two more oracles keep the routes through validated words that the library
 replaced by building normal forms directly: :func:`encode_word_by_words`
-multiplies the generator words and parses the product, and
-:func:`zb_value_at_by_make` canonicalizes the base value with
+multiplies the generator words and parses the product, where
+``twogen.encode_word`` pushes the generators' factors in one pass over the
+runs, and :func:`zb_value_at_by_make` canonicalizes the base value with
 ``Word.make``.  :func:`parse_word_by_tokens` is the word parser the library
 replaced by a one-pass tokenizer: it cuts the text into runs of
 non-whitespace first and matches each with a second pattern.

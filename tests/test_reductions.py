@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import reference_scans
 from wreathembed import cli, reductions, twogen
 from wreathembed.base_groups import (
     TRIVIAL,
@@ -157,13 +158,15 @@ class TestMergeProbe:
         "pair, max_n, fuels", [(mock_pair, 100, (0, 1, 50, 400)), (halting_pair, 40, (5000,))]
     )
     def test_matches_the_route_through_word_text(self, pair, max_n, fuels):
-        # The probe builds its base word directly; parsing the text gives the same verdicts.
+        # The probe builds its base word directly; parsing the text and
+        # embedding it through generator words gives the same verdicts.
         enum_n = pair().enum_n
         seen = set()
         for fuel in fuels:
             for n in range(1, max_n + 1):
                 word = parse_word(f"a{2 * n} a{2 * n - 1}^-1", A_ALPHABET)
-                by_text = twogen.semi_trivial(twogen.encode_word(word), re_oracle(enum_n), fuel)
+                element = reference_scans.encode_word_by_words(word)
+                by_text = twogen.semi_trivial(element, re_oracle(enum_n), fuel)
                 assert merge_probe(n, enum_n, fuel) == by_text, (n, fuel)
                 seen.add(by_text)
         assert seen == {TRIVIAL, UNKNOWN}

@@ -257,11 +257,21 @@ def random_base_word(rng: random.Random, alphabet) -> Word:
 @pytest.mark.parametrize("alphabet", [A_ALPHABET, X_ALPHABET], ids=lambda a: a.name)
 def test_encode_word_matches_route_through_words(alphabet):
     # The same normal form, factor for factor, not just the same element.
+    # Only a negative run followed by a positive one can merge factors, so
+    # the sample must hold enough of those junctions.
     rng = random.Random(109)
+    junctions = 0
     for _ in range(300):
         word = random_base_word(rng, alphabet)
         fast, slow = twogen.encode_word(word), ref.encode_word_by_words(word)
         assert (fast.factors, fast.tail) == (slow.factors, slow.tail), word
+        exps = [exp for _, _, exp in word.runs]
+        junctions += any(e < 0 < f for e, f in zip(exps, exps[1:]))
+    assert junctions >= 50
+    # The one cancelled pair: g_2^-1 ends in (0, -1) and g_1 starts with (0, 1).
+    letter = next(iter(alphabet.indexed))
+    a = twogen.encode_word(Word.make(alphabet, [(letter, 2, -1), (letter, 1, 1)]))
+    assert a.factors == ((3, 1), (0, 1), (3, -1), (1, 1), (0, -1), (1, -1))
 
 
 def test_inner_value_at_matches_route_through_make():

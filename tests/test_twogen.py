@@ -246,6 +246,13 @@ class TestEmbedding:
             twogen.encode_word(u) * twogen.encode_word(~u), H
         )
 
+    def test_inverse_factors_swap_the_classes(self):
+        # g_i^-1 is pushed from its own factors, never formed with ~.
+        for i in (1, 2, 3, 64, 600):
+            inverse = twogen._generator_factors(i, -1)
+            assert inverse == (~twogen._generator(i)).factors
+            assert twogen._generator(i) * FSElement(inverse) == FSElement()
+
     def test_letter_without_index_rejected(self):
         with pytest.raises(ValueError, match="carries no index"):
             twogen.encode_word(parse_word("f", FS_ALPHABET))
