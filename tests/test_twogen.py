@@ -247,7 +247,7 @@ class TestEmbedding:
         )
 
     def test_inverse_factors_swap_the_classes(self):
-        # g_i^-1 is pushed from its own factors, never formed with ~.
+        # encode_word pushes these factors for a negative run without forming ~g_i.
         for i in (1, 2, 3, 64, 600):
             inverse = twogen._generator_factors(i, -1)
             assert inverse == (~twogen._generator(i)).factors
