@@ -181,14 +181,14 @@ def _line(record: dict, *keys: str) -> str:
 
 
 def cmd_demo_theorem1(args):
-    report = reductions.separation_report(PAIRS[args.pair](), args.max_n)
+    pair = PAIRS[args.pair]()
     records = [
         {"n": e.n, "side": e.side, "separator": "in" if e.separated else "out",
          "sign_lo": e.sign_lo, "sign_hi": e.sign_hi, "ok": e.consistent}
-        for e in report.entries
+        for e in reductions.separation_report(pair, args.max_n)
     ]
-    summary = {"pair": report.pair_name, "entries": len(report.entries),
-               "violations": len(report.violations)}
+    summary = {"pair": pair.name, "entries": len(records),
+               "violations": sum(not record["ok"] for record in records)}
     lines = [*map(_line, records), *(_line(summary, key) for key in summary)]
     return 0, [*records, summary], lines
 

@@ -7,8 +7,8 @@ the two-generator group:
   the 2n-th and (2n-1)-st base generators against the identity in a lifted
   order separates the pair's N side from its M side: the made-up condition
   "both embedded generators on the same side of the identity" contains N
-  and misses M.  :func:`separation_report` sweeps this over a decidable
-  mock pair and records any mismatch.
+  and misses M.  :func:`separation_report` returns the entries of this sweep
+  over a mock pair; a violation is an entry whose ``consistent`` is False.
 
 * With the merge-relation base group, triviality of the embedded word
   ``a(2n) a(2n-1)^-1`` holds exactly when n lies in the enumerated set, so
@@ -69,21 +69,11 @@ class SeparatorEntry:
         return True
 
 
-@dataclass(frozen=True)
-class SeparatorReport:
-    pair_name: str
-    entries: tuple[SeparatorEntry, ...]
-
-    @property
-    def violations(self) -> tuple[SeparatorEntry, ...]:
-        return tuple(e for e in self.entries if not e.consistent)
-
-
-def separation_report(pair: EnumeratedPair, max_n: int) -> SeparatorReport:
+def separation_report(pair: EnumeratedPair, max_n: int) -> tuple[SeparatorEntry, ...]:
     """Sweep the separator over 1..max_n against the pair's ground truth.
 
-    Needs a pair with a membership hint, both to build a computable order
-    on the base group and to know the expected answers.
+    One entry per n, in order.  Needs a pair with a membership hint, for a
+    computable base order and for the expected answers.
     """
     if pair.classify is None:
         raise ValueError(f"pair {pair.name!r} has no membership hint")
@@ -94,7 +84,7 @@ def separation_report(pair: EnumeratedPair, max_n: int) -> SeparatorReport:
         sign_lo, sign_hi = _signs(n, order)
         side = pair.classify(n)[0]
         entries.append(SeparatorEntry(n, side, _same_side(sign_lo, sign_hi), sign_lo, sign_hi))
-    return SeparatorReport(pair.name, tuple(entries))
+    return tuple(entries)
 
 
 def merge_probe(n: int, enum_n, fuel: int) -> SemiVerdict:

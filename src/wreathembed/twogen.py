@@ -179,17 +179,13 @@ def _generator_factors(i: int, sign: int) -> tuple[tuple[int, int], ...]:
     return ((x, 1), (y, 1), (x, -1), (y, -1))
 
 
-def _generator(i: int) -> FSElement:
-    return FSElement(_generator_factors(i, 1))
-
-
 def generator_word(i: int) -> Word:
     """The ``f``/``s`` word embedding the i-th base generator.
 
     The commutator of ``f`` with its ``s^(2^i - 1)``-conjugate: supported
     at the single point 1, carrying the inner commutator ``[z, b_i]``.
     """
-    return _generator(i).to_word()
+    return FSElement(_generator_factors(i, 1)).to_word()
 
 
 def encode_word(word: Word) -> FSElement:
@@ -227,10 +223,13 @@ def in_image(a: FSElement, H: GroupOracle) -> bool:
 
 
 def decode(a: FSElement, H: GroupOracle) -> Word:
-    """Inverse of :func:`encode_word` on the embedded copy of the base."""
+    """Inverse of :func:`encode_word` on the embedded copy of the base.
+
+    Reads the word :func:`in_image` certified, with no second inner scan.
+    """
     if not in_image(a, H):
         raise ValueError("element is not in the embedded base group")
-    return wreath.decode(value_at(a, 1), H)
+    return wreath.value_at(value_at(a, 1), 0, H.alphabet)
 
 
 def in_base(a: FSElement) -> bool:

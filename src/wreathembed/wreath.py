@@ -135,17 +135,15 @@ def in_diagonal(a: ZBElement, H: GroupOracle) -> bool:
 
     Those commutators carry arbitrary base values at point 0 and nothing
     anywhere else, so membership holds iff the trailing ``z`` power vanishes
-    and the value function is trivial at every nonzero point.  The function
-    is the identity left of the least step point and constant from each
-    step point up to the next, so it is enough to test each step point
-    whose interval holds a nonzero integer: every one except an interval
-    that is exactly ``{0}``, from a step point 0 to a step point 1.
+    and the value function is trivial at every nonzero point.  It is
+    constant from each step point to the next (see :func:`step_points`), so
+    testing each step point, with 1 in place of a step point 0, is exact: 1
+    lies in the interval from 0 unless 1 is a step point itself.
     """
     H.require_total()
     if a.tail != 0:
         return False
-    steps = step_points(a)
-    points = [nu for nu, nxt in zip(steps, steps[1:] + [None]) if (nu, nxt) != (0, 1)]
+    points = sorted({nu or 1 for nu in step_points(a)})
     return _first_failure(_check(a, H, 0), points)[0] is None
 
 

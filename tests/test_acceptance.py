@@ -264,13 +264,14 @@ def test_criterion_7_pair_decider_matches_bruteforce():
 
 def test_criterion_8_separation_sweep():
     """Order-based separation classifies the first 50 indices with no errors."""
-    report = reductions.separation_report(mock_pair(), 50)
+    entries = reductions.separation_report(mock_pair(), 50)
     sides_ok = all(
         entry.side == ("n" if entry.n % 2 else "m") and entry.separated == (entry.n % 2 == 1)
-        for entry in report.entries
+        for entry in entries
     )
-    ok = len(report.entries) == 50 and not report.violations and sides_ok
-    _report(8, ok, f"{len(report.entries)} entries, {len(report.violations)} violations")
+    violations = sum(not entry.consistent for entry in entries)
+    ok = len(entries) == 50 and not violations and sides_ok
+    _report(8, ok, f"{len(entries)} entries, {violations} violations")
 
 
 def test_criterion_9_probe_soundness_and_completeness():

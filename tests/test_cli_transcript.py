@@ -61,9 +61,12 @@ COMMANDS = [
     "member --group L --subgroup diagonal 'z b1 z^-1 b1^-1'",
     "member --group L --subgroup diagonal 'b1'",
     "member --group G --subgroup diagonal 'f'",
+    f"member --base re:mock '{G1}'",
+    "member --group L --subgroup diagonal --base re:mock b1",
     f"decode --base free-abelian '{G1} {G2} {G2}'",
     f"decode --base insep:mock-odd-even '{G2} {G1_INV}'",
     "decode 'f'",
+    f"decode --base re:halting '{G1}'",
     "compare --base free-abelian 'f' 's'",
     "compare --base free-abelian 'f' 's f s^-1'",
     f"compare --base insep:mock-odd-even '{G2}' '{G1}'",

@@ -68,15 +68,15 @@ class TestSeparator:
 
 class TestSeparationReport:
     def test_no_violations_on_mock(self):
-        report = separation_report(mock_pair(), 12)
-        assert report.violations == ()
-        assert [e.side for e in report.entries[:4]] == ["n", "m", "n", "m"]
+        entries = separation_report(mock_pair(), 12)
+        assert [e.n for e in entries] == list(range(1, 13))
+        assert all(e.consistent for e in entries)
+        assert [e.side for e in entries[:4]] == ["n", "m", "n", "m"]
 
     def test_signs(self):
-        report = separation_report(mock_pair(), 4)
         # Odd base generators embed positively; the even ones follow the
         # side of their relation.
-        for e in report.entries:
+        for e in separation_report(mock_pair(), 4):
             assert e.sign_lo == "+"
             assert e.sign_hi == ("+" if e.side == "n" else "-")
 

@@ -6,7 +6,9 @@ point per collision point.  Here each is compared with the slow scan in
 is cheap, and then run at exponents no scan could reach.
 """
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -79,6 +81,9 @@ def random_fs(rng: random.Random) -> FSElement:
 def test_inner_deciders_match_window_scan(H):
     rng = random.Random(101)
     verdicts = set()
+    # Tail-0 samples by (0 a step point, 1 a step point, member): in_diagonal
+    # tests 1 in place of a step point 0, so every combination must occur.
+    shapes = Counter()
     for _ in range(600):
         a = random_zb(rng)
         assert wreath.is_trivial(a, H) == ref.zb_is_trivial(a, H), a
@@ -86,8 +91,16 @@ def test_inner_deciders_match_window_scan(H):
         assert verdict == ref.zb_semi_trivial(a, H, 0), a
         verdicts.add(verdict)
         assert wreath.min_support(a, H) == ref.zb_min_support(a, H), a
-        assert wreath.in_diagonal(a, H) == ref.zb_in_diagonal(a, H), a
+        member = wreath.in_diagonal(a, H)
+        assert member == ref.zb_in_diagonal(a, H), a
+        if a.tail == 0:
+            steps = wreath.step_points(a)
+            shapes[0 in steps, 1 in steps, member] += 1
     assert verdicts == {TRIVIAL, NONTRIVIAL}
+    if H is FREE_GROUP:
+        assert shapes[True, False, True] >= 3
+    else:
+        assert all(shapes[shape] >= 10 for shape in itertools.product((False, True), repeat=3))
 
 
 def test_inner_semi_trivial_matches_window_scan_with_fuel():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -249,9 +250,10 @@ class TestEmbedding:
     def test_inverse_factors_swap_the_classes(self):
         # encode_word pushes these factors for a negative run without forming ~g_i.
         for i in (1, 2, 3, 64, 600):
+            g = FSElement(twogen._generator_factors(i, 1))
             inverse = twogen._generator_factors(i, -1)
-            assert inverse == (~twogen._generator(i)).factors
-            assert twogen._generator(i) * FSElement(inverse) == FSElement()
+            assert inverse == (~g).factors
+            assert g * FSElement(inverse) == FSElement()
 
     def test_letter_without_index_rejected(self):
         with pytest.raises(ValueError, match="carries no index"):
@@ -323,8 +325,33 @@ class TestMembership:
         assert not twogen.in_image(a, H)
 
     def test_decode_raises_off_image(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^element is not in the embedded base group$"):
             twogen.decode(fs("f"), H)
+
+    @pytest.mark.parametrize("base", [free_abelian_oracle(), insep_oracle(mock_pair())])
+    def test_decode_runs_one_inner_scan(self, base):
+        # decode reads the word in_image certified, so it asks the base
+        # exactly as often as in_image; the old route through wreath.decode
+        # scanned the value at 1 a second time, and stays here as the oracle.
+        calls = []
+
+        def check(word, fuel):
+            calls.append(word)
+            return base.check(word, fuel)
+
+        counted = dataclasses.replace(base, check=check)
+        letter = next(iter(base.alphabet.indexed))
+        rng = random.Random(1901)
+        for _ in range(200):
+            runs = [(letter, rng.randint(1, 8), rng.choice([-1, 1])) for _ in range(rng.randint(1, 60))]
+            a = twogen.encode_word(Word.make(base.alphabet, runs))
+            calls.clear()
+            assert twogen.in_image(a, counted)
+            in_image_calls = len(calls)
+            calls.clear()
+            decoded = twogen.decode(a, counted)
+            assert len(calls) == in_image_calls
+            assert decoded == wreath.decode(twogen.value_at(a, 1), base)
 
     def test_base_subgroup_is_tail_kernel(self):
         assert twogen.in_base(fs("f"))

@@ -268,6 +268,17 @@ class TestDiagonal:
         for text in ("b1", "z", "b1 z b1 z^-1", "z^2 b1 z^-2"):
             assert not wreath.in_diagonal(zb(text), H)
 
+    def test_step_point_zero_is_read_at_one(self):
+        # Step points 0 and 1: the interval from 0 is {0}, and 1 is tested.
+        member = zb("z b1 z^-1 b1^-1")
+        assert wreath.step_points(member) == [0, 1]
+        assert wreath.in_diagonal(member, H)
+        # Step point 0 alone: its interval holds 1, which carries x1.
+        other = zb("z b1 z^-1")
+        assert wreath.step_points(other) == [0]
+        assert wreath.value_at(other, 1) == parse_word("x1", X_ALPHABET)
+        assert not wreath.in_diagonal(other, H)
+
     def test_shifted_commutator_is_not_diagonal(self):
         a = wreath.from_word(parse_word("z", ZB_ALPHABET)) * zb("z b1 z^-1 b1^-1") * ~zb("z")
         assert not wreath.in_diagonal(a, H)
