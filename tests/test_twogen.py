@@ -343,7 +343,9 @@ class TestMembership:
         letter = next(iter(base.alphabet.indexed))
         rng = random.Random(1901)
         for _ in range(200):
-            runs = [(letter, rng.randint(1, 8), rng.choice([-1, 1])) for _ in range(rng.randint(1, 60))]
+            runs = [
+                (letter, rng.randint(1, 8), rng.choice([-1, 1])) for _ in range(rng.randint(1, 60))
+            ]
             a = twogen.encode_word(Word.make(base.alphabet, runs))
             calls.clear()
             assert twogen.in_image(a, counted)
