@@ -27,6 +27,13 @@ A :class:`GroupOracle` packages an alphabet, a ``total`` flag and one check,
 ``check(word, fuel)``, answering a :class:`SemiVerdict`.  A total check
 decides the word problem (TRIVIAL or NONTRIVIAL) and ignores the fuel; a
 fueled one answers TRIVIAL within its budget, else UNKNOWN, never refuting.
+
+Since every group here is abelian, each states its rule once, on exponent
+vectors ``{index: exponent}`` with zero entries dropped (see
+:func:`exponent_vector`), and is built by :meth:`GroupOracle.commuting`: its
+word check is that rule applied to the word's vector, and the inner scan of
+:mod:`wreathembed.wreath` hands the rule one running vector instead of a
+word per point.  Each rule reads only the vector's live coordinates.
 """
 
 from __future__ import annotations
@@ -75,19 +82,34 @@ class GroupOracle:
     fuel.  Otherwise the group is merely recursively presented: the check
     answers TRIVIAL when triviality is certified within the fuel budget and
     UNKNOWN when it is not, never NONTRIVIAL.
+
+    A quotient of the free abelian group on the alphabet's indexed letters
+    may also carry ``vector_check(vector, fuel)``: the same rule on the
+    word's exponent vector, with the same verdicts.  The inner scan then
+    calls it on one live running vector, which the rule may read but must
+    neither change nor keep.  A base whose values need not commute leaves
+    it None and is checked on the word at each point.
     """
 
     name: str
     alphabet: Alphabet
     check: Callable[[Word, int], SemiVerdict]
     total: bool = False
+    vector_check: Callable[[dict[int, int], int], SemiVerdict] | None = None
 
     @classmethod
-    def deciding(
-        cls, name: str, alphabet: Alphabet, trivial: Callable[[Word], bool]
+    def commuting(
+        cls,
+        name: str,
+        alphabet: Alphabet,
+        rule: Callable[[dict[int, int], int], SemiVerdict],
+        total: bool = False,
     ) -> GroupOracle:
-        """A total oracle from a decider of the word problem."""
-        return cls(name, alphabet, lambda word, _fuel: TRIVIAL if trivial(word) else NONTRIVIAL, True)
+        """An abelian base from its rule on exponent vectors; the word check
+        applies the rule to :func:`exponent_vector`."""
+        return cls(
+            name, alphabet, lambda word, fuel: rule(exponent_vector(word), fuel), total, rule
+        )
 
     def require_total(self) -> None:
         if not self.total:
@@ -152,13 +174,17 @@ def exponent_vector(word: Word) -> dict[int, int]:
     return out
 
 
-def _pairs(word: Word) -> dict[int, tuple[int, int]]:
-    """``{k: (e_lo, e_hi)}``: the exponent sums of ``a(2k-1)`` and ``a(2k)``.
+def _decided(trivial: bool) -> SemiVerdict:
+    return TRIVIAL if trivial else NONTRIVIAL
 
-    Pairs whose two sums are zero are dropped.
+
+def _pairs(vector: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """``{k: (e_lo, e_hi)}``: the exponents of ``a(2k-1)`` and ``a(2k)``.
+
+    Pairs whose two exponents are zero are dropped.
     """
     out: dict[int, tuple[int, int]] = {}
-    for index, exp in exponent_vector(word).items():
+    for index, exp in vector.items():
         k = (index + 1) // 2
         lo, hi = out.get(k, (0, 0))
         out[k] = (lo + exp, hi) if index % 2 else (lo, hi + exp)
@@ -170,7 +196,9 @@ def free_abelian_trivial(word: Word) -> bool:
 
 
 def free_abelian_oracle() -> GroupOracle:
-    return GroupOracle.deciding("free-abelian", X_ALPHABET, free_abelian_trivial)
+    return GroupOracle.commuting(
+        "free-abelian", X_ALPHABET, lambda vector, _fuel: _decided(not vector), True
+    )
 
 
 @dataclass(frozen=True)
@@ -239,7 +267,7 @@ def pair_basis_vector(word: Word, pair: EnumeratedPair) -> dict[int, int]:
     if pair.classify is None:
         raise ValueError(f"pair {pair.name!r} has no membership hint")
     out: dict[int, int] = {}
-    for k, (lo, hi) in _pairs(word).items():
+    for k, (lo, hi) in _pairs(exponent_vector(word)).items():
         side, i = pair.classify(k)
         if side == "free":
             _shift(out, 2 * k - 1, lo)
@@ -250,14 +278,17 @@ def pair_basis_vector(word: Word, pair: EnumeratedPair) -> dict[int, int]:
     return out
 
 
-def _insep_pair_vanishes(k: int, lo: int, hi: int, pair: EnumeratedPair) -> bool:
+def _insep_vanishes(vector: dict[int, int], pair: EnumeratedPair) -> bool:
     # The relator of pair k is a(2k) a(2k-1)^(-q) with q = p_i (k = enum_n(i))
-    # or q = -p_i (k = enum_m(i)); the pair vanishes iff it is a multiple.
-    if hi == 0 or lo % hi:
-        return False
-    q = -lo // hi
-    i = _prime_index(abs(q))
-    return i is not None and (pair.enum_n if q > 0 else pair.enum_m)(i) == k
+    # or q = -p_i (k = enum_m(i)); each pair must be a multiple of its relator.
+    for k, (lo, hi) in _pairs(vector).items():
+        if hi == 0 or lo % hi:
+            return False
+        q = -lo // hi
+        i = _prime_index(abs(q))
+        if i is None or (pair.enum_n if q > 0 else pair.enum_m)(i) != k:
+            return False
+    return True
 
 
 def insep_trivial(word: Word, pair: EnumeratedPair) -> bool:
@@ -266,13 +297,14 @@ def insep_trivial(word: Word, pair: EnumeratedPair) -> bool:
     No hint is needed: the ratio of a pair's exponents names the only
     relator that could kill it.
     """
-    return all(_insep_pair_vanishes(k, lo, hi, pair) for k, (lo, hi) in _pairs(word).items())
+    return _insep_vanishes(exponent_vector(word), pair)
 
 
 def insep_oracle(pair: EnumeratedPair) -> GroupOracle:
-    return GroupOracle.deciding(
-        f"insep:{pair.name}", A_ALPHABET, lambda word: insep_trivial(word, pair)
-    )
+    def rule(vector: dict[int, int], _fuel: int) -> SemiVerdict:
+        return _decided(_insep_vanishes(vector, pair))
+
+    return GroupOracle.commuting(f"insep:{pair.name}", A_ALPHABET, rule, True)
 
 
 _positions: weakref.WeakKeyDictionary[Callable[[int], int], dict[int, int]] = (
@@ -299,8 +331,8 @@ def re_oracle(enum_n: Callable[[int], int], name: str = "re") -> GroupOracle:
     guards every lookup and extension, so threads may share ``enum_n``.
     """
 
-    def check(word: Word, fuel: int) -> SemiVerdict:
-        pairs = _pairs(word)
+    def rule(vector: dict[int, int], fuel: int) -> SemiVerdict:
+        pairs = _pairs(vector)
         if any(lo + hi for lo, hi in pairs.values()):
             return UNKNOWN
         with _positions_lock:
@@ -316,4 +348,4 @@ def re_oracle(enum_n: Callable[[int], int], name: str = "re") -> GroupOracle:
                 missing.discard(value)
             return TRIVIAL if all(index.get(k, fuel + 1) <= fuel for k in pairs) else UNKNOWN
 
-    return GroupOracle(f"re:{name}", A_ALPHABET, check)
+    return GroupOracle.commuting(f"re:{name}", A_ALPHABET, rule)

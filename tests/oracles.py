@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from wreathembed.base_groups import (
+    NONTRIVIAL,
     TRIVIAL,
     UNKNOWN,
     EnumeratedPair,
@@ -19,12 +20,19 @@ from wreathembed.base_groups import (
     pair_basis_vector,
 )
 from wreathembed.orders import OrderOracle
-from wreathembed.words import X_ALPHABET, Word
+from wreathembed.words import X_ALPHABET, Alphabet, Word
+
+
+def deciding(name: str, alphabet: Alphabet, trivial: Callable[[Word], bool]) -> GroupOracle:
+    """A total oracle from a decider of the word problem.  It has no vector
+    rule, so the inner scan checks the word at each point."""
+    return GroupOracle(name, alphabet, lambda w, _fuel: TRIVIAL if trivial(w) else NONTRIVIAL, True)
+
 
 # The free group on x1, x2, ...: a canonical word is freely reduced, so it is
 # trivial iff it is empty.  The only base in the tests whose values do not
 # commute.
-FREE = GroupOracle.deciding("free", X_ALPHABET, lambda w: w.is_identity())
+FREE = deciding("free", X_ALPHABET, lambda w: w.is_identity())
 
 
 def insep_trivial_bruteforce(word: Word, pair: EnumeratedPair) -> bool:

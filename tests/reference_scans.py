@@ -20,11 +20,17 @@ non-whitespace first and matches each with a second pattern.
 before ``orders.fs_compare`` ordered each support candidate with the inner
 compare: the least support point of ``a * ~b`` first, then one inner
 compare there.
+
+:func:`zb_check_by_words` is the inner verdict rule the library ran before
+abelian bases read a running exponent vector: it builds the value word at
+each point and hands it to the base's word check.  :func:`zb_decode` is the
+inverse of ``wreath.diagonal_encode``, which the library no longer needs.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from wreathembed import orders, twogen, wreath
 from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, UNKNOWN, GroupOracle, SemiVerdict
@@ -74,6 +80,18 @@ def parse_word_by_tokens(text: str, alphabet: Alphabet) -> Word:
             raise WordError(str(exc), pos) from None
         _push(runs, (letter, index, exp))
     return Word(alphabet, tuple(runs))
+
+
+def zb_check_by_words(a: ZBElement, H: GroupOracle, fuel: int) -> Callable[[int], SemiVerdict]:
+    """The inner verdict rule on words: ``H.check`` of ``value_at`` at each point."""
+    return lambda nu: H.check(wreath.value_at(a, nu, H.alphabet), fuel)
+
+
+def zb_decode(a: ZBElement, H: GroupOracle) -> Word:
+    """Inverse of ``wreath.diagonal_encode`` on its image: the value at 0."""
+    if not wreath.in_diagonal(a, H):
+        raise ValueError("element is not in the diagonal subgroup")
+    return wreath.value_at(a, 0, H.alphabet)
 
 
 # -- inner stage: every integer between the smallest and largest step point --

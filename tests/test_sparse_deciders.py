@@ -14,11 +14,11 @@ import pytest
 
 import reference_scans as ref
 from oracles import FREE as FREE_GROUP
+from oracles import deciding
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
     NONTRIVIAL,
     TRIVIAL,
-    GroupOracle,
     exponent_vector,
     free_abelian_oracle,
     insep_oracle,
@@ -137,7 +137,7 @@ def test_outer_semi_trivial_matches_window_scan_with_fuel():
 
 
 # The free abelian group of exponent two: every base generator has order 2.
-TORSION = GroupOracle.deciding(
+TORSION = deciding(
     "elementary-abelian-2",
     X_ALPHABET,
     lambda word: all(e % 2 == 0 for e in exponent_vector(word).values()),

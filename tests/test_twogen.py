@@ -331,15 +331,22 @@ class TestMembership:
     @pytest.mark.parametrize("base", [free_abelian_oracle(), insep_oracle(mock_pair())])
     def test_decode_runs_one_inner_scan(self, base):
         # decode reads the word in_image certified, so it asks the base
-        # exactly as often as in_image; the old route through wreath.decode
-        # scanned the value at 1 a second time, and stays here as the oracle.
+        # exactly as often as in_image; the old route, zb_decode of the value
+        # at 1, scanned that value a second time, and stays as the oracle.
+        # These bases commute, so the scan asks their vector rule, which is
+        # counted here together with the word check.
         calls = []
 
-        def check(word, fuel):
-            calls.append(word)
-            return base.check(word, fuel)
+        def counting(rule):
+            def counted_rule(value, fuel):
+                calls.append(value)
+                return rule(value, fuel)
 
-        counted = dataclasses.replace(base, check=check)
+            return counted_rule
+
+        counted = dataclasses.replace(
+            base, check=counting(base.check), vector_check=counting(base.vector_check)
+        )
         letter = next(iter(base.alphabet.indexed))
         rng = random.Random(1901)
         for _ in range(200):
@@ -352,8 +359,8 @@ class TestMembership:
             in_image_calls = len(calls)
             calls.clear()
             decoded = twogen.decode(a, counted)
-            assert len(calls) == in_image_calls
-            assert decoded == wreath.decode(twogen.value_at(a, 1), base)
+            assert len(calls) == in_image_calls >= 1
+            assert decoded == reference_scans.zb_decode(twogen.value_at(a, 1), base)
 
     def test_base_subgroup_is_tail_kernel(self):
         assert twogen.in_base(fs("f"))

@@ -1,0 +1,207 @@
+"""The inner scan over a running exponent vector, against the word rule.
+
+Every base in ``base_groups`` carries a rule on exponent vectors, and the
+inner scan hands that rule one running vector.  Here every decider that
+reaches the inner scan runs twice on the same elements: as the library runs
+it, and with the scan's verdict rule replaced by
+``reference_scans.zb_check_by_words``, which builds the value word at each
+point and hands it to the base's word check.
+"""
+
+import dataclasses
+import random
+import time
+from collections import Counter
+
+import pytest
+
+import reference_scans as ref
+from oracles import FREE as FREE_GROUP
+from wreathembed import twogen, wreath
+from wreathembed.base_groups import (
+    NONTRIVIAL,
+    TRIVIAL,
+    UNKNOWN,
+    SemiVerdict,
+    free_abelian_oracle,
+    insep_oracle,
+    mock_pair,
+    prime,
+    re_oracle,
+)
+from wreathembed.orders import lex_order, pair_adapted_order, zb_compare
+from wreathembed.twogen import FSElement
+from wreathembed.words import X_ALPHABET, ZB_ALPHABET, Word, WordError, parse_word
+from wreathembed.wreath import ZBElement
+
+PAIR = mock_pair()
+FREE = free_abelian_oracle()
+INSEP = insep_oracle(PAIR)
+RE = re_oracle(PAIR.enum_n, name="mock")
+BASES = [FREE, INSEP, RE]
+ORDERS = {FREE.name: lex_order(), INSEP.name: pair_adapted_order(PAIR)}
+FUELS = (0, 1, 50, 400)
+
+
+def relator(H, k: int) -> list[tuple[int, int]]:
+    """``(index, exponent)`` runs of a word trivial in H: one relator of pair
+    k, or for the free abelian group a letter and its inverse."""
+    if H is FREE:
+        return [(k, 1), (k, -1)]
+    if H is INSEP:
+        side, i = PAIR.classify(k)
+        return [(2 * k, 1), (2 * k - 1, -prime(i) if side == "n" else prime(i))]
+    return [(2 * k, 1), (2 * k - 1, -1)]  # merged in re:mock iff k is odd
+
+
+def base_runs(rng: random.Random, H) -> list[tuple[int, int]]:
+    """Multiples of relators, sometimes with one stray letter."""
+    runs = []
+    for _ in range(rng.randrange(1, 4)):
+        e = rng.choice((-2, -1, 1, 2))
+        runs += [(i, e * x) for i, x in relator(H, rng.randrange(1, 4))]
+    if rng.random() < 0.4:
+        runs.append((rng.randrange(1, 7), rng.choice((-1, 1))))
+    rng.shuffle(runs)
+    return runs
+
+
+def base_word(rng: random.Random, H) -> Word:
+    letter = next(iter(H.alphabet.indexed))
+    return Word.make(H.alphabet, [(letter, i, e) for i, e in base_runs(rng, H)])
+
+
+def sample_zb(rng: random.Random, H) -> ZBElement:
+    """Relator letters spread over few step points, so that coordinates
+    cancel mid-scan and several factors share a step point."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        return wreath.diagonal_encode(base_word(rng, H))
+    factors = [(i, rng.randrange(-3, 4), e) for i, e in base_runs(rng, H)]
+    tail = rng.choice((0, 0, 0, 1))
+    a = ZBElement.make(factors, tail)
+    if kind == 1:  # times a permutation's inverse: the identity in an abelian base
+        rng.shuffle(factors)
+        a = a * ~ZBElement.make(factors, tail)
+    return a
+
+
+def sample_fs(rng: random.Random, H) -> FSElement:
+    """Encoded base words, sometimes conjugated or times a commutator."""
+    a = twogen.encode_word(base_word(rng, H))
+    kind = rng.randrange(3)
+    if kind == 1:
+        shift = FSElement((), rng.choice((1, -2)))
+        a = shift * a * ~shift
+    if kind == 2:
+        b = FSElement.make([(rng.randrange(-3, 4), 1)])
+        c = FSElement.make([(rng.randrange(-3, 4), 1)], rng.choice((1, 3)))
+        a = a * b * c * ~b * ~c
+    return a
+
+
+def returns_to_zero(a: ZBElement) -> bool:
+    """Whether some coordinate of the running vector is nonzero at one step
+    point and zero again at a later one."""
+    running: Counter = Counter()
+    was_live: set[int] = set()
+    for nu in wreath.step_points(a):
+        for i, eta, xi in a.factors:
+            if 1 - eta == nu:
+                running[i] += xi
+        if any(running[i] == 0 for i in was_live):
+            return True
+        was_live |= {i for i, e in running.items() if e}
+    return False
+
+
+def outcomes(a: ZBElement, b: ZBElement, u: FSElement, H) -> list:
+    """Every decider that reaches the inner scan, on a, b and u."""
+    fuels = FUELS if not H.total else (0,)
+    out = [wreath.semi_trivial(a, H, fuel) for fuel in fuels]
+    out += [twogen.semi_trivial(u, H, fuel) for fuel in fuels]
+    if H.total:
+        out += [wreath.min_support(a, H), wreath.in_diagonal(a, H), twogen.in_image(u, H)]
+        out.append(zb_compare(a, ZBElement(b.factors, a.tail), ORDERS[H.name], H))
+    return out
+
+
+@pytest.mark.parametrize("H", BASES, ids=lambda H: H.name)
+def test_vector_scan_matches_word_rule(H, monkeypatch):
+    rng = random.Random(2001)
+    samples = [(sample_zb(rng, H), sample_zb(rng, H), sample_fs(rng, H)) for _ in range(400)]
+    fast = [outcomes(*sample, H) for sample in samples]
+    with monkeypatch.context() as patched:
+        patched.setattr(wreath, "_check", ref.zb_check_by_words)
+        slow = [outcomes(*sample, H) for sample in samples]
+    for sample, f, s in zip(samples, fast, slow):
+        assert f == s, sample
+    # The shapes a running vector can get wrong must all occur.
+    shapes: Counter = Counter()
+    for a, _, _ in samples:
+        if a.tail == 0:
+            etas = Counter(eta for _, eta, _ in a.factors)
+            shapes["returns to zero"] += returns_to_zero(a)
+            shapes["shared step point"] += max(etas.values(), default=0) > 1
+            shapes["0 a step point"] += 1 in etas
+    assert len(shapes) == 3 and min(shapes.values()) >= 100, shapes
+    verdicts = {verdict for out in fast for verdict in out if isinstance(verdict, SemiVerdict)}
+    assert verdicts == ({TRIVIAL, NONTRIVIAL, UNKNOWN} if not H.total else {TRIVIAL, NONTRIVIAL})
+
+
+def test_non_commuting_base_keeps_the_word_path():
+    # The value at 1 is the commutator x1 x2 x1^-1 x2^-1, whose exponent
+    # vector is empty: only a check of the word itself refutes it.
+    a = wreath.from_word(parse_word("b1 b2 b1^-1 b2^-1", ZB_ALPHABET))
+    assert wreath.value_at(a, 1) == parse_word("x1 x2 x1^-1 x2^-1", X_ALPHABET)
+    assert FREE_GROUP.vector_check is None
+    assert wreath.semi_trivial(a, FREE_GROUP, 0).nontrivial
+    assert wreath.min_support(a, FREE_GROUP) == 1
+    assert not wreath.in_diagonal(a, FREE_GROUP)
+    as_vectors = dataclasses.replace(
+        FREE_GROUP, vector_check=lambda vector, _fuel: TRIVIAL if not vector else NONTRIVIAL
+    )
+    assert wreath.semi_trivial(a, as_vectors, 0).trivial
+
+
+def test_scan_points_must_ascend():
+    verdict_at = wreath._check(wreath.diagonal_encode(parse_word("x1", X_ALPHABET)), FREE, 0)
+    assert verdict_at(0).nontrivial
+    assert verdict_at(1).trivial
+    assert verdict_at(1).trivial
+    with pytest.raises(ValueError, match="^scan points must ascend, got 0 after 1$"):
+        verdict_at(0)
+
+
+@pytest.mark.parametrize("H", [FREE, INSEP], ids=lambda H: H.name)
+def test_raw_factor_with_index_zero_rejected_on_both_paths(H, monkeypatch):
+    # A raw element skips make's check; the scan reaches x0 at its second point.
+    letter = next(iter(H.alphabet.indexed))
+    a = ZBElement(((1, 7, 1), (1, 7, -1), (0, 6, 1)), 0)
+    with pytest.raises(WordError, match=f"^index must be >= 1, got {letter}0$"):
+        wreath.semi_trivial(a, H, 0)
+    monkeypatch.setattr(wreath, "_check", ref.zb_check_by_words)
+    with pytest.raises(WordError, match=f"^index must be >= 1, got {letter}0$"):
+        wreath.semi_trivial(a, H, 0)
+
+
+def test_long_trivial_element_decides_in_near_linear_time():
+    # 20 000 factors over 10 001 step points.  Rebuilding the value word at
+    # every step point is quadratic: 8 000 factors took seconds that way.
+    rng = random.Random(2002)
+    half = [
+        (rng.randint(1, 50), rng.randint(-5000, 5000), rng.choice((-2, -1, 1, 2)))
+        for _ in range(10_000)
+    ]
+    shuffled = list(half)
+    rng.shuffle(shuffled)
+    a = ZBElement.make(half) * ~ZBElement.make(shuffled)
+    i, eta, _ = half[0]
+    b = a * ZBElement(((i, eta, 1),))
+    start = time.perf_counter()
+    assert len(a.factors) == 20_000
+    assert wreath.is_trivial(a, FREE)
+    assert wreath.in_diagonal(a, FREE)
+    assert wreath.min_support(a, FREE) is None
+    assert wreath.min_support(b, FREE) == 1 - eta
+    assert time.perf_counter() - start < 5
