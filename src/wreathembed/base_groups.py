@@ -191,10 +191,6 @@ def _pairs(vector: dict[int, int]) -> dict[int, tuple[int, int]]:
     return out
 
 
-def free_abelian_trivial(word: Word) -> bool:
-    return not exponent_vector(word)
-
-
 def free_abelian_oracle() -> GroupOracle:
     return GroupOracle.commuting(
         "free-abelian", X_ALPHABET, lambda vector, _fuel: _decided(not vector), True
@@ -255,19 +251,20 @@ def halting_pair() -> EnumeratedPair:
     return EnumeratedPair(name="halting", enum_n=enum_n, enum_m=enum.cycling_at)
 
 
-def pair_basis_vector(word: Word, pair: EnumeratedPair) -> dict[int, int]:
-    """Coordinates of the word in a basis adapted to the pair's relations.
+def pair_basis_vector(vector: dict[int, int], pair: EnumeratedPair) -> dict[int, int]:
+    """An exponent vector's coordinates in a basis adapted to the pair's relations.
 
     A pair k in N (as its i-th member) satisfies ``a(2k) = a(2k-1)^(p_i)``,
     so it contributes ``e_lo + p_i * e_hi`` on the single surviving basis
     vector 2k-1; for k in M the sign of the p_i term flips; a free pair
-    keeps both coordinates.  The word is trivial iff the result is empty.
-    Needs the pair's membership hint, asked once per pair in the word.
+    keeps both coordinates.  The vector is trivial in the group iff the
+    result is empty.  Needs the pair's membership hint, asked once per live
+    pair of the vector.
     """
     if pair.classify is None:
         raise ValueError(f"pair {pair.name!r} has no membership hint")
     out: dict[int, int] = {}
-    for k, (lo, hi) in _pairs(exponent_vector(word)).items():
+    for k, (lo, hi) in _pairs(vector).items():
         side, i = pair.classify(k)
         if side == "free":
             _shift(out, 2 * k - 1, lo)
@@ -289,15 +286,6 @@ def _insep_vanishes(vector: dict[int, int], pair: EnumeratedPair) -> bool:
         if i is None or (pair.enum_n if q > 0 else pair.enum_m)(i) != k:
             return False
     return True
-
-
-def insep_trivial(word: Word, pair: EnumeratedPair) -> bool:
-    """Decide triviality pair by pair, with one enumeration fetch per pair.
-
-    No hint is needed: the ratio of a pair's exponents names the only
-    relator that could kill it.
-    """
-    return _insep_vanishes(exponent_vector(word), pair)
 
 
 def insep_oracle(pair: EnumeratedPair) -> GroupOracle:

@@ -1,124 +1,149 @@
-"""Computable total orders and their lift through the embedding.
+"""Computable bi-orders as positive cones, and their lift through the embedding.
 
-An :class:`OrderOracle` is a total order (modulo group equality) on the
-words of one group, given as one computable three-way comparison
-``compare(u, v)`` that answers "LT", "EQ" or "GT", with "EQ" exactly when
-u and v are equal in the group.  Orders on a base group lift to the inner
-wreath stage and on to the two-generator group: the trailing shift exponents
-decide first, then the values at the least point where they differ, which the
-outer stage finds by the inner compare of each support candidate, as equal
-tails give ``value(a * ~b) = value(a) value(b)^-1``.  Lifts keep bi-invariance.
+A bi-order is fixed by its positive cone P: ``u < v`` exactly when
+``v * ~u`` lies in P (Clay & Rolfsen, *Ordered Groups and Topology*).  So an
+:class:`OrderOracle` is one sign rule on the normal forms of one group: 1 on
+P, -1 on its inverses and 0 exactly on the identity; ``compare(u, v)``
+reads the sign of ``u * ~v``.  The orders on the base groups read the sign
+of the least live coordinate of an exponent vector.  For the pair-relation
+base groups that vector is first rewritten into a basis adapted to the
+relations, so equal group elements always get the same sign.
 
-For the pair-relation base groups the order compares exponent vectors
-rewritten into a basis adapted to the relations, so equal group elements
-always compare equal.
+Each wreath stage lifts a sign in the same way: the sign of the trailing
+shift power and, when that is 0, the first nonzero sign of the carried
+value.  The inner stage reads the base sign of the running exponent vector
+at each step point, the outer stage the inner sign at each support
+candidate (see ``twogen._support_points``).  The lift of a cone is a cone,
+so lifts keep bi-invariance.  :func:`zb_compare` and :func:`fs_compare`
+read the lifted sign of ``a * ~b``, and ask the base oracle only to confirm
+a zero sign, which a rule that is not a cone can give on a nontrivial
+element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from wreathembed import twogen, wreath
-from wreathembed.base_groups import (
-    EnumeratedPair,
-    GroupOracle,
-    exponent_vector,
-    pair_basis_vector,
-)
-from wreathembed.twogen import FSElement
+from wreathembed.base_groups import EnumeratedPair, GroupOracle, exponent_vector, pair_basis_vector
 from wreathembed.words import A_ALPHABET, FS_ALPHABET, X_ALPHABET, Alphabet, Word
-from wreathembed.wreath import ZBElement
+
+_VERDICTS = {-1: "LT", 0: "EQ", 1: "GT"}
 
 
 @dataclass(frozen=True)
 class OrderOracle:
-    """A computable total order on the words of one group.
+    """A computable bi-order on one group, given by its positive cone.
 
-    ``compare(u, v)`` answers "LT", "EQ" or "GT"; "EQ" exactly when u and
-    v are equal in the group.
+    ``sign`` answers 1, 0 or -1 on a normal form: the exponent vector of a
+    word over an indexed alphabet, or the
+    :class:`~wreathembed.twogen.FSElement` of an ``f``/``s`` word.  It
+    answers 0 exactly on the identity.
     """
 
     name: str
     alphabet: Alphabet
-    compare: Callable[[Word, Word], str]
+    sign: Callable[[Any], int]
+
+    def compare(self, u: Word, v: Word) -> str:
+        """The verdict "LT", "EQ" or "GT" as the sign of ``u * ~v`` is -1, 0 or 1."""
+        w = u * ~v
+        form = twogen.from_word(w) if self.alphabet == FS_ALPHABET else exponent_vector(w)
+        return _VERDICTS[self.sign(form)]
 
 
-def _vector_order(
-    name: str, alphabet: Alphabet, vector: Callable[[Word], dict[int, int]]
-) -> OrderOracle:
-    # Lexicographic on the words' sparse vectors: the least differing coordinate decides.
-    def compare(u: Word, v: Word) -> str:
-        vu, vv = vector(u), vector(v)
-        for key in sorted(set(vu) | set(vv)):
-            a, b = vu.get(key, 0), vv.get(key, 0)
-            if a != b:
-                return "LT" if a < b else "GT"
-        return "EQ"
+def _sign_of(x: int) -> int:
+    return (x > 0) - (x < 0)
 
-    return OrderOracle(name, alphabet, compare)
+
+def _lex_sign(vector: dict[int, int]) -> int:
+    # The sign of the least live coordinate; 0 on the empty vector.
+    return _sign_of(vector[min(vector)]) if vector else 0
 
 
 def lex_order() -> OrderOracle:
     """Lexicographic order on the free abelian group."""
-    return _vector_order("lex", X_ALPHABET, exponent_vector)
+    return OrderOracle("lex", X_ALPHABET, _lex_sign)
 
 
 def pair_adapted_order(pair: EnumeratedPair) -> OrderOracle:
     """Lexicographic order on the pair-relation group, via the adapted basis.
 
-    Needs the pair's membership hint to rewrite words; equal group elements
-    get equal vectors, so the order is well defined on the group.
+    Needs the pair's membership hint to rewrite vectors; equal group
+    elements get equal adapted vectors, so the order is well defined on the
+    group.
     """
-    return _vector_order(f"lex[{pair.name}]", A_ALPHABET, lambda w: pair_basis_vector(w, pair))
+    return OrderOracle(
+        f"lex[{pair.name}]", A_ALPHABET, lambda vector: _lex_sign(pair_basis_vector(vector, pair))
+    )
 
 
-def _tail_clause(a, b, H_order: OrderOracle, H: GroupOracle):
-    # The first clause at both stages: the trailing shift powers decide; None when equal.
+def _first_sign(a, points, sign_at) -> tuple[int, int | None]:
+    """A stage's lifted sign of ``a`` and the point that decided it.
+
+    The sign of the trailing shift power (no point) or, when that is 0, the
+    first nonzero ``sign_at`` over ``points(a)`` (that point); else
+    ``(0, None)``.
+    """
+    if a.tail:
+        return _sign_of(a.tail), None
+    for point in points(a):
+        if sign := sign_at(point):
+            return sign, point
+    return 0, None
+
+
+def _zb_sign(a: wreath.ZBElement, H_order: OrderOracle) -> tuple[int, int | None]:
+    # The base sign of the running exponent vector at each step point.
+    return _first_sign(a, wreath.step_points, wreath._running(a, H_order.alphabet, H_order.sign))
+
+
+def _fs_sign(a: twogen.FSElement, H_order: OrderOracle) -> tuple[int, int | None]:
+    # The inner sign of the carried value at each support candidate.
+    return _first_sign(
+        a, twogen._support_points, lambda mu: _zb_sign(twogen.value_at(a, mu), H_order)[0]
+    )
+
+
+def _checked_sign(c, H_order: OrderOracle, H: GroupOracle, lifted_sign, is_trivial):
+    # The lifted sign of c, with its clause and point; the base oracle
+    # confirms a zero sign.
     if H.alphabet != H_order.alphabet:
         raise ValueError(f"oracle {H.name!r} and order {H_order.name!r} use different alphabets")
-    if a.tail != b.tail:
-        return ("LT" if a.tail < b.tail else "GT", "tail", None)
+    if not c.tail:
+        H.require_total()
+    sign, point = lifted_sign(c, H_order)
+    if not sign and not is_trivial(c, H):
+        raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
+    return sign, "tail" if c.tail else "value" if sign else "equal", point
 
 
 def zb_compare(
-    a: ZBElement, b: ZBElement, H_order: OrderOracle, H: GroupOracle
+    a: wreath.ZBElement, b: wreath.ZBElement, H_order: OrderOracle, H: GroupOracle
 ) -> tuple[str, str, int | None]:
     """("LT"|"GT"|"EQ", deciding clause, deciding point).
 
-    The clause is "tail" when the trailing shift exponents differ, "value"
-    when the carried values decide at their least differing point, and
-    "equal" otherwise.
+    Read off the lifted sign of ``a * ~b``.  The clause is "tail" when the
+    trailing shift exponents differ, "value" when the carried values decide
+    at their least differing point, and "equal" otherwise.
     """
-    if (clause := _tail_clause(a, b, H_order, H)) is not None:
-        return clause
-    point = wreath.min_support(a * ~b, H)
-    if point is None:
-        return ("EQ", "equal", None)
-    verdict = H_order.compare(*(wreath.value_at(x, point, H.alphabet) for x in (a, b)))
-    if verdict == "EQ":
-        raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
-    return (verdict, "value", point)
+    sign, clause, point = _checked_sign(a * ~b, H_order, H, _zb_sign, wreath.is_trivial)
+    return _VERDICTS[sign], clause, point
 
 
 def fs_compare(
-    a: FSElement, b: FSElement, H_order: OrderOracle, H: GroupOracle
+    a: twogen.FSElement, b: twogen.FSElement, H_order: OrderOracle, H: GroupOracle
 ) -> tuple[str, str, int | None]:
     """Like :func:`zb_compare`, one level up."""
-    if (clause := _tail_clause(a, b, H_order, H)) is not None:
-        return clause
-    H.require_total()
-    for mu in twogen._support_points(a * ~b):
-        verdict = zb_compare(twogen.value_at(a, mu), twogen.value_at(b, mu), H_order, H)[0]
-        if verdict != "EQ":
-            return (verdict, "value", mu)
-    return ("EQ", "equal", None)
+    sign, clause, point = _checked_sign(a * ~b, H_order, H, _fs_sign, twogen.is_trivial)
+    return _VERDICTS[sign], clause, point
 
 
 def lifted_order(H: GroupOracle, H_order: OrderOracle) -> OrderOracle:
     """The doubly lifted order as an oracle over ``f``/``s`` words."""
 
-    def compare(u: Word, v: Word) -> str:
-        return fs_compare(twogen.from_word(u), twogen.from_word(v), H_order, H)[0]
+    def sign(a: twogen.FSElement) -> int:
+        return _checked_sign(a, H_order, H, _fs_sign, twogen.is_trivial)[0]
 
-    return OrderOracle(f"lift2[{H_order.name}]", FS_ALPHABET, compare)
+    return OrderOracle(f"lift2[{H_order.name}]", FS_ALPHABET, sign)

@@ -3,12 +3,13 @@
 Two ways of turning undecidability of the base data into statements about
 the two-generator group:
 
-* With the pair-relation base group, comparing the embedded generators of
-  the 2n-th and (2n-1)-st base generators against the identity in a lifted
-  order separates the pair's N side from its M side: the made-up condition
-  "both embedded generators on the same side of the identity" contains N
-  and misses M.  :func:`separation_report` returns the entries of this sweep
-  over a mock pair; a violation is an entry whose ``consistent`` is False.
+* With the pair-relation base group, the signs in a lifted order of the
+  embedded 2n-th and (2n-1)-st base generators separate the pair's N side
+  from its M side: the made-up condition "both embedded generators on the
+  same side of the identity" contains N and misses M.  Each sign is read
+  straight off the generator's normal form.  :func:`separation_report`
+  returns the entries of this sweep over a mock pair; a violation is an
+  entry whose ``consistent`` is False.
 
 * With the merge-relation base group, triviality of the embedded word
   ``a(2n) a(2n-1)^-1`` holds exactly when n lies in the enumerated set, so
@@ -35,9 +36,10 @@ def _same_side(sign_lo: str, sign_hi: str) -> bool:
 
 
 def _signs(n: int, order: OrderOracle) -> tuple[str, str]:
-    # (sign_lo, sign_hi): the signs of the embedded generators 2n-1 and 2n.
-    lo, hi = twogen.generator_word(2 * n - 1), twogen.generator_word(2 * n)
-    return _sign(lo, order), _sign(hi, order)
+    # (sign_lo, sign_hi): the signs of the embedded generators 2n-1 and 2n,
+    # read on their normal forms; "0+-"[sign] spells the sign 0, 1 or -1.
+    lo, hi = (twogen.FSElement(twogen._generator_factors(i, 1)) for i in (2 * n - 1, 2 * n))
+    return "0+-"[order.sign(lo)], "0+-"[order.sign(hi)]
 
 
 def separator(n: int, order: OrderOracle) -> bool:
@@ -45,7 +47,7 @@ def separator(n: int, order: OrderOracle) -> bool:
 
     True when the embedded generators with indices 2n and 2n-1 sit weakly
     on the same side of the identity ("weakly": equality counts for both
-    sides).  Read off the two signs, so two comparisons.
+    sides).  Read off the two signs, so two sign calls.
     """
     if n < 1:
         raise ValueError("index must be >= 1")

@@ -23,8 +23,10 @@ few big-integer operations (see :func:`collision_points`), so an element
 with d distinct conjugating exponents is decided by evaluating at most
 d(d-1)/2 points.
 Every decider runs the one scan of both stages, :func:`wreath._first_failure`,
-over them; :func:`wreathembed.orders.fs_compare` orders each support candidate
-with the inner compare, as equal tails give ``value(a * ~b) = value(a) value(b)^-1``.
+over them.  The lifted orders of :mod:`wreathembed.orders` read the outer
+sign of an element: the sign of its tail or, when that is 0, the first
+nonzero inner sign of its value over the support candidates (see
+:func:`_support_points`).
 The conjugating exponents themselves may be astronomically large (they are
 ``2^i - 1`` for the embedding of the i-th base generator) and everything
 stays exact integer arithmetic.

@@ -18,24 +18,26 @@ each step point up to the next.  Every decision procedure therefore runs
 one scan, :func:`_first_failure`, over the step points in increasing order:
 its cost depends on the number of factors, not on the size of the
 exponents.  The outer stage decides through this scan too, with its own
-verdict rule, and orders each support candidate with the inner compare, as
-equal tails give ``value(a * ~b) = value(a) value(b)^-1`` at every point.
+verdict rule.
 
 Every base in :mod:`wreathembed.base_groups` is abelian and carries a rule
 on exponent vectors (``GroupOracle.vector_check``).  Over such a base the
-scan sorts the factors once by step point and keeps one running vector:
-each factor is added as the ascending scan reaches its step point, and the
-rule reads that live vector at each point.  A scan over n factors then
-costs O(n log n + points * live coordinates), where rebuilding the value
-word at each point cost O(n * points).  A base without a vector rule, whose
-values need not commute, is still checked on the word :func:`value_at`
-builds at each point.
+scan sorts the factors once by step point and keeps one running vector
+(see :func:`_running`): each factor is added as the ascending scan reaches
+its step point, and the rule reads that live vector at each point.  A scan
+over n factors then costs O(n log n + points * live coordinates), where
+rebuilding the value word at each point cost O(n * points).  A base without
+a vector rule, whose values need not commute, is still checked on the word
+:func:`value_at` builds at each point.  The lifted orders of
+:mod:`wreathembed.orders` read the same running vector: the inner sign of an
+element is the sign of its tail or, when that is 0, the first nonzero sign
+the base order gives that vector over the step points.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, GroupOracle, SemiVerdict, _shift
 from wreathembed.words import (
@@ -106,21 +108,21 @@ def _first_failure(
     return None, TRIVIAL
 
 
-def _check(a: ZBElement, H: GroupOracle, fuel: int) -> Callable[[int], SemiVerdict]:
-    """This stage's verdict rule: the base checks the value at each point.
+def _running(a: ZBElement, alphabet: Alphabet, rule: Callable[[dict[int, int]], Any]) -> Callable:
+    """``rule`` of the exponent vector of the value at each point asked.
 
-    With a vector rule the base reads one running exponent vector, which
-    gains each factor when the scan reaches its step point ``1 - eta``; so
-    the points asked must ascend, and a descending one raises ValueError.
+    The factors are sorted once by step point, and each is added to one
+    running vector as the points asked reach its step point ``1 - eta``; so
+    the points must ascend, and a descending one raises ValueError.  The
+    rule may read the live vector but must neither change nor keep it.  A
+    raw factor with an index below 1 is reported with the alphabet's
+    indexed letter.
     """
-    rule = H.vector_check
-    if rule is None:
-        return lambda nu: H.check(value_at(a, nu, H.alphabet), fuel)
     pending = sorted(a.factors, key=itemgetter(1))  # the least step point last
     vector: dict[int, int] = {}
     last = None
 
-    def verdict_at(nu: int) -> SemiVerdict:
+    def at(nu: int) -> Any:
         nonlocal last
         if last is not None and nu < last:
             raise ValueError(f"scan points must ascend, got {nu} after {last}")
@@ -128,11 +130,22 @@ def _check(a: ZBElement, H: GroupOracle, fuel: int) -> Callable[[int], SemiVerdi
         while pending and nu + pending[-1][1] >= 1:
             i, _, xi = pending.pop()
             if i < 1:
-                raise WordError(f"index must be >= 1, got {next(iter(H.alphabet.indexed))}{i}")
+                raise WordError(f"index must be >= 1, got {next(iter(alphabet.indexed))}{i}")
             _shift(vector, i, xi)
-        return rule(vector, fuel)
+        return rule(vector)
 
-    return verdict_at
+    return at
+
+
+def _check(a: ZBElement, H: GroupOracle, fuel: int) -> Callable[[int], SemiVerdict]:
+    """This stage's verdict rule: the base checks the value at each point.
+
+    A base with a vector rule reads the running vector of :func:`_running`,
+    so the points asked must ascend.
+    """
+    if H.vector_check is None:
+        return lambda nu: H.check(value_at(a, nu, H.alphabet), fuel)
+    return _running(a, H.alphabet, lambda vector: H.vector_check(vector, fuel))
 
 
 def is_trivial(a: ZBElement, H: GroupOracle) -> bool:

@@ -17,10 +17,11 @@ from wreathembed.base_groups import (
     GroupOracle,
     SemiVerdict,
     exponent_vector,
+    insep_oracle,
     pair_basis_vector,
 )
 from wreathembed.orders import OrderOracle
-from wreathembed.words import X_ALPHABET, Alphabet, Word
+from wreathembed.words import A_ALPHABET, X_ALPHABET, Alphabet, Word
 
 
 def deciding(name: str, alphabet: Alphabet, trivial: Callable[[Word], bool]) -> GroupOracle:
@@ -35,9 +36,36 @@ def deciding(name: str, alphabet: Alphabet, trivial: Callable[[Word], bool]) -> 
 FREE = deciding("free", X_ALPHABET, lambda w: w.is_identity())
 
 
+def free_abelian_trivial(word: Word) -> bool:
+    return not exponent_vector(word)
+
+
+def insep_trivial(word: Word, pair: EnumeratedPair) -> bool:
+    """Decide triviality pair by pair, with one enumeration fetch per pair.
+
+    No hint is needed: the ratio of a pair's exponents names the only
+    relator that could kill it.
+    """
+    return insep_oracle(pair).check(word, 0).trivial
+
+
 def insep_trivial_bruteforce(word: Word, pair: EnumeratedPair) -> bool:
     """Reference decider: rewrite into the adapted basis and test zero."""
-    return not pair_basis_vector(word, pair)
+    return not pair_basis_vector(exponent_vector(word), pair)
+
+
+def norm_first_order(pair: EnumeratedPair) -> OrderOracle:
+    """A sign rule that is not a cone: 1 on every nonzero adapted vector.
+
+    It is the sign against the identity of an order that compares the l1
+    norm of the adapted vector first: total, but not translation-invariant,
+    so an element and its inverse are both positive.
+    """
+
+    def sign(vector: dict[int, int]) -> int:
+        return 1 if pair_basis_vector(vector, pair) else 0
+
+    return OrderOracle(f"norm-lex[{pair.name}]", A_ALPHABET, sign)
 
 
 def re_check_by_scan(word: Word, enum_n: Callable[[int], int], fuel: int) -> SemiVerdict:
@@ -128,4 +156,33 @@ def check_order_axioms(
             checked += 1
             if not relation(one, g**n):
                 violations.append(OrderAxiomViolation("power", (str(g), str(n))))
+    return OrderAxiomReport(checked, tuple(violations))
+
+
+def check_cone(
+    sample: Sequence, sign: Callable[[object], int], is_trivial: Callable[[object], bool]
+) -> OrderAxiomReport:
+    """Test a sign rule against the axioms of a positive cone.
+
+    ``sample`` holds group elements with ``*`` and ``~``.  For w and g in
+    it: ``sign(~w) == -sign(w)``; ``sign(w) == 0`` exactly when w is trivial
+    (decided by ``is_trivial``); ``sign(w * g) == 1`` when w and g are both
+    positive; ``sign(g * w * ~g) == sign(w)``.  Violations are reported
+    with printable witnesses, never raised.
+    """
+    violations: list[OrderAxiomViolation] = []
+    checked = 0
+    signs = [sign(w) for w in sample]
+    for w, sign_w in zip(sample, signs):
+        checked += 2
+        if sign(~w) != -sign_w:
+            violations.append(OrderAxiomViolation("inverse", (str(w),)))
+        if (sign_w == 0) != is_trivial(w):
+            violations.append(OrderAxiomViolation("zero", (str(w),)))
+        for g, sign_g in zip(sample, signs):
+            checked += 2
+            if sign_w == sign_g == 1 and sign(w * g) != 1:
+                violations.append(OrderAxiomViolation("product", (str(w), str(g))))
+            if sign(g * w * ~g) != sign_w:
+                violations.append(OrderAxiomViolation("conjugate", (str(w), str(g))))
     return OrderAxiomReport(checked, tuple(violations))

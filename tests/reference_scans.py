@@ -16,10 +16,13 @@ runs, and :func:`zb_value_at_by_make` canonicalizes the base value with
 ``Word.make``.  :func:`parse_word_by_tokens` is the word parser the library
 replaced by a one-pass tokenizer: it cuts the text into runs of
 non-whitespace first and matches each with a second pattern.
-:func:`fs_compare_by_min_support` is the outer order as it was computed
-before ``orders.fs_compare`` ordered each support candidate with the inner
-compare: the least support point of ``a * ~b`` first, then one inner
-compare there.
+The two compares are the lifted orders as they were computed before each
+order became a sign rule on its positive cone.
+:func:`zb_compare_by_min_support` finds the least support point of
+``a * ~b`` with ``wreath.min_support`` and compares the two value words
+there lexicographically on their vectors; :func:`fs_compare_by_min_support`
+finds the outer least support point with the window scan and calls it
+there.  Neither reads a sign.
 
 :func:`zb_check_by_words` is the inner verdict rule the library ran before
 abelian bases read a running exponent vector: it builds the value word at
@@ -32,7 +35,7 @@ from __future__ import annotations
 import re
 from typing import Callable
 
-from wreathembed import orders, twogen, wreath
+from wreathembed import twogen, wreath
 from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, UNKNOWN, GroupOracle, SemiVerdict
 from wreathembed.twogen import FSElement
 from wreathembed.words import FS_ALPHABET, X_ALPHABET, Alphabet, Word, WordError, _push
@@ -239,7 +242,26 @@ def fs_in_image(a: FSElement, H: GroupOracle) -> bool:
     return zb_in_diagonal(fs_value_at_by_product(a, 1), H)
 
 
-def fs_compare_by_min_support(a: FSElement, b: FSElement, H_order, H: GroupOracle):
+def zb_compare_by_min_support(
+    a: ZBElement, b: ZBElement, vector: Callable[[Word], dict[int, int]], H: GroupOracle
+):
+    """The tail clause, then the values at the least support point of
+    ``a * ~b``, compared lexicographically on their ``vector`` (the exponent
+    vector, or the adapted one for a pair-relation base): the least
+    differing coordinate decides."""
+    if a.tail != b.tail:
+        return ("LT" if a.tail < b.tail else "GT", "tail", None)
+    point = wreath.min_support(a * ~b, H)
+    if point is None:
+        return ("EQ", "equal", None)
+    u, v = (vector(wreath.value_at(x, point, H.alphabet)) for x in (a, b))
+    key = min(k for k in set(u) | set(v) if u.get(k, 0) != v.get(k, 0))
+    return ("LT" if u.get(key, 0) < v.get(key, 0) else "GT", "value", point)
+
+
+def fs_compare_by_min_support(
+    a: FSElement, b: FSElement, vector: Callable[[Word], dict[int, int]], H: GroupOracle
+):
     """The tail clause, then the inner compare of the values at the least
     support point of ``a * ~b``, found by :func:`fs_min_support`."""
     if a.tail != b.tail:
@@ -248,6 +270,6 @@ def fs_compare_by_min_support(a: FSElement, b: FSElement, H_order, H: GroupOracl
     if point is None:
         return ("EQ", "equal", None)
     u, v = fs_value_at_by_product(a, point), fs_value_at_by_product(b, point)
-    verdict = orders.zb_compare(u, v, H_order, H)[0]
+    verdict = zb_compare_by_min_support(u, v, vector, H)[0]
     assert verdict != "EQ", (a, b, point)
     return (verdict, "value", point)

@@ -11,14 +11,17 @@ import random
 import subprocess
 import sys
 
-from oracles import check_order_axioms, insep_trivial_bruteforce
+from oracles import (
+    check_order_axioms,
+    free_abelian_trivial,
+    insep_trivial,
+    insep_trivial_bruteforce,
+)
 from wreathembed import machines, reductions, twogen, wreath
 from wreathembed.base_groups import (
     exponent_vector,
     free_abelian_oracle,
-    free_abelian_trivial,
     halting_pair,
-    insep_trivial,
     mock_pair,
 )
 from wreathembed.orders import (

@@ -4,9 +4,22 @@ from collections import Counter
 import pytest
 
 import reference_scans as ref
-from oracles import OrderAxiomReport, check_order_axioms, transport_less
-from wreathembed import orders, twogen, wreath
-from wreathembed.base_groups import free_abelian_oracle, free_abelian_trivial, insep_oracle, mock_pair
+from oracles import (
+    OrderAxiomReport,
+    check_cone,
+    check_order_axioms,
+    free_abelian_trivial,
+    norm_first_order,
+    transport_less,
+)
+from wreathembed import twogen, wreath
+from wreathembed.base_groups import (
+    exponent_vector,
+    free_abelian_oracle,
+    insep_oracle,
+    mock_pair,
+    pair_basis_vector,
+)
 from wreathembed.orders import (
     OrderOracle,
     fs_compare,
@@ -15,6 +28,7 @@ from wreathembed.orders import (
     pair_adapted_order,
     zb_compare,
 )
+from wreathembed.reductions import separation_report
 from wreathembed.twogen import FSElement
 from wreathembed.words import (
     A_ALPHABET,
@@ -27,6 +41,9 @@ from wreathembed.words import (
 
 H = free_abelian_oracle()
 HORD = lex_order()
+PAIR = mock_pair()
+INSEP = insep_oracle(PAIR)
+PAIR_ORDER = pair_adapted_order(PAIR)
 
 
 def lex_less(u, v) -> bool:
@@ -150,7 +167,7 @@ class TestInnerLift:
             fs_less(fs("f"), fs("s"), lex_order(), insep_oracle(mock_pair()))
 
     def test_order_that_ties_distinct_values_is_rejected(self):
-        ties = OrderOracle("ties", X_ALPHABET, lambda u, v: "EQ")
+        ties = OrderOracle("ties", X_ALPHABET, lambda vector: 0)
         with pytest.raises(ValueError, match="order 'ties' is not total"):
             zb_compare(zb("b1"), zb(""), ties, H)
         with pytest.raises(ValueError, match="order 'ties' is not total"):
@@ -227,16 +244,23 @@ def late_difference(rng) -> FSElement:
     return out
 
 
+def adapted_vector(word: Word) -> dict[int, int]:
+    return pair_basis_vector(exponent_vector(word), PAIR)
+
+
 @pytest.mark.parametrize(
-    "H, H_order",
-    [(H, HORD), (insep_oracle(mock_pair()), pair_adapted_order(mock_pair()))],
+    "H, H_order, vector",
+    [(H, HORD, exponent_vector), (INSEP, PAIR_ORDER, adapted_vector)],
     ids=["free-abelian", "insep:mock-odd-even"],
 )
-def test_fs_compare_matches_route_through_min_support(H, H_order):
+def test_compares_match_route_through_min_support(H, H_order, vector):
     # b has another tail, equals a (times a commutator of two conjugates
     # whose shift difference is not 2^p - 1, trivial in an abelian base),
     # differs from a by a late_difference, or is random with a's tail.
+    # The inner compares are those of the values at a's and b's support
+    # candidates, where the tails differ, the values differ, or both agree.
     rng = random.Random(111)
+    lifted = lifted_order(H, H_order)
     seen = Counter()
     for _ in range(400):
         a = random_fs_element(rng)
@@ -252,12 +276,85 @@ def test_fs_compare_matches_route_through_min_support(H, H_order):
         else:
             b = FSElement(random_fs_element(rng).factors, a.tail)
         verdict = fs_compare(a, b, H_order, H)
-        assert verdict == ref.fs_compare_by_min_support(a, b, H_order, H), (a, b)
+        assert verdict == ref.fs_compare_by_min_support(a, b, vector, H), (a, b)
+        assert lifted.compare(a.to_word(), b.to_word()) == verdict[0], (a, b)
         clause, point = verdict[1:]
-        if clause == "value" and twogen._support_points(a * ~b).index(point) >= 2:
+        candidates = twogen._support_points(a * ~b)
+        if clause == "value" and candidates.index(point) >= 2:
             clause = "late"
         seen[clause] += 1
+        for mu in candidates:
+            u, v = twogen.value_at(a, mu), twogen.value_at(b, mu)
+            inner = zb_compare(u, v, H_order, H)
+            assert inner == ref.zb_compare_by_min_support(u, v, vector, H), (u, v)
+            seen["inner " + inner[1]] += 1
     assert seen["tail"] >= 50 and seen["equal"] >= 50 and seen["late"] >= 50, seen
+    assert min(seen["inner " + c] for c in ("tail", "value", "equal")) >= 50, seen
+    if H is INSEP:
+        # The separator's signs: each embedded generator against the identity.
+        text, one = {"GT": "+", "EQ": "0", "LT": "-"}, FSElement.identity()
+        for e in separation_report(PAIR, 60):
+            words = (parse_word(f"a{i}", A_ALPHABET) for i in (2 * e.n - 1, 2 * e.n))
+            verdicts = [
+                ref.fs_compare_by_min_support(twogen.encode_word(w), one, vector, H) for w in words
+            ]
+            assert [e.sign_lo, e.sign_hi] == [text[verdict[0]] for verdict in verdicts], e
+
+
+def sample_words(rng, H, relators) -> list[Word]:
+    """Random words over H's alphabet, some of them relators, and the identity."""
+    letter = next(iter(H.alphabet.indexed))
+    words = [Word.identity(H.alphabet)]
+    for _ in range(24):
+        runs = [(letter, rng.randrange(1, 7), rng.choice([-2, -1, 1, 2])) for _ in range(3)]
+        words.append(Word.make(H.alphabet, runs))
+    return words + [parse_word(text, H.alphabet) for text in relators]
+
+
+def sample_fs_elements(rng) -> list[FSElement]:
+    """Random elements, commutators of two conjugates of f (trivial over an
+    abelian base unless the shifts differ by 2^p - 1) and the identity."""
+    out = [FSElement.identity()] + [random_fs_element(rng, 4, 5, 2, 2) for _ in range(16)]
+    for _ in range(6):
+        g = rng.randrange(-5, 6)
+        u, v = FSElement(((g, 1),)), FSElement(((g + rng.choice([1, 2, 3, 4]), 1),))
+        out.append(u * v * ~u * ~v)
+    return out
+
+
+CONE_CASES = {
+    "free-abelian": (H, HORD, ["x2 x3 x2^-1 x3^-1"]),
+    "insep:mock-odd-even": (INSEP, PAIR_ORDER, ["a2 a1^-2", "a4 a3^2", "a6^2 a5^-4"]),
+}
+
+
+@pytest.mark.parametrize("case", CONE_CASES)
+def test_bundled_orders_and_their_lifts_are_cones(case):
+    H, H_order, relators = CONE_CASES[case]
+    rng = random.Random(12)
+    words = sample_words(rng, H, relators)
+    report = check_cone(
+        words, lambda w: H_order.sign(exponent_vector(w)), lambda w: H.check(w, 0).trivial
+    )
+    assert report.ok and report.checked > 1000, report
+    assert any(H.check(w, 0).trivial for w in words[1:])
+    lifted = lifted_order(H, H_order)
+    elements = sample_fs_elements(rng)
+    report = check_cone(elements, lifted.sign, lambda a: twogen.is_trivial(a, H))
+    assert report.ok and report.checked > 500, report
+    assert any(twogen.is_trivial(a, H) for a in elements[1:])
+
+
+def test_cone_check_flags_the_negative_control():
+    # Every nonzero adapted vector is positive, so an element and its
+    # inverse share a sign, and their product, the identity, is not positive.
+    rng = random.Random(13)
+    words = sample_words(rng, INSEP, CONE_CASES["insep:mock-odd-even"][2])
+    rule = norm_first_order(PAIR)
+    report = check_cone(
+        words, lambda w: rule.sign(exponent_vector(w)), lambda w: INSEP.check(w, 0).trivial
+    )
+    assert {v.axiom for v in report.violations} == {"inverse", "product"}
 
 
 class TestTransport:

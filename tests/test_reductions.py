@@ -4,6 +4,7 @@ import json
 import pytest
 
 import reference_scans
+from oracles import norm_first_order
 from wreathembed import cli, reductions, twogen
 from wreathembed.base_groups import (
     TRIVIAL,
@@ -11,7 +12,6 @@ from wreathembed.base_groups import (
     halting_pair,
     insep_oracle,
     mock_pair,
-    pair_basis_vector,
     re_oracle,
 )
 from wreathembed.machines import index_to_program, run_status
@@ -31,18 +31,6 @@ def mock_order():
     return lifted_order(insep_oracle(pair), pair_adapted_order(pair))
 
 
-def norm_then_lex_order(pair):
-    # Total, but not translation-invariant: the l1 norm of the adapted
-    # vector decides first, so every nonzero element exceeds the identity.
-    lex = pair_adapted_order(pair)
-
-    def compare(u, v):
-        nu, nv = (sum(map(abs, pair_basis_vector(w, pair).values())) for w in (u, v))
-        return lex.compare(u, v) if nu == nv else ("LT" if nu < nv else "GT")
-
-    return dataclasses.replace(lex, name=f"norm-lex[{pair.name}]", compare=compare)
-
-
 class TestSeparator:
     def test_alternates_with_mock_parity(self):
         order = mock_order()
@@ -57,11 +45,11 @@ class TestSeparator:
         order = mock_order()
         calls = []
 
-        def compare(u, v):
-            calls.append((u, v))
-            return order.compare(u, v)
+        def sign(a):
+            calls.append(a)
+            return order.sign(a)
 
-        counted = dataclasses.replace(order, compare=compare)
+        counted = dataclasses.replace(order, sign=sign)
         assert _sign(twogen.generator_word(4), counted) == "-"
         assert len(calls) == 1
 
@@ -88,10 +76,10 @@ class TestSeparationReport:
 
     @pytest.mark.parametrize("output", ["text", "structured"])
     def test_order_without_invariance_shows_violations(self, monkeypatch, capsys, output):
-        # Negative control: under an order that is not bi-invariant both
+        # Negative control: under a sign rule that is not a cone both
         # embedded generators of every index are positive, so each M-side
         # index (n = 2, 4) lands on the N side and the sweep says so.
-        monkeypatch.setattr(reductions, "pair_adapted_order", norm_then_lex_order)
+        monkeypatch.setattr(reductions, "pair_adapted_order", norm_first_order)
         assert cli.main(["--output", output, "demo", "theorem1", "--max-n", "4"]) == 0
         out = capsys.readouterr().out
         if output == "text":

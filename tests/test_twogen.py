@@ -222,7 +222,7 @@ class TestEmbedding:
 
     def test_embedding_is_injective_on_samples(self):
         rng = random.Random(31)
-        from wreathembed.base_groups import free_abelian_trivial
+        from oracles import free_abelian_trivial
 
         for _ in range(150):
             u = random_x_word(rng, max_letters=8, max_index=5)

@@ -5,7 +5,10 @@ inner scan hands that rule one running vector.  Here every decider that
 reaches the inner scan runs twice on the same elements: as the library runs
 it, and with the scan's verdict rule replaced by
 ``reference_scans.zb_check_by_words``, which builds the value word at each
-point and hands it to the base's word check.
+point and hands it to the base's word check.  The compare among them is
+``reference_scans.zb_compare_by_min_support``: the library's compare reads
+the order's sign on the running vector and asks the verdict rule only to
+confirm a zero sign.
 """
 
 import dataclasses
@@ -23,13 +26,14 @@ from wreathembed.base_groups import (
     TRIVIAL,
     UNKNOWN,
     SemiVerdict,
+    exponent_vector,
     free_abelian_oracle,
     insep_oracle,
     mock_pair,
+    pair_basis_vector,
     prime,
     re_oracle,
 )
-from wreathembed.orders import lex_order, pair_adapted_order, zb_compare
 from wreathembed.twogen import FSElement
 from wreathembed.words import X_ALPHABET, ZB_ALPHABET, Word, WordError, parse_word
 from wreathembed.wreath import ZBElement
@@ -39,7 +43,11 @@ FREE = free_abelian_oracle()
 INSEP = insep_oracle(PAIR)
 RE = re_oracle(PAIR.enum_n, name="mock")
 BASES = [FREE, INSEP, RE]
-ORDERS = {FREE.name: lex_order(), INSEP.name: pair_adapted_order(PAIR)}
+# The vectors the bundled orders read, for the compare oracle.
+VECTORS = {
+    FREE.name: exponent_vector,
+    INSEP.name: lambda word: pair_basis_vector(exponent_vector(word), PAIR),
+}
 FUELS = (0, 1, 50, 400)
 
 
@@ -122,7 +130,8 @@ def outcomes(a: ZBElement, b: ZBElement, u: FSElement, H) -> list:
     out += [twogen.semi_trivial(u, H, fuel) for fuel in fuels]
     if H.total:
         out += [wreath.min_support(a, H), wreath.in_diagonal(a, H), twogen.in_image(u, H)]
-        out.append(zb_compare(a, ZBElement(b.factors, a.tail), ORDERS[H.name], H))
+        same_tail = ZBElement(b.factors, a.tail)
+        out.append(ref.zb_compare_by_min_support(a, same_tail, VECTORS[H.name], H))
     return out
 
 
