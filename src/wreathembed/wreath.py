@@ -108,8 +108,8 @@ def _first_failure(
     return None, TRIVIAL
 
 
-def _running(a: ZBElement, alphabet: Alphabet, rule: Callable[[dict[int, int]], Any]) -> Callable:
-    """``rule`` of the exponent vector of the value at each point asked.
+def _running(a: ZBElement, alphabet: Alphabet, rule: Callable[..., Any], *args) -> Callable:
+    """``rule(vector, *args)`` on the exponent vector of the value at each point asked.
 
     The factors are sorted once by step point, and each is added to one
     running vector as the points asked reach its step point ``1 - eta``; so
@@ -132,7 +132,7 @@ def _running(a: ZBElement, alphabet: Alphabet, rule: Callable[[dict[int, int]], 
             if i < 1:
                 raise WordError(f"index must be >= 1, got {next(iter(alphabet.indexed))}{i}")
             _shift(vector, i, xi)
-        return rule(vector)
+        return rule(vector, *args)
 
     return at
 
@@ -145,7 +145,7 @@ def _check(a: ZBElement, H: GroupOracle, fuel: int) -> Callable[[int], SemiVerdi
     """
     if H.vector_check is None:
         return lambda nu: H.check(value_at(a, nu, H.alphabet), fuel)
-    return _running(a, H.alphabet, lambda vector: H.vector_check(vector, fuel))
+    return _running(a, H.alphabet, H.vector_check, fuel)
 
 
 def is_trivial(a: ZBElement, H: GroupOracle) -> bool:
