@@ -91,6 +91,8 @@ def program_to_index(program: Program) -> int:
 
 
 def index_to_program(n: int) -> Program:
+    if n < 0:
+        raise ValueError(f"program index must be >= 0, got {n}")
     out: list[int] = []
     while n > 0:
         code, n = cantor_unpair(n - 1)
@@ -160,6 +162,8 @@ def run_status(program: Program, max_steps: int) -> tuple[str, int]:
     Cycles in the configuration sequence are found with Brent's algorithm,
     as in the enumeration.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     run = _RunState(program)
     fate = run.advance(max_steps)
     return (fate, run.steps) if fate else ("running", max_steps)

@@ -14,19 +14,17 @@ inner stage, here with factors ``(gamma, beta)``, each denoting the
 A factor ``(gamma, beta)`` contributes a letter only at points ``mu`` with
 ``gamma + mu`` equal to 1 or a power of two; the value at ``mu`` is the
 inner element those letters spell, built in normal form (see
-:func:`value_at`).  Once every
-conjugacy class of factors has exponent sum zero, a point where a single
-class is active carries ``z^0`` or ``b_i^0``, the identity; only the
-collision points, where two classes are active at once, can carry
-anything else.  Two classes collide at most once, at a point found with a
-few big-integer operations (see :func:`collision_points`), so an element
-with d distinct conjugating exponents is decided by evaluating at most
-d(d-1)/2 points.
-Every decider runs the one scan of both stages, :func:`wreath._first_failure`,
-over them.  The lifted orders of :mod:`wreathembed.orders` read the outer
-sign of an element: the sign of its tail or, when that is 0, the first
-nonzero inner sign of its value over the support candidates (see
-:func:`_support_points`).
+:func:`value_at`).  Once every conjugacy class of factors has exponent sum
+zero, a point where a single class is active carries ``z^0`` or ``b_i^0``,
+the identity; only the collision points, where two classes are active at
+once, can carry anything else.  Two classes collide at most once, at a
+point found with a few big-integer operations (see
+:func:`collision_points`), so an element with d distinct conjugating
+exponents is decided by evaluating at most d(d-1)/2 points.  Every decider
+runs the one scan of both stages, :func:`wreath._first_failure`, over them.
+The lifted orders of :mod:`wreathembed.orders` read the outer sign of an
+element: the sign of its tail or, when that is 0, the first nonzero inner
+sign of its value over the support candidates (see :func:`_support_points`).
 The conjugating exponents themselves may be astronomically large (they are
 ``2^i - 1`` for the embedding of the i-th base generator) and everything
 stays exact integer arithmetic.
@@ -137,7 +135,7 @@ def semi_trivial(a: FSElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     Trivial iff the trailing ``s`` power vanishes, every conjugacy class of
     factors has exponent sum zero (a class with a nonzero sum leaves a
     trailing ``z`` power at its first active point; see
-    :func:`min_support`), and the carried value is inner-trivial at every
+    :func:`_support_points`), and the carried value is inner-trivial at every
     collision point.  Once the class sums vanish, a point where a single
     class is active carries ``z^0`` or ``b_i^0``, the identity whatever the
     base group, so only the O(d^2) collision points of the d classes need
@@ -148,25 +146,14 @@ def semi_trivial(a: FSElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     return wreath._first_failure(_check(a, H, fuel), collision_points(a))[1]
 
 
-def min_support(a: FSElement, H: GroupOracle) -> int | None:
-    """Least point where the carried value is nontrivial, if any.
-
-    A class ``gamma`` is active first at ``1 - gamma``, where it alone
-    supplies the ``z`` letters, so the value there has trailing ``z`` power
-    equal to the class sum: nontrivial whenever that sum is, whatever the
-    base group.  Below that point a class with a nonzero sum carries
-    nothing, and a lone class with a zero sum carries the identity.  So the
-    answer is the least of two kinds of candidate: a collision point whose
-    value is nontrivial, and ``1 - gamma`` for each class with a nonzero
-    sum.  No assumption on the orders of the base generators is needed.
-    """
-    H.require_total()
-    return wreath._first_failure(_check(a, H, 0), _support_points(a))[0]
-
-
 def _support_points(a: FSElement) -> list[int]:
-    # The candidates of min_support in increasing order: the collision points
-    # below the least 1 - gamma of a class with a nonzero sum, then that point.
+    """Candidates for the least point carrying a nontrivial value, ascending.
+
+    A class ``gamma`` is first active at ``1 - gamma``, where it alone supplies
+    the ``z`` letters: the ``z`` power there is its sum, nontrivial over any base
+    when that sum is.  Below that point the class carries nothing, and a lone
+    class with a zero sum the identity.  So the least support point is a
+    collision point below the least such ``1 - gamma``, or that point."""
     best = sorted(1 - gamma for gamma, total in class_sums(a).items() if total != 0)[:1]
     return [mu for mu in collision_points(a) if not best or mu < best[0]] + best
 

@@ -171,17 +171,6 @@ def semi_trivial(a: ZBElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     return _first_failure(_check(a, H, fuel), step_points(a))[1]
 
 
-def min_support(a: ZBElement, H: GroupOracle) -> int | None:
-    """Least point where the value function is nontrivial, if any.
-
-    The trailing ``z`` power plays no part; only the value function is
-    inspected.  It is constant from each step point to the next, so the
-    least nontrivial point, if any, is a step point.
-    """
-    H.require_total()
-    return _first_failure(_check(a, H, 0), step_points(a))[0]
-
-
 def in_diagonal(a: ZBElement, H: GroupOracle) -> bool:
     """Membership in the subgroup generated by the commutators ``[z, b_i]``.
 

@@ -20,8 +20,11 @@ from wreathembed.base_groups import (
     insep_oracle,
     pair_basis_vector,
 )
-from wreathembed.orders import OrderOracle
+from wreathembed.cli import ORDERS
+from wreathembed.orders import OrderOracle, fs_compare, zb_compare
+from wreathembed.twogen import FSElement
 from wreathembed.words import A_ALPHABET, X_ALPHABET, Alphabet, Word
+from wreathembed.wreath import ZBElement
 
 
 def deciding(name: str, alphabet: Alphabet, trivial: Callable[[Word], bool]) -> GroupOracle:
@@ -66,6 +69,31 @@ def norm_first_order(pair: EnumeratedPair) -> OrderOracle:
         return 1 if pair_basis_vector(vector, pair) else 0
 
     return OrderOracle(f"norm-lex[{pair.name}]", A_ALPHABET, sign)
+
+
+def _deciding_point(verdict: tuple[str, str, int | None]) -> int | None:
+    # A compare against the identity with no tail to compare answers clause
+    # "value" at the point that decided, or "equal" with no point.
+    _, clause, point = verdict
+    assert clause == ("equal" if point is None else "value"), verdict
+    return point
+
+
+def zb_support_by_compare(a: ZBElement, H: GroupOracle) -> int | None:
+    """The least point where ``a`` carries a nontrivial value, or None, as
+    the lifted compare of its factors against the identity reports it.
+
+    The compare reads the sign of the base's bundled order (``cli.ORDERS``)
+    at each step point.  A cone's sign is 0 exactly on the identity, so the
+    first nonzero sign falls at the least support point.
+    """
+    return _deciding_point(zb_compare(ZBElement(a.factors), ZBElement(), ORDERS[H.name](), H))
+
+
+def fs_support_by_compare(a: FSElement, H: GroupOracle) -> int | None:
+    """Like :func:`zb_support_by_compare`, one level up: the outer compare
+    reads the inner sign at each of ``twogen._support_points``."""
+    return _deciding_point(fs_compare(FSElement(a.factors), FSElement(), ORDERS[H.name](), H))
 
 
 def re_check_by_scan(word: Word, enum_n: Callable[[int], int], fuel: int) -> SemiVerdict:

@@ -19,10 +19,11 @@ non-whitespace first and matches each with a second pattern.
 The two compares are the lifted orders as they were computed before each
 order became a sign rule on its positive cone.
 :func:`zb_compare_by_min_support` finds the least support point of
-``a * ~b`` with ``wreath.min_support`` and compares the two value words
-there lexicographically on their vectors; :func:`fs_compare_by_min_support`
-finds the outer least support point with the window scan and calls it
-there.  Neither reads a sign.
+``a * ~b`` with the window scan :func:`zb_min_support` and compares the two
+value words there lexicographically on their vectors;
+:func:`fs_compare_by_min_support` finds the outer least support point with
+the window scan :func:`fs_min_support` and calls it there.  Neither reads a
+sign, and neither calls a library scan.
 
 :func:`zb_check_by_words` is the inner verdict rule the library ran before
 abelian bases read a running exponent vector: it builds the value word at
@@ -251,7 +252,7 @@ def zb_compare_by_min_support(
     differing coordinate decides."""
     if a.tail != b.tail:
         return ("LT" if a.tail < b.tail else "GT", "tail", None)
-    point = wreath.min_support(a * ~b, H)
+    point = zb_min_support(a * ~b, H)
     if point is None:
         return ("EQ", "equal", None)
     u, v = (vector(wreath.value_at(x, point, H.alphabet)) for x in (a, b))

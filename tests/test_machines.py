@@ -78,6 +78,12 @@ class TestNumbering:
     def test_index_of_text_program(self):
         assert program_to_index(parse_program("HALT")) == 1
 
+    @pytest.mark.parametrize("n", [-1, -7, -(10**30)])
+    def test_negative_index_rejected(self, n):
+        # Every negative index used to give the empty program, index 0.
+        with pytest.raises(ValueError, match=f"^program index must be >= 0, got {n}$"):
+            index_to_program(n)
+
 
 class TestSemantics:
     def test_empty_program_halts_immediately(self):
@@ -107,6 +113,15 @@ class TestSemantics:
         # INC 0; JZDEC 1 1 loops forever with c0 growing: no repeated config.
         prog = parse_program("INC 0\nJZDEC 1 1")
         assert run_status(prog, 5000) == ("running", 5000)
+
+    def test_run_status_zero_steps(self):
+        assert run_status(parse_program("HALT"), 0) == ("running", 0)
+
+    @pytest.mark.parametrize("max_steps", [-1, -5])
+    def test_run_status_rejects_negative_steps(self, max_steps):
+        # A negative budget used to report ("running", max_steps).
+        with pytest.raises(ValueError, match=f"^max_steps must be >= 0, got {max_steps}$"):
+            run_status(parse_program("HALT"), max_steps)
 
     def test_jump_past_end_halts(self):
         prog = parse_program("JZDEC 0 9")

@@ -6,9 +6,9 @@ reaches the inner scan runs twice on the same elements: as the library runs
 it, and with the scan's verdict rule replaced by
 ``reference_scans.zb_check_by_words``, which builds the value word at each
 point and hands it to the base's word check.  The compare among them is
-``reference_scans.zb_compare_by_min_support``: the library's compare reads
-the order's sign on the running vector and asks the verdict rule only to
-confirm a zero sign.
+the library's ``zb_compare``: it reads the order's sign on the running
+vector and asks the verdict rule only to confirm a zero sign, so an EQ
+compare still runs the patched rule.
 """
 
 import dataclasses
@@ -26,14 +26,14 @@ from wreathembed.base_groups import (
     TRIVIAL,
     UNKNOWN,
     SemiVerdict,
-    exponent_vector,
     free_abelian_oracle,
     insep_oracle,
     mock_pair,
-    pair_basis_vector,
     prime,
     re_oracle,
 )
+from wreathembed.cli import ORDERS
+from wreathembed.orders import lex_order, zb_compare
 from wreathembed.twogen import FSElement
 from wreathembed.words import X_ALPHABET, ZB_ALPHABET, Word, WordError, parse_word
 from wreathembed.wreath import ZBElement
@@ -43,11 +43,6 @@ FREE = free_abelian_oracle()
 INSEP = insep_oracle(PAIR)
 RE = re_oracle(PAIR.enum_n, name="mock")
 BASES = [FREE, INSEP, RE]
-# The vectors the bundled orders read, for the compare oracle.
-VECTORS = {
-    FREE.name: exponent_vector,
-    INSEP.name: lambda word: pair_basis_vector(exponent_vector(word), PAIR),
-}
 FUELS = (0, 1, 50, 400)
 
 
@@ -129,9 +124,10 @@ def outcomes(a: ZBElement, b: ZBElement, u: FSElement, H) -> list:
     out = [wreath.semi_trivial(a, H, fuel) for fuel in fuels]
     out += [twogen.semi_trivial(u, H, fuel) for fuel in fuels]
     if H.total:
-        out += [wreath.min_support(a, H), wreath.in_diagonal(a, H), twogen.in_image(u, H)]
+        out += [wreath.in_diagonal(a, H), twogen.in_image(u, H)]
+    if H.name in ORDERS:
         same_tail = ZBElement(b.factors, a.tail)
-        out.append(ref.zb_compare_by_min_support(a, same_tail, VECTORS[H.name], H))
+        out.append(zb_compare(a, same_tail, ORDERS[H.name](), H))
     return out
 
 
@@ -154,6 +150,8 @@ def test_vector_scan_matches_word_rule(H, monkeypatch):
             shapes["shared step point"] += max(etas.values(), default=0) > 1
             shapes["0 a step point"] += 1 in etas
     assert len(shapes) == 3 and min(shapes.values()) >= 100, shapes
+    if H.name in ORDERS:  # only an EQ compare reaches the verdict rule, to confirm its zero sign
+        assert sum(out[-1][0] == "EQ" for out in fast) >= 100
     verdicts = {verdict for out in fast for verdict in out if isinstance(verdict, SemiVerdict)}
     assert verdicts == ({TRIVIAL, NONTRIVIAL, UNKNOWN} if not H.total else {TRIVIAL, NONTRIVIAL})
 
@@ -165,7 +163,6 @@ def test_non_commuting_base_keeps_the_word_path():
     assert wreath.value_at(a, 1) == parse_word("x1 x2 x1^-1 x2^-1", X_ALPHABET)
     assert FREE_GROUP.vector_check is None
     assert wreath.semi_trivial(a, FREE_GROUP, 0).nontrivial
-    assert wreath.min_support(a, FREE_GROUP) == 1
     assert not wreath.in_diagonal(a, FREE_GROUP)
     as_vectors = dataclasses.replace(
         FREE_GROUP, vector_check=lambda vector, _fuel: TRIVIAL if not vector else NONTRIVIAL
@@ -204,13 +201,15 @@ def test_long_trivial_element_decides_in_near_linear_time():
     ]
     shuffled = list(half)
     rng.shuffle(shuffled)
-    a = ZBElement.make(half) * ~ZBElement.make(shuffled)
+    whole, mixed = ZBElement.make(half), ZBElement.make(shuffled)
+    a = whole * ~mixed
     i, eta, _ = half[0]
     b = a * ZBElement(((i, eta, 1),))
     start = time.perf_counter()
     assert len(a.factors) == 20_000
     assert wreath.is_trivial(a, FREE)
     assert wreath.in_diagonal(a, FREE)
-    assert wreath.min_support(a, FREE) is None
-    assert wreath.min_support(b, FREE) == 1 - eta
+    # The EQ compare reads the lifted sign of a and then confirms it is trivial.
+    assert zb_compare(whole, mixed, lex_order(), FREE) == ("EQ", "equal", None)
+    assert zb_compare(b, ZBElement(), lex_order(), FREE) == ("GT", "value", 1 - eta)
     assert time.perf_counter() - start < 5
