@@ -64,6 +64,8 @@ def parse_program(text: str) -> Program:
 def program_to_text(program: Program) -> str:
     lines = []
     for code in program:
+        if code < 0:
+            raise ValueError(f"instruction code must be >= 0, got {code}")
         if code == 0:
             lines.append("HALT")
         elif code <= 2:
@@ -86,6 +88,8 @@ def cantor_unpair(n: int) -> tuple[int, int]:
 def program_to_index(program: Program) -> int:
     n = 0
     for code in reversed(program):
+        if code < 0:
+            raise ValueError(f"instruction code must be >= 0, got {code}")
         n = cantor_pair(code, n) + 1
     return n
 

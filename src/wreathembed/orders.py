@@ -79,31 +79,20 @@ def pair_adapted_order(pair: EnumeratedPair) -> OrderOracle:
     )
 
 
-def _first_sign(a, points, sign_at) -> tuple[int, int | None]:
-    """A stage's lifted sign of ``a`` and the point that decided it.
-
-    The sign of the trailing shift power (no point) or, when that is 0, the
-    first nonzero ``sign_at`` over ``points(a)`` (that point); else
-    ``(0, None)``.
-    """
+def _zb_sign(a: wreath.ZBElement, H_order: OrderOracle) -> tuple[int | None, int]:
+    # (deciding point, sign): the tail's sign at no point, else the first nonzero sign walked.
     if a.tail:
-        return _sign_of(a.tail), None
-    for point in points(a):
-        if sign := sign_at(point):
-            return sign, point
-    return 0, None
+        return None, _sign_of(a.tail)
+    signs = wreath._walk(a, wreath.step_points(a), H_order.alphabet, H_order.sign)
+    return wreath._first_failure(signs, 0)
 
 
-def _zb_sign(a: wreath.ZBElement, H_order: OrderOracle) -> tuple[int, int | None]:
-    # The base sign of the running exponent vector at each step point.
-    return _first_sign(a, wreath.step_points, wreath._running(a, H_order.alphabet, H_order.sign))
-
-
-def _fs_sign(a: twogen.FSElement, H_order: OrderOracle) -> tuple[int, int | None]:
-    # The inner sign of the carried value at each support candidate.
-    return _first_sign(
-        a, twogen._support_points, lambda mu: _zb_sign(twogen.value_at(a, mu), H_order)[0]
-    )
+def _fs_sign(a: twogen.FSElement, H_order: OrderOracle) -> tuple[int | None, int]:
+    # The same one level up, over the support candidates.
+    if a.tail:
+        return None, _sign_of(a.tail)
+    signs = ((mu, _zb_sign(twogen.value_at(a, mu), H_order)[1]) for mu in twogen._support_points(a))
+    return wreath._first_failure(signs, 0)
 
 
 def _checked_sign(c, H_order: OrderOracle, H: GroupOracle, lifted_sign, is_trivial):
@@ -113,7 +102,7 @@ def _checked_sign(c, H_order: OrderOracle, H: GroupOracle, lifted_sign, is_trivi
         raise ValueError(f"oracle {H.name!r} and order {H_order.name!r} use different alphabets")
     if not c.tail:
         H.require_total()
-    sign, point = lifted_sign(c, H_order)
+    point, sign = lifted_sign(c, H_order)
     if not sign and not is_trivial(c, H):
         raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
     return sign, "tail" if c.tail else "value" if sign else "equal", point

@@ -21,10 +21,11 @@ once, can carry anything else.  Two classes collide at most once, at a
 point found with a few big-integer operations (see
 :func:`collision_points`), so an element with d distinct conjugating
 exponents is decided by evaluating at most d(d-1)/2 points.  Every decider
-runs the one scan of both stages, :func:`wreath._first_failure`, over them.
-The lifted orders of :mod:`wreathembed.orders` read the outer sign of an
-element: the sign of its tail or, when that is 0, the first nonzero inner
-sign of its value over the support candidates (see :func:`_support_points`).
+streams ``(point, inner verdict)`` over them, lazily, into the one reader of
+both stages, :func:`wreath._first_failure`.  The lifted orders of
+:mod:`wreathembed.orders` read the outer sign of an element through it too:
+the sign of its tail or, when that is 0, the first nonzero inner sign of its
+value over the support candidates (see :func:`_support_points`).
 The conjugating exponents themselves may be astronomically large (they are
 ``2^i - 1`` for the embedding of the i-th base generator) and everything
 stays exact integer arithmetic.
@@ -39,7 +40,7 @@ two-stage embedding of H into this group, with image recognized by
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Iterable, Iterator
 
 from wreathembed import wreath
 from wreathembed.base_groups import NONTRIVIAL, GroupOracle, SemiVerdict
@@ -114,13 +115,15 @@ def _balanced(a: FSElement) -> bool:
     return a.tail == 0 and all(total == 0 for total in class_sums(a).values())
 
 
-def _check(a: FSElement, H: GroupOracle, fuel: int) -> Callable[[int], SemiVerdict]:
-    # This stage's verdict rule: the inner stage decides the value at the
-    # point.  On a balanced element (see _balanced) that value carries z-power
-    # 0, since only the class 1 - mu supplies z letters at mu and its sum is
-    # zero; an inner refutation then comes only from the base, so the first
-    # verdict that is not TRIVIAL is exact, as in wreath.semi_trivial.
-    return lambda mu: wreath.semi_trivial(value_at(a, mu), H, fuel)
+def _check(
+    a: FSElement, points: Iterable[int], H: GroupOracle, fuel: int
+) -> Iterator[tuple[int, SemiVerdict]]:
+    # This stage's verdicts at the points: the inner stage decides the value
+    # at each.  On a balanced element (see _balanced) that value carries
+    # z-power 0, since only the class 1 - mu supplies z letters at mu and its
+    # sum is zero; an inner refutation then comes only from the base, so the
+    # first verdict that is not TRIVIAL is exact, as in wreath.semi_trivial.
+    return ((mu, wreath.semi_trivial(value_at(a, mu), H, fuel)) for mu in points)
 
 
 def is_trivial(a: FSElement, H: GroupOracle) -> bool:
@@ -143,7 +146,7 @@ def semi_trivial(a: FSElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     """
     if not _balanced(a):
         return NONTRIVIAL
-    return wreath._first_failure(_check(a, H, fuel), collision_points(a))[1]
+    return wreath._first_failure(_check(a, collision_points(a), H, fuel))[1]
 
 
 def _support_points(a: FSElement) -> list[int]:
@@ -207,7 +210,7 @@ def in_image(a: FSElement, H: GroupOracle) -> bool:
     if not _balanced(a):
         return False
     off_one = [mu for mu in collision_points(a) if mu != 1]
-    clear = wreath._first_failure(_check(a, H, 0), off_one)[0] is None
+    clear = wreath._first_failure(_check(a, off_one, H, 0))[0] is None
     return clear and wreath.in_diagonal(value_at(a, 1), H)
 
 

@@ -14,30 +14,31 @@ relative to a base oracle.
 
 Every factor switches on at the single step point ``1 - eta``, so the value
 function is the identity left of the least step point and constant from
-each step point up to the next.  Every decision procedure therefore runs
-one scan, :func:`_first_failure`, over the step points in increasing order:
-its cost depends on the number of factors, not on the size of the
-exponents.  The outer stage decides through this scan too, with its own
-verdict rule.
+each step point up to the next.  Every scan is therefore a lazy stream of
+``(point, value)`` pairs over the step points in increasing order, read by
+one function, :func:`_first_failure`, which stops at the first value that
+is not neutral: its cost depends on the number of factors, not on the size
+of the exponents.  The outer stage's deciders and both stages' lifted signs
+read their streams through it too.
 
 Every base in :mod:`wreathembed.base_groups` is abelian and carries a rule
 on exponent vectors (``GroupOracle.vector_check``).  Over such a base the
-scan sorts the factors once by step point and keeps one running vector
-(see :func:`_running`): each factor is added as the ascending scan reaches
-its step point, and the rule reads that live vector at each point.  A scan
-over n factors then costs O(n log n + points * live coordinates), where
-rebuilding the value word at each point cost O(n * points).  A base without
-a vector rule, whose values need not commute, is still checked on the word
-:func:`value_at` builds at each point.  The lifted orders of
-:mod:`wreathembed.orders` read the same running vector: the inner sign of an
-element is the sign of its tail or, when that is 0, the first nonzero sign
-the base order gives that vector over the step points.
+stream is the walk :func:`_walk`: it sorts the factors once by step point,
+adds each to one running vector as it reaches that step point, and yields
+the rule on the live vector at each point.  A scan over n factors then
+costs O(n log n + points * live coordinates), where rebuilding the value
+word at each point cost O(n * points).  A base without a vector rule, whose
+values need not commute, is still checked on the word :func:`value_at`
+builds at each point.  The lifted orders of :mod:`wreathembed.orders` walk
+the same vector: the inner sign of an element is the sign of its tail or,
+when that is 0, the first nonzero sign the base order gives that vector
+over the step points.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, GroupOracle, SemiVerdict, _shift
 from wreathembed.words import (
@@ -90,62 +91,49 @@ def step_points(a: ZBElement) -> list[int]:
     return sorted({1 - eta for _, eta, _ in a.factors})
 
 
-def _first_failure(
-    verdict_at: Callable[[int], SemiVerdict], points: Iterable[int]
-) -> tuple[int | None, SemiVerdict]:
-    """The scan behind every decider at both stages.
+def _first_failure(values: Iterable[tuple[int, Any]], neutral=TRIVIAL) -> tuple[int | None, Any]:
+    """The one reader of every scan at both stages, deciders and lifted signs alike.
 
-    Asks ``verdict_at`` at each point in turn and stops at the first verdict
-    that is not TRIVIAL, returning that point and verdict; ``(None,
-    TRIVIAL)`` when every value is certified trivial.  The points must
-    ascend: the inner verdict rule (see :func:`_check`) carries its running
-    vector from each point to the next.
+    ``values`` yields ``(point, value)`` pairs in scan order.  Returns the
+    first pair whose value is not ``neutral`` (TRIVIAL for a verdict, 0 for
+    a sign), consuming ``values`` only up to it; ``(None, neutral)`` when
+    there is none.
     """
-    for point in points:
-        verdict = verdict_at(point)
-        if not verdict.trivial:
-            return point, verdict
-    return None, TRIVIAL
+    for point, value in values:
+        if value != neutral:
+            return point, value
+    return None, neutral
 
 
-def _running(a: ZBElement, alphabet: Alphabet, rule: Callable[..., Any], *args) -> Callable:
-    """``rule(vector, *args)`` on the exponent vector of the value at each point asked.
+def _walk(
+    a: ZBElement, points: Iterable[int], alphabet: Alphabet, rule: Callable[..., Any], *args
+) -> Iterator[tuple[int, Any]]:
+    """``(nu, rule(vector, *args))`` at each of the ascending ``points``.
 
-    The factors are sorted once by step point, and each is added to one
-    running vector as the points asked reach its step point ``1 - eta``; so
-    the points must ascend, and a descending one raises ValueError.  The
-    rule may read the live vector but must neither change nor keep it.  A
-    raw factor with an index below 1 is reported with the alphabet's
-    indexed letter.
+    ``vector`` is the exponent vector of the value at ``nu``.  The factors
+    are sorted once by step point, and each is added to one running vector
+    as the walk reaches its step point ``1 - eta``.  The rule may read the
+    live vector but must neither change nor keep it.  A raw factor with an
+    index below 1 is reported with the alphabet's indexed letter.
     """
     pending = sorted(a.factors, key=itemgetter(1))  # the least step point last
     vector: dict[int, int] = {}
-    last = None
-
-    def at(nu: int) -> Any:
-        nonlocal last
-        if last is not None and nu < last:
-            raise ValueError(f"scan points must ascend, got {nu} after {last}")
-        last = nu
+    for nu in points:
         while pending and nu + pending[-1][1] >= 1:
             i, _, xi = pending.pop()
             if i < 1:
                 raise WordError(f"index must be >= 1, got {next(iter(alphabet.indexed))}{i}")
             _shift(vector, i, xi)
-        return rule(vector, *args)
-
-    return at
+        yield nu, rule(vector, *args)
 
 
-def _check(a: ZBElement, H: GroupOracle, fuel: int) -> Callable[[int], SemiVerdict]:
-    """This stage's verdict rule: the base checks the value at each point.
-
-    A base with a vector rule reads the running vector of :func:`_running`,
-    so the points asked must ascend.
-    """
+def _check(
+    a: ZBElement, points: Iterable[int], H: GroupOracle, fuel: int
+) -> Iterator[tuple[int, SemiVerdict]]:
+    """The base's verdict on the value at each of the ascending ``points``."""
     if H.vector_check is None:
-        return lambda nu: H.check(value_at(a, nu, H.alphabet), fuel)
-    return _running(a, H.alphabet, H.vector_check, fuel)
+        return ((nu, H.check(value_at(a, nu, H.alphabet), fuel)) for nu in points)
+    return _walk(a, points, H.alphabet, H.vector_check, fuel)
 
 
 def is_trivial(a: ZBElement, H: GroupOracle) -> bool:
@@ -168,7 +156,7 @@ def semi_trivial(a: ZBElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     """
     if a.tail != 0:
         return NONTRIVIAL
-    return _first_failure(_check(a, H, fuel), step_points(a))[1]
+    return _first_failure(_check(a, step_points(a), H, fuel))[1]
 
 
 def in_diagonal(a: ZBElement, H: GroupOracle) -> bool:
@@ -185,7 +173,7 @@ def in_diagonal(a: ZBElement, H: GroupOracle) -> bool:
     if a.tail != 0:
         return False
     points = sorted({nu or 1 for nu in step_points(a)})
-    return _first_failure(_check(a, H, 0), points)[0] is None
+    return _first_failure(_check(a, points, H, 0))[0] is None
 
 
 def diagonal_encode(word: Word) -> ZBElement:

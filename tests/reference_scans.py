@@ -25,10 +25,10 @@ value words there lexicographically on their vectors;
 the window scan :func:`fs_min_support` and calls it there.  Neither reads a
 sign, and neither calls a library scan.
 
-:func:`zb_check_by_words` is the inner verdict rule the library ran before
-abelian bases read a running exponent vector: it builds the value word at
-each point and hands it to the base's word check.  :func:`zb_decode` is the
-inverse of ``wreath.diagonal_encode``, which the library no longer needs.
+:func:`zb_decode` is the inverse of ``wreath.diagonal_encode``, which the
+library no longer needs.  There is no word-built verdict rule here: the
+library's own word path, taken by a base with no vector rule, serves as the
+oracle for its running-vector walk (see ``test_vector_scan.py``).
 """
 
 from __future__ import annotations
@@ -84,11 +84,6 @@ def parse_word_by_tokens(text: str, alphabet: Alphabet) -> Word:
             raise WordError(str(exc), pos) from None
         _push(runs, (letter, index, exp))
     return Word(alphabet, tuple(runs))
-
-
-def zb_check_by_words(a: ZBElement, H: GroupOracle, fuel: int) -> Callable[[int], SemiVerdict]:
-    """The inner verdict rule on words: ``H.check`` of ``value_at`` at each point."""
-    return lambda nu: H.check(wreath.value_at(a, nu, H.alphabet), fuel)
 
 
 def zb_decode(a: ZBElement, H: GroupOracle) -> Word:

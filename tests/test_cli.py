@@ -154,20 +154,29 @@ def test_integers_past_the_text_limit_fail_clearly(output, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("trivial", "--fuel", "-1", "f f^-1"),
-        ("demo", "theorem2", "--fuel", "-5"),
-        ("demo", "theorem1", "--max-n", "-4"),
-        ("demo", "theorem2", "--max-n", "-1"),
+        (("trivial", "--fuel", "-1", "f f^-1"), "argument --fuel: must be non-negative, got -1"),
+        (("demo", "theorem2", "--fuel", "-5"), "argument --fuel: must be non-negative, got -5"),
+        (("demo", "theorem1", "--max-n", "-4"), "argument --max-n: must be non-negative, got -4"),
+        (("demo", "theorem2", "--max-n", "-1"), "argument --max-n: must be non-negative, got -1"),
+        (("trivial", "--fuel", "abc", "f"), "argument --fuel: invalid integer: 'abc'"),
+        (("demo", "theorem1", "--max-n", "1.5"), "argument --max-n: invalid integer: '1.5'"),
     ],
-    ids=["trivial-fuel", "theorem2-fuel", "theorem1-max-n", "theorem2-max-n"],
+    ids=[
+        "trivial-fuel",
+        "theorem2-fuel",
+        "theorem1-max-n",
+        "theorem2-max-n",
+        "trivial-fuel-not-integer",
+        "theorem1-max-n-not-integer",
+    ],
 )
-def test_negative_counts_are_usage_errors(argv):
+def test_negative_counts_are_usage_errors(argv, message):
     result = run_cli(*argv)
     assert result.returncode == 1
     assert result.stdout == ""
-    assert "must be non-negative" in result.stderr
+    assert message in result.stderr
 
 
 def test_demo_theorem1_offers_only_pairs_with_a_hint():

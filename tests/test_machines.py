@@ -84,6 +84,13 @@ class TestNumbering:
         with pytest.raises(ValueError, match=f"^program index must be >= 0, got {n}$"):
             index_to_program(n)
 
+    @pytest.mark.parametrize("convert", [program_to_index, program_to_text])
+    def test_negative_code_rejected(self, convert):
+        # (-1,) used to get the index 1 of (0,), and the text "INC -2", which
+        # parse_program rejects.
+        with pytest.raises(ValueError, match="^instruction code must be >= 0, got -1$"):
+            convert((-1,))
+
 
 class TestSemantics:
     def test_empty_program_halts_immediately(self):

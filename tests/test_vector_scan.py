@@ -1,14 +1,15 @@
 """The inner scan over a running exponent vector, against the word rule.
 
 Every base in ``base_groups`` carries a rule on exponent vectors, and the
-inner scan hands that rule one running vector.  Here every decider that
-reaches the inner scan runs twice on the same elements: as the library runs
-it, and with the scan's verdict rule replaced by
-``reference_scans.zb_check_by_words``, which builds the value word at each
-point and hands it to the base's word check.  The compare among them is
-the library's ``zb_compare``: it reads the order's sign on the running
-vector and asks the verdict rule only to confirm a zero sign, so an EQ
-compare still runs the patched rule.
+inner scan walks one running vector through that rule.  Here every decider
+that reaches the inner scan runs twice on the same elements: over the base
+as it is, and over a copy with no vector rule
+(``dataclasses.replace(H, vector_check=None)``), whose scan builds the value
+word at each point and hands it to the base's word check.  The compare
+among them is the library's ``zb_compare``: it reads the order's sign on the
+running vector and asks the base only to confirm a zero sign, so an EQ
+compare still runs the word check.  Each scan is a lazy stream, and the
+last test checks that it stops at its deciding point.
 """
 
 import dataclasses
@@ -18,7 +19,6 @@ from collections import Counter
 
 import pytest
 
-import reference_scans as ref
 from oracles import FREE as FREE_GROUP
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
@@ -35,7 +35,7 @@ from wreathembed.base_groups import (
 from wreathembed.cli import ORDERS
 from wreathembed.orders import lex_order, zb_compare
 from wreathembed.twogen import FSElement
-from wreathembed.words import X_ALPHABET, ZB_ALPHABET, Word, WordError, parse_word
+from wreathembed.words import FS_ALPHABET, X_ALPHABET, ZB_ALPHABET, Word, WordError, parse_word
 from wreathembed.wreath import ZBElement
 
 PAIR = mock_pair()
@@ -132,13 +132,12 @@ def outcomes(a: ZBElement, b: ZBElement, u: FSElement, H) -> list:
 
 
 @pytest.mark.parametrize("H", BASES, ids=lambda H: H.name)
-def test_vector_scan_matches_word_rule(H, monkeypatch):
+def test_vector_scan_matches_word_rule(H):
     rng = random.Random(2001)
     samples = [(sample_zb(rng, H), sample_zb(rng, H), sample_fs(rng, H)) for _ in range(400)]
     fast = [outcomes(*sample, H) for sample in samples]
-    with monkeypatch.context() as patched:
-        patched.setattr(wreath, "_check", ref.zb_check_by_words)
-        slow = [outcomes(*sample, H) for sample in samples]
+    as_words = dataclasses.replace(H, vector_check=None)
+    slow = [outcomes(*sample, as_words) for sample in samples]
     for sample, f, s in zip(samples, fast, slow):
         assert f == s, sample
     # The shapes a running vector can get wrong must all occur.
@@ -170,25 +169,14 @@ def test_non_commuting_base_keeps_the_word_path():
     assert wreath.semi_trivial(a, as_vectors, 0).trivial
 
 
-def test_scan_points_must_ascend():
-    verdict_at = wreath._check(wreath.diagonal_encode(parse_word("x1", X_ALPHABET)), FREE, 0)
-    assert verdict_at(0).nontrivial
-    assert verdict_at(1).trivial
-    assert verdict_at(1).trivial
-    with pytest.raises(ValueError, match="^scan points must ascend, got 0 after 1$"):
-        verdict_at(0)
-
-
 @pytest.mark.parametrize("H", [FREE, INSEP], ids=lambda H: H.name)
-def test_raw_factor_with_index_zero_rejected_on_both_paths(H, monkeypatch):
+def test_raw_factor_with_index_zero_rejected_on_both_paths(H):
     # A raw element skips make's check; the scan reaches x0 at its second point.
     letter = next(iter(H.alphabet.indexed))
     a = ZBElement(((1, 7, 1), (1, 7, -1), (0, 6, 1)), 0)
-    with pytest.raises(WordError, match=f"^index must be >= 1, got {letter}0$"):
-        wreath.semi_trivial(a, H, 0)
-    monkeypatch.setattr(wreath, "_check", ref.zb_check_by_words)
-    with pytest.raises(WordError, match=f"^index must be >= 1, got {letter}0$"):
-        wreath.semi_trivial(a, H, 0)
+    for base in (H, dataclasses.replace(H, vector_check=None)):
+        with pytest.raises(WordError, match=f"^index must be >= 1, got {letter}0$"):
+            wreath.semi_trivial(a, base, 0)
 
 
 def test_long_trivial_element_decides_in_near_linear_time():
@@ -213,3 +201,33 @@ def test_long_trivial_element_decides_in_near_linear_time():
     assert zb_compare(whole, mixed, lex_order(), FREE) == ("EQ", "equal", None)
     assert zb_compare(b, ZBElement(), lex_order(), FREE) == ("GT", "value", 1 - eta)
     assert time.perf_counter() - start < 5
+
+
+def test_each_scan_stops_at_its_deciding_point(monkeypatch):
+    # Each element is refuted at its least point and nonzero at later ones,
+    # so a scan that read its whole stream first would make more calls.
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    a = wreath.from_word(parse_word("b1 z^-1 b2 z z^-2 b3 z^2", ZB_ALPHABET))
+    assert wreath.step_points(a) == [1, 2, 3]
+    counted_base = dataclasses.replace(FREE, vector_check=counted("vector", FREE.vector_check))
+    assert wreath.semi_trivial(a, counted_base, 0).nontrivial
+    order = lex_order()
+    counted_order = dataclasses.replace(order, sign=counted("sign", order.sign))
+    assert zb_compare(a, ZBElement(), counted_order, FREE) == ("GT", "value", 1)
+    u = twogen.from_word(
+        parse_word(
+            "s^-2 f s^7 f s^-6 f s^3 f s^-4 f^-1 s^7 f^-1 s^-3 f^-1 s^-3 f^-1 s", FS_ALPHABET
+        )
+    )
+    assert twogen.collision_points(u) == [-1, 2, 3, 6]
+    monkeypatch.setattr(wreath, "semi_trivial", counted("inner", wreath.semi_trivial))
+    assert twogen.semi_trivial(u, FREE, 0).nontrivial
+    assert calls == {"vector": 1, "sign": 1, "inner": 1}
