@@ -23,17 +23,16 @@ trivial exactly when each of its pairs ``(e_lo, e_hi)`` of exponent sums
   its oracles, held no longer than ``enum_n`` is alive, no larger than the
   largest fuel asked for, and guarded by one lock (see :func:`re_oracle`).
 
-A :class:`GroupOracle` packages an alphabet, a ``total`` flag and one check,
-``check(word, fuel)``, answering a :class:`SemiVerdict`.  A total check
-decides the word problem (TRIVIAL or NONTRIVIAL) and ignores the fuel; a
-fueled one answers TRIVIAL within its budget, else UNKNOWN, never refuting.
+A :class:`GroupOracle` packages an alphabet, a ``total`` flag and one rule
+answering a :class:`SemiVerdict`.  A total rule decides the word problem
+(TRIVIAL or NONTRIVIAL) and ignores the fuel; a fueled one answers TRIVIAL
+within its budget, else UNKNOWN, never refuting.
 
-Since every group here is abelian, each states its rule once, on exponent
-vectors ``{index: exponent}`` with zero entries dropped (see
-:func:`exponent_vector`), and is built by :meth:`GroupOracle.commuting`: its
-word check is that rule applied to the word's vector, and the inner scan of
-:mod:`wreathembed.wreath` hands the rule one running vector instead of a
-word per point.  Each rule reads only the vector's live coordinates.
+Every group here is abelian, so each states its rule on exponent vectors
+``{index: exponent}`` with zero entries dropped (see :func:`exponent_vector`),
+reading only their live coordinates, and sets ``on_vectors``:
+:meth:`GroupOracle.check` applies the rule to a word's vector, and the inner
+scan of :mod:`wreathembed.wreath` hands it one running vector per point.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import enum
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from wreathembed import machines
 from wreathembed.words import A_ALPHABET, X_ALPHABET, Alphabet, Word
@@ -74,42 +73,30 @@ TRIVIAL, NONTRIVIAL, UNKNOWN = SemiVerdict
 
 @dataclass(frozen=True)
 class GroupOracle:
-    """A group given by generators plus a triviality check for words.
+    """A group given by generators plus one triviality rule.
 
-    ``check(word, fuel)`` returns one of the three :class:`SemiVerdict`
+    ``rule(value, fuel)`` returns one of the three :class:`SemiVerdict`
     members.  With ``total`` set the group has decidable word problem: the
-    check answers TRIVIAL or NONTRIVIAL, never UNKNOWN, and ignores the
-    fuel.  Otherwise the group is merely recursively presented: the check
+    rule answers TRIVIAL or NONTRIVIAL, never UNKNOWN, and ignores the
+    fuel.  Otherwise the group is merely recursively presented: the rule
     answers TRIVIAL when triviality is certified within the fuel budget and
     UNKNOWN when it is not, never NONTRIVIAL.
 
-    A quotient of the free abelian group on the alphabet's indexed letters
-    may also carry ``vector_check(vector, fuel)``: the same rule on the
-    word's exponent vector, with the same verdicts.  The inner scan then
-    calls it on one live running vector, which the rule may read but must
-    neither change nor keep.  A base whose values need not commute leaves
-    it None and is checked on the word at each point.
+    With ``on_vectors`` set the group is a quotient of the free abelian group
+    on the indexed letters and the value is a word's exponent vector: the
+    inner scan hands the rule one live running vector, which it may read but
+    must neither change nor keep.  Otherwise the value is the word itself.
     """
 
     name: str
     alphabet: Alphabet
-    check: Callable[[Word, int], SemiVerdict]
+    rule: Callable[[Any, int], SemiVerdict]
     total: bool = False
-    vector_check: Callable[[dict[int, int], int], SemiVerdict] | None = None
+    on_vectors: bool = False
 
-    @classmethod
-    def commuting(
-        cls,
-        name: str,
-        alphabet: Alphabet,
-        rule: Callable[[dict[int, int], int], SemiVerdict],
-        total: bool = False,
-    ) -> GroupOracle:
-        """An abelian base from its rule on exponent vectors; the word check
-        applies the rule to :func:`exponent_vector`."""
-        return cls(
-            name, alphabet, lambda word, fuel: rule(exponent_vector(word), fuel), total, rule
-        )
+    def check(self, word: Word, fuel: int) -> SemiVerdict:
+        """The rule's verdict on ``word``."""
+        return self.rule(exponent_vector(word) if self.on_vectors else word, fuel)
 
     def require_total(self) -> None:
         if not self.total:
@@ -192,8 +179,8 @@ def _pairs(vector: dict[int, int]) -> dict[int, tuple[int, int]]:
 
 
 def free_abelian_oracle() -> GroupOracle:
-    return GroupOracle.commuting(
-        "free-abelian", X_ALPHABET, lambda vector, _fuel: _decided(not vector), True
+    return GroupOracle(
+        "free-abelian", X_ALPHABET, lambda vector, _: _decided(not vector), True, on_vectors=True
     )
 
 
@@ -292,7 +279,7 @@ def insep_oracle(pair: EnumeratedPair) -> GroupOracle:
     def rule(vector: dict[int, int], _fuel: int) -> SemiVerdict:
         return _decided(_insep_vanishes(vector, pair))
 
-    return GroupOracle.commuting(f"insep:{pair.name}", A_ALPHABET, rule, True)
+    return GroupOracle(f"insep:{pair.name}", A_ALPHABET, rule, True, on_vectors=True)
 
 
 _positions: weakref.WeakKeyDictionary[Callable[[int], int], dict[int, int]] = (
@@ -336,4 +323,4 @@ def re_oracle(enum_n: Callable[[int], int], name: str = "re") -> GroupOracle:
                 missing.discard(value)
             return TRIVIAL if all(index.get(k, fuel + 1) <= fuel for k in pairs) else UNKNOWN
 
-    return GroupOracle.commuting(f"re:{name}", A_ALPHABET, rule)
+    return GroupOracle(f"re:{name}", A_ALPHABET, rule, on_vectors=True)

@@ -9,15 +9,13 @@ of the least live coordinate of an exponent vector.  For the pair-relation
 base groups that vector is first rewritten into a basis adapted to the
 relations, so equal group elements always get the same sign.
 
-Each wreath stage lifts a sign in the same way: the sign of the trailing
-shift power and, when that is 0, the first nonzero sign of the carried
-value.  The inner stage reads the base sign of the running exponent vector
-at each step point, the outer stage the inner sign at each support
-candidate (see ``twogen._support_points``).  The lift of a cone is a cone,
-so lifts keep bi-invariance.  :func:`zb_compare` and :func:`fs_compare`
-read the lifted sign of ``a * ~b``, and ask the base oracle only to confirm
-a zero sign, which a rule that is not a cone can give on a nontrivial
-element.
+Each wreath stage module lifts a sign in the same way, over the points its
+deciders scan (``wreath._lifted_sign``, ``twogen._lifted_sign``): the sign
+of the trailing shift power and, when that is 0, the first nonzero sign of
+the carried value.  The lift of a cone is a cone, so lifts keep
+bi-invariance.  :func:`zb_compare` and :func:`fs_compare` read the lifted
+sign of ``a * ~b``, and ask the base oracle only to confirm a zero sign,
+which a rule that is not a cone can give on a nontrivial element.
 """
 
 from __future__ import annotations
@@ -53,13 +51,9 @@ class OrderOracle:
         return _VERDICTS[self.sign(form)]
 
 
-def _sign_of(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _lex_sign(vector: dict[int, int]) -> int:
     # The sign of the least live coordinate; 0 on the empty vector.
-    return _sign_of(vector[min(vector)]) if vector else 0
+    return wreath._sign_of(vector[min(vector)]) if vector else 0
 
 
 def lex_order() -> OrderOracle:
@@ -79,31 +73,15 @@ def pair_adapted_order(pair: EnumeratedPair) -> OrderOracle:
     )
 
 
-def _zb_sign(a: wreath.ZBElement, H_order: OrderOracle) -> tuple[int | None, int]:
-    # (deciding point, sign): the tail's sign at no point, else the first nonzero sign walked.
-    if a.tail:
-        return None, _sign_of(a.tail)
-    signs = wreath._walk(a, wreath.step_points(a), H_order.alphabet, H_order.sign)
-    return wreath._first_failure(signs, 0)
-
-
-def _fs_sign(a: twogen.FSElement, H_order: OrderOracle) -> tuple[int | None, int]:
-    # The same one level up, over the support candidates.
-    if a.tail:
-        return None, _sign_of(a.tail)
-    signs = ((mu, _zb_sign(twogen.value_at(a, mu), H_order)[1]) for mu in twogen._support_points(a))
-    return wreath._first_failure(signs, 0)
-
-
-def _checked_sign(c, H_order: OrderOracle, H: GroupOracle, lifted_sign, is_trivial):
-    # The lifted sign of c, with its clause and point; the base oracle
-    # confirms a zero sign.
+def _checked_sign(c, H_order: OrderOracle, H: GroupOracle, stage):
+    # The lifted sign of c in the group of the stage module, with its clause
+    # and point; the base oracle confirms a zero sign.
     if H.alphabet != H_order.alphabet:
         raise ValueError(f"oracle {H.name!r} and order {H_order.name!r} use different alphabets")
     if not c.tail:
         H.require_total()
-    point, sign = lifted_sign(c, H_order)
-    if not sign and not is_trivial(c, H):
+    point, sign = stage._lifted_sign(c, H_order)
+    if not sign and not stage.is_trivial(c, H):
         raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
     return sign, "tail" if c.tail else "value" if sign else "equal", point
 
@@ -117,7 +95,7 @@ def zb_compare(
     trailing shift exponents differ, "value" when the carried values decide
     at their least differing point, and "equal" otherwise.
     """
-    sign, clause, point = _checked_sign(a * ~b, H_order, H, _zb_sign, wreath.is_trivial)
+    sign, clause, point = _checked_sign(a * ~b, H_order, H, wreath)
     return _VERDICTS[sign], clause, point
 
 
@@ -125,7 +103,7 @@ def fs_compare(
     a: twogen.FSElement, b: twogen.FSElement, H_order: OrderOracle, H: GroupOracle
 ) -> tuple[str, str, int | None]:
     """Like :func:`zb_compare`, one level up."""
-    sign, clause, point = _checked_sign(a * ~b, H_order, H, _fs_sign, twogen.is_trivial)
+    sign, clause, point = _checked_sign(a * ~b, H_order, H, twogen)
     return _VERDICTS[sign], clause, point
 
 
@@ -133,6 +111,6 @@ def lifted_order(H: GroupOracle, H_order: OrderOracle) -> OrderOracle:
     """The doubly lifted order as an oracle over ``f``/``s`` words."""
 
     def sign(a: twogen.FSElement) -> int:
-        return _checked_sign(a, H_order, H, _fs_sign, twogen.is_trivial)[0]
+        return _checked_sign(a, H_order, H, twogen)[0]
 
     return OrderOracle(f"lift2[{H_order.name}]", FS_ALPHABET, sign)

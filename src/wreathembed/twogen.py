@@ -22,10 +22,10 @@ point found with a few big-integer operations (see
 :func:`collision_points`), so an element with d distinct conjugating
 exponents is decided by evaluating at most d(d-1)/2 points.  Every decider
 streams ``(point, inner verdict)`` over them, lazily, into the one reader of
-both stages, :func:`wreath._first_failure`.  The lifted orders of
-:mod:`wreathembed.orders` read the outer sign of an element through it too:
-the sign of its tail or, when that is 0, the first nonzero inner sign of its
-value over the support candidates (see :func:`_support_points`).
+both stages, :func:`wreath._first_failure`.  So does :func:`_lifted_sign`,
+the sign :mod:`wreathembed.orders` compares by: the tail's sign or, when
+that is 0, the first nonzero inner sign of the value over the support
+candidates (see :func:`_support_points`).
 The conjugating exponents themselves may be astronomically large (they are
 ``2^i - 1`` for the embedding of the i-th base generator) and everything
 stays exact integer arithmetic.
@@ -159,6 +159,14 @@ def _support_points(a: FSElement) -> list[int]:
     collision point below the least such ``1 - gamma``, or that point."""
     best = sorted(1 - gamma for gamma, total in class_sums(a).items() if total != 0)[:1]
     return [mu for mu in collision_points(a) if not best or mu < best[0]] + best
+
+
+def _lifted_sign(a: FSElement, H_order) -> tuple[int | None, int]:
+    # The same as wreath._lifted_sign one level up, over the support candidates.
+    if a.tail:
+        return None, wreath._sign_of(a.tail)
+    signs = ((mu, wreath._lifted_sign(value_at(a, mu), H_order)[1]) for mu in _support_points(a))
+    return wreath._first_failure(signs, 0)
 
 
 def _generator_factors(i: int, sign: int) -> tuple[tuple[int, int], ...]:

@@ -253,6 +253,8 @@ class WreathElement:
             _push(out, factor[:-2] + (factor[-2] + by, sign * factor[-1]))
 
     def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         factors = list(self.factors)
         self._push_shifted(factors, other.factors, self.tail, 1)
         return type(self)(tuple(factors), self.tail + other.tail)

@@ -21,18 +21,16 @@ is not neutral: its cost depends on the number of factors, not on the size
 of the exponents.  The outer stage's deciders and both stages' lifted signs
 read their streams through it too.
 
-Every base in :mod:`wreathembed.base_groups` is abelian and carries a rule
-on exponent vectors (``GroupOracle.vector_check``).  Over such a base the
+Every base in :mod:`wreathembed.base_groups` is abelian and states its rule
+on exponent vectors (``GroupOracle.on_vectors``).  Over such a base the
 stream is the walk :func:`_walk`: it sorts the factors once by step point,
 adds each to one running vector as it reaches that step point, and yields
-the rule on the live vector at each point.  A scan over n factors then
-costs O(n log n + points * live coordinates), where rebuilding the value
-word at each point cost O(n * points).  A base without a vector rule, whose
-values need not commute, is still checked on the word :func:`value_at`
-builds at each point.  The lifted orders of :mod:`wreathembed.orders` walk
-the same vector: the inner sign of an element is the sign of its tail or,
-when that is 0, the first nonzero sign the base order gives that vector
-over the step points.
+the rule on the live vector at each point, so a scan over n factors costs
+O(n log n + points * live coordinates).  A base whose values need not
+commute gets the word :func:`value_at` builds at each point instead.
+:func:`_lifted_sign`, the sign :mod:`wreathembed.orders` compares by, walks
+the same vector: the tail's sign or, when that is 0, the first nonzero sign
+the base order gives that vector over the step points.
 """
 
 from __future__ import annotations
@@ -131,9 +129,21 @@ def _check(
     a: ZBElement, points: Iterable[int], H: GroupOracle, fuel: int
 ) -> Iterator[tuple[int, SemiVerdict]]:
     """The base's verdict on the value at each of the ascending ``points``."""
-    if H.vector_check is None:
-        return ((nu, H.check(value_at(a, nu, H.alphabet), fuel)) for nu in points)
-    return _walk(a, points, H.alphabet, H.vector_check, fuel)
+    if H.on_vectors:
+        return _walk(a, points, H.alphabet, H.rule, fuel)
+    return ((nu, H.rule(value_at(a, nu, H.alphabet), fuel)) for nu in points)
+
+
+def _sign_of(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _lifted_sign(a: ZBElement, H_order) -> tuple[int | None, int]:
+    # (deciding point, sign) in the order lifted from the base order H_order:
+    # the tail's sign at no point, else the first nonzero sign walked.
+    if a.tail:
+        return None, _sign_of(a.tail)
+    return _first_failure(_walk(a, step_points(a), H_order.alphabet, H_order.sign), 0)
 
 
 def is_trivial(a: ZBElement, H: GroupOracle) -> bool:

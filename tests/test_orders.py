@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -28,7 +29,7 @@ from wreathembed.orders import (
     pair_adapted_order,
     zb_compare,
 )
-from wreathembed.reductions import separation_report
+from wreathembed.reductions import separation_report, separator
 from wreathembed.twogen import FSElement
 from wreathembed.words import (
     A_ALPHABET,
@@ -223,6 +224,42 @@ class TestOuterLift:
         order = lifted_order(H, HORD)
         assert order.alphabet == FS_ALPHABET
         assert order.compare(parse_word("", FS_ALPHABET), parse_word("s", FS_ALPHABET)) == "LT"
+
+
+def test_compares_ask_the_base_only_to_confirm_a_zero_sign():
+    # Base-rule calls and base-order sign calls per compare.  An LT/GT compare
+    # and the separator read signs only.  An EQ compare reads the sign at
+    # every point and then scans the same points again for the base's
+    # confirmation, one rule call per point.
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    def traffic(decide, *args):
+        calls.clear()
+        return decide(*args), dict(calls)
+
+    base = dataclasses.replace(H, rule=counted("rule", H.rule))
+    order = dataclasses.replace(HORD, sign=counted("sign", HORD.sign))
+    a, b = zb("b1 z^-1 b2 z z^-2 b3 z^2"), zb("z^-2 b3 z^2 b1 z^-1 b2 z")
+    assert traffic(zb_compare, zb("b1"), zb("z b2 z^-1"), order, base) == (
+        ("LT", "value", 0), {"sign": 1})
+    assert traffic(zb_compare, a, b, order, base) == (
+        ("EQ", "equal", None), {"sign": 3, "rule": 3})
+    e1, e2 = (twogen.from_word(twogen.generator_word(i)) for i in (1, 2))
+    assert traffic(fs_compare, e2, e1, order, base) == (("LT", "value", 1), {"sign": 1})
+    assert traffic(fs_compare, e2 * e1, e1 * e2, order, base) == (
+        ("EQ", "equal", None), {"sign": 2, "rule": 2})
+    insep = dataclasses.replace(INSEP, rule=counted("rule", INSEP.rule))
+    adapted = dataclasses.replace(PAIR_ORDER, sign=counted("sign", PAIR_ORDER.sign))
+    lifted = lifted_order(insep, adapted)
+    assert traffic(separator, 1, lifted) == (True, {"sign": 2})
+    assert traffic(separator, 2, lifted) == (False, {"sign": 2})
 
 
 def late_difference(rng) -> FSElement:

@@ -333,8 +333,7 @@ class TestMembership:
         # decode reads the word in_image certified, so it asks the base
         # exactly as often as in_image; the old route, zb_decode of the value
         # at 1, scanned that value a second time, and stays as the oracle.
-        # These bases commute, so the scan asks their vector rule, which is
-        # counted here together with the word check.
+        # The scan asks each base its one rule, which is counted here.
         calls = []
 
         def counting(rule):
@@ -344,9 +343,7 @@ class TestMembership:
 
             return counted_rule
 
-        counted = dataclasses.replace(
-            base, check=counting(base.check), vector_check=counting(base.vector_check)
-        )
+        counted = dataclasses.replace(base, rule=counting(base.rule))
         letter = next(iter(base.alphabet.indexed))
         rng = random.Random(1901)
         for _ in range(200):

@@ -1,15 +1,15 @@
 """The inner scan over a running exponent vector, against the word rule.
 
-Every base in ``base_groups`` carries a rule on exponent vectors, and the
-inner scan walks one running vector through that rule.  Here every decider
-that reaches the inner scan runs twice on the same elements: over the base
-as it is, and over a copy with no vector rule
-(``dataclasses.replace(H, vector_check=None)``), whose scan builds the value
-word at each point and hands it to the base's word check.  The compare
-among them is the library's ``zb_compare``: it reads the order's sign on the
-running vector and asks the base only to confirm a zero sign, so an EQ
-compare still runs the word check.  Each scan is a lazy stream, and the
-last test checks that it stops at its deciding point.
+Every base in ``base_groups`` states its one rule on exponent vectors
+(``on_vectors``), and the inner scan walks one running vector through that
+rule.  Here every decider that reaches the inner scan runs twice on the same
+elements: over the base as it is, and over a copy whose rule reads words
+(:func:`as_words`), whose scan builds the value word at each point and hands
+it to the base's ``check``.  The compare among them is the library's
+``zb_compare``: it reads the order's sign on the running vector and asks the
+base only to confirm a zero sign, so an EQ compare still reaches the rule.
+Each scan is a lazy stream, and the last test checks that it stops at its
+deciding point.
 """
 
 import dataclasses
@@ -44,6 +44,11 @@ INSEP = insep_oracle(PAIR)
 RE = re_oracle(PAIR.enum_n, name="mock")
 BASES = [FREE, INSEP, RE]
 FUELS = (0, 1, 50, 400)
+
+
+def as_words(H):
+    """H with a rule on words: ``check``, which reads the word's vector."""
+    return dataclasses.replace(H, rule=H.check, on_vectors=False)
 
 
 def relator(H, k: int) -> list[tuple[int, int]]:
@@ -136,8 +141,7 @@ def test_vector_scan_matches_word_rule(H):
     rng = random.Random(2001)
     samples = [(sample_zb(rng, H), sample_zb(rng, H), sample_fs(rng, H)) for _ in range(400)]
     fast = [outcomes(*sample, H) for sample in samples]
-    as_words = dataclasses.replace(H, vector_check=None)
-    slow = [outcomes(*sample, as_words) for sample in samples]
+    slow = [outcomes(*sample, as_words(H)) for sample in samples]
     for sample, f, s in zip(samples, fast, slow):
         assert f == s, sample
     # The shapes a running vector can get wrong must all occur.
@@ -160,11 +164,11 @@ def test_non_commuting_base_keeps_the_word_path():
     # vector is empty: only a check of the word itself refutes it.
     a = wreath.from_word(parse_word("b1 b2 b1^-1 b2^-1", ZB_ALPHABET))
     assert wreath.value_at(a, 1) == parse_word("x1 x2 x1^-1 x2^-1", X_ALPHABET)
-    assert FREE_GROUP.vector_check is None
+    assert not FREE_GROUP.on_vectors
     assert wreath.semi_trivial(a, FREE_GROUP, 0).nontrivial
     assert not wreath.in_diagonal(a, FREE_GROUP)
     as_vectors = dataclasses.replace(
-        FREE_GROUP, vector_check=lambda vector, _fuel: TRIVIAL if not vector else NONTRIVIAL
+        FREE_GROUP, rule=lambda vector, _: TRIVIAL if not vector else NONTRIVIAL, on_vectors=True
     )
     assert wreath.semi_trivial(a, as_vectors, 0).trivial
 
@@ -174,7 +178,7 @@ def test_raw_factor_with_index_zero_rejected_on_both_paths(H):
     # A raw element skips make's check; the scan reaches x0 at its second point.
     letter = next(iter(H.alphabet.indexed))
     a = ZBElement(((1, 7, 1), (1, 7, -1), (0, 6, 1)), 0)
-    for base in (H, dataclasses.replace(H, vector_check=None)):
+    for base in (H, as_words(H)):
         with pytest.raises(WordError, match=f"^index must be >= 1, got {letter}0$"):
             wreath.semi_trivial(a, base, 0)
 
@@ -217,7 +221,7 @@ def test_each_scan_stops_at_its_deciding_point(monkeypatch):
 
     a = wreath.from_word(parse_word("b1 z^-1 b2 z z^-2 b3 z^2", ZB_ALPHABET))
     assert wreath.step_points(a) == [1, 2, 3]
-    counted_base = dataclasses.replace(FREE, vector_check=counted("vector", FREE.vector_check))
+    counted_base = dataclasses.replace(FREE, rule=counted("vector", FREE.rule))
     assert wreath.semi_trivial(a, counted_base, 0).nontrivial
     order = lex_order()
     counted_order = dataclasses.replace(order, sign=counted("sign", order.sign))

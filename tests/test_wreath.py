@@ -188,6 +188,13 @@ def test_from_word_rejects_another_stage_alphabet():
         wreath.from_word(parse_word("f", FS_ALPHABET))
 
 
+def test_product_of_elements_of_two_stages_is_refused():
+    with pytest.raises(TypeError, match="^unsupported operand type"):
+        ZBElement(((1, 0, 1),)) * FSElement(((0, 1),))
+    with pytest.raises(TypeError, match="^unsupported operand type"):
+        FSElement(((0, 1),)) * parse_word("x1", X_ALPHABET)
+
+
 def fs(text: str) -> FSElement:
     return twogen.from_word(parse_word(text, FS_ALPHABET))
 
