@@ -10,6 +10,7 @@ become a two-letter word, and pull it back out.
 
 from wreathembed import twogen
 from wreathembed.base_groups import free_abelian_oracle
+from wreathembed.twogen import FSElement
 from wreathembed.words import FS_ALPHABET, X_ALPHABET, parse_word, word_to_text
 
 oracle = free_abelian_oracle()
@@ -34,9 +35,9 @@ print()
 # f alone carries values at infinitely many points, and conjugating an
 # image element by s slides its support off the fixed evaluation point.
 for text in ("s", "f"):
-    h = twogen.from_word(parse_word(text, FS_ALPHABET))
+    h = FSElement.from_word(parse_word(text, FS_ALPHABET))
     print(f"{text!r:6} in image:", twogen.in_image(h, oracle))
-shifted = twogen.from_word(parse_word("s", FS_ALPHABET)) * g * twogen.from_word(
+shifted = FSElement.from_word(parse_word("s", FS_ALPHABET)) * g * FSElement.from_word(
     parse_word("s^-1", FS_ALPHABET)
 )
 print("s g s^-1 in image:", twogen.in_image(shifted, oracle))

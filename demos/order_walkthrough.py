@@ -6,10 +6,11 @@
 # each level the comparison first looks at the shift ("tail"), then at the
 # first point where the carried values differ.
 
-from wreathembed import twogen, wreath
 from wreathembed.base_groups import free_abelian_oracle
 from wreathembed.orders import fs_compare, lex_order, zb_compare
+from wreathembed.twogen import FSElement
 from wreathembed.words import FS_ALPHABET, X_ALPHABET, ZB_ALPHABET, parse_word
+from wreathembed.wreath import ZBElement
 
 oracle = free_abelian_oracle()
 base_order = lex_order()
@@ -24,8 +25,8 @@ print()
 print("one level up: z/b words, compared tail first, then first value")
 pairs = (("z", ""), ("b1", "b2"), ("b1 z b1^-1", "z"))
 for left, right in pairs:
-    a = wreath.from_word(parse_word(left, ZB_ALPHABET))
-    b = wreath.from_word(parse_word(right, ZB_ALPHABET))
+    a = ZBElement.from_word(parse_word(left, ZB_ALPHABET))
+    b = ZBElement.from_word(parse_word(right, ZB_ALPHABET))
     verdict, clause, point = zb_compare(a, b, base_order, oracle)
     where = "" if point is None else f" at point {point}"
     print(f"  {left!r:14} vs {right!r:6} -> {verdict} (decided by {clause}{where})")
@@ -34,8 +35,8 @@ print()
 print("two levels up: f/s words")
 pairs = (("f", "s"), ("f s f s^-1", "s f s^-1 f"), ("f", "s f s^-1"))
 for left, right in pairs:
-    a = twogen.from_word(parse_word(left, FS_ALPHABET))
-    b = twogen.from_word(parse_word(right, FS_ALPHABET))
+    a = FSElement.from_word(parse_word(left, FS_ALPHABET))
+    b = FSElement.from_word(parse_word(right, FS_ALPHABET))
     verdict, clause, point = fs_compare(a, b, base_order, oracle)
     where = "" if point is None else f" at point {point}"
     print(f"  {left!r:14} vs {right!r:14} -> {verdict} (decided by {clause}{where})")
@@ -43,9 +44,9 @@ print()
 
 # Bi-invariance is what makes the lifted relation a group order: multiplying
 # both sides by the same elements, on either side, never flips a comparison.
-a = twogen.from_word(parse_word("f", FS_ALPHABET))
-b = twogen.from_word(parse_word("s", FS_ALPHABET))
-c = twogen.from_word(parse_word("s^2 f^-1", FS_ALPHABET))
+a = FSElement.from_word(parse_word("f", FS_ALPHABET))
+b = FSElement.from_word(parse_word("s", FS_ALPHABET))
+c = FSElement.from_word(parse_word("s^2 f^-1", FS_ALPHABET))
 before = fs_compare(a, b, base_order, oracle)[0]
 after = fs_compare(c * a, c * b, base_order, oracle)[0]
 print(f"f vs s: {before};  after left-multiplying both by s^2 f^-1: {after}")

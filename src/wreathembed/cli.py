@@ -31,7 +31,7 @@ from wreathembed.base_groups import (
     re_oracle,
 )
 from wreathembed.orders import fs_compare, lex_order, pair_adapted_order, zb_compare
-from wreathembed.words import FS_ALPHABET, ZB_ALPHABET, parse_word, word_to_text
+from wreathembed.words import parse_word, word_to_text
 
 # One table per selector flag, mapping each choice, in the order ``--help``
 # lists it, to a factory.  A factory looks its callee up when it is called,
@@ -96,24 +96,24 @@ def _printed(render, *args) -> str:
         ) from None
 
 
-# A group as the commands see it: its stage module, its word alphabet, the
+# A group as the commands see it: its stage module, its element class, the
 # lifted order's comparison and, by subgroup name, the membership decider
 # ``(element, base) -> bool`` of each subgroup it offers.
-_Group = namedtuple("_Group", "stage alphabet compare subgroups")
+_Group = namedtuple("_Group", "stage element compare subgroups")
 
 
 def _group(name: str) -> _Group:
     """Group G or L, as ``--group`` selects it."""
     if name == "G":
         subgroups = {"image": twogen.in_image, "base": lambda a, _: twogen.in_base(a)}
-        return _Group(twogen, FS_ALPHABET, fs_compare, subgroups)
-    return _Group(wreath, ZB_ALPHABET, zb_compare, {"diagonal": wreath.in_diagonal})
+        return _Group(twogen, twogen.FSElement, fs_compare, subgroups)
+    return _Group(wreath, wreath.ZBElement, zb_compare, {"diagonal": wreath.in_diagonal})
 
 
 def _element(args, text: str):
     """The normal form of a word of the selected group."""
-    group = _group(args.group)
-    return group.stage.from_word(parse_word(text, group.alphabet))
+    element = _group(args.group).element
+    return element.from_word(parse_word(text, element.ALPHABET))
 
 
 def cmd_normalize(args):
@@ -154,10 +154,10 @@ def cmd_compare(args):
 
 
 def cmd_encode(args):
-    # The word prints the exponent 2^index - 1 in decimal; refuse up front
-    # what Python's integer-to-text limit would refuse halfway through.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and args.index > 0 and (args.index > 4 * limit or (1 << args.index) > 10**limit):
+    # The word prints 2^index - 1 in decimal; refuse up front an index past
+    # Python's integer-to-text limit, or past its default 4300 digits when off.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if args.index > 0 and (args.index > 4 * limit or (1 << args.index) > 10**limit):
         raise ValueError(
             f"index {args.index} is too large: the exponent 2^{args.index} - 1 "
             f"would have more than {limit} decimal digits"
@@ -168,7 +168,7 @@ def cmd_encode(args):
 
 def cmd_decode(args):
     base = BASES[args.base]()
-    element = twogen.from_word(parse_word(args.word, FS_ALPHABET))
+    element = _element(args, args.word)
     decoded = _printed(word_to_text, twogen.decode(element, base))
     return 0, [{"command": "decode", "base": args.base, "word": decoded}], [decoded]
 
@@ -236,7 +236,8 @@ def build_parser() -> _Parser:
     p.add_argument("right", nargs="?", default="")
     p = add(sub, "encode", cmd_encode, "embed the i-th base generator")
     p.add_argument("index", type=int)
-    add(sub, "decode", cmd_decode, "recover a base word from its embedding", "--base", "word")
+    p = add(sub, "decode", cmd_decode, "recover a base word from its embedding", "--base", "word")
+    p.set_defaults(group="G")
 
     p = add(sub, "demo", None, "run a built-in demonstration")
     demo = p.add_subparsers(dest="demo", required=True)

@@ -47,7 +47,7 @@ class OrderOracle:
     def compare(self, u: Word, v: Word) -> str:
         """The verdict "LT", "EQ" or "GT" as the sign of ``u * ~v`` is -1, 0 or 1."""
         w = u * ~v
-        form = twogen.from_word(w) if self.alphabet == FS_ALPHABET else exponent_vector(w)
+        form = twogen.FSElement.from_word(w) if self.alphabet == FS_ALPHABET else exponent_vector(w)
         return _VERDICTS[self.sign(form)]
 
 

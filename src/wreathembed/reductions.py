@@ -26,6 +26,7 @@ from wreathembed.orders import OrderOracle, lifted_order, pair_adapted_order
 from wreathembed.words import A_ALPHABET, Word
 
 
+# Called by perfbench/workloads.py (SeparateMock); perfbench/spans.py traces it by name (EXTRA).
 def _sign(word: Word, order: OrderOracle) -> str:
     return {"LT": "+", "EQ": "0", "GT": "-"}[order.compare(Word.identity(order.alphabet), word)]
 

@@ -54,11 +54,6 @@ class FSElement(WreathElement):
     ALPHABET, SHIFT, GENERATOR = FS_ALPHABET, "s", "f"
 
 
-def from_word(word: Word) -> FSElement:
-    """Evaluate a word over the ``f``/``s`` alphabet into normal form."""
-    return FSElement.from_word(word)
-
-
 def class_sums(a: FSElement) -> dict[int, int]:
     """Total exponent per conjugating power, including zero totals."""
     out: dict[int, int] = {}

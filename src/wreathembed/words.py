@@ -132,6 +132,8 @@ class Word:
         return not self.runs
 
     def __mul__(self, other: Word) -> Word:
+        if type(other) is not Word:
+            return NotImplemented
         if self.alphabet != other.alphabet:
             raise WordError("cannot multiply words over different alphabets")
         runs = list(self.runs)

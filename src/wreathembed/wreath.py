@@ -57,7 +57,7 @@ class ZBElement(WreathElement):
 
 
 def from_word(word: Word) -> ZBElement:
-    """Evaluate a word over the ``z``/``b`` alphabet into normal form."""
+    """Kept for perfbench/tests/test_perfbench.py; the library builds with ZBElement.from_word."""
     return ZBElement.from_word(word)
 
 

@@ -50,7 +50,7 @@ def encode_word_by_words(word: Word) -> FSElement:
     out = Word.identity(FS_ALPHABET)
     for _, index, exp in word.runs:
         out = out * twogen.generator_word(index) ** exp
-    return twogen.from_word(out)
+    return FSElement.from_word(out)
 
 
 def zb_value_at_by_make(a: ZBElement, nu: int, alphabet: Alphabet = X_ALPHABET) -> Word:

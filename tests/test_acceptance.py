@@ -30,6 +30,7 @@ from wreathembed.orders import (
     lex_order,
     lifted_order,
 )
+from wreathembed.twogen import FSElement
 from wreathembed.words import (
     A_ALPHABET,
     FS_ALPHABET,
@@ -39,6 +40,7 @@ from wreathembed.words import (
     commutator,
     parse_word,
 )
+from wreathembed.wreath import ZBElement
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -74,8 +76,8 @@ def test_criterion_1_generator_evaluation_grid():
     """Each embedded generator is supported exactly at 1, carrying [z, b_i]."""
     checks = failures = 0
     for i in range(1, 7):
-        element = twogen.from_word(twogen.generator_word(i))
-        expected = wreath.from_word(parse_word(f"z b{i} z^-1 b{i}^-1", ZB_ALPHABET))
+        element = FSElement.from_word(twogen.generator_word(i))
+        expected = ZBElement.from_word(parse_word(f"z b{i} z^-1 b{i}^-1", ZB_ALPHABET))
         for mu in range(-8, 9):
             checks += 1
             value = twogen.value_at(element, mu)
@@ -141,14 +143,14 @@ def test_criterion_4_membership_and_decoding():
         if exponent_vector(twogen.decode(g, oracle)) != exponent_vector(w):
             bad += 1
     s_conj = (
-        twogen.from_word(parse_word("s", FS_ALPHABET))
+        FSElement.from_word(parse_word("s", FS_ALPHABET))
         * twogen.encode_word(parse_word("x1", X_ALPHABET))
-        * twogen.from_word(parse_word("s^-1", FS_ALPHABET))
+        * FSElement.from_word(parse_word("s^-1", FS_ALPHABET))
     )
     rejects = [
-        twogen.from_word(parse_word("s^2", FS_ALPHABET)),
-        twogen.from_word(parse_word("s^-1", FS_ALPHABET)),
-        twogen.from_word(parse_word("f", FS_ALPHABET)),
+        FSElement.from_word(parse_word("s^2", FS_ALPHABET)),
+        FSElement.from_word(parse_word("s^-1", FS_ALPHABET)),
+        FSElement.from_word(parse_word("f", FS_ALPHABET)),
         s_conj,
     ]
     rejected = sum(0 if twogen.in_image(g, oracle) else 1 for g in rejects)
@@ -168,12 +170,12 @@ def test_criterion_5_solvability_laws():
         commutator(commutator(P("s"), P("f")), commutator(P("s^3"), P("f"))),
         commutator(commutator(P("f"), P("s")), commutator(P("f"), P("s^2"))),
     ]
-    found = sum(0 if twogen.is_trivial(twogen.from_word(w), oracle) else 1 for w in witnesses)
+    found = sum(0 if twogen.is_trivial(FSElement.from_word(w), oracle) else 1 for w in witnesses)
     deep_bad = 0
     for _ in range(200):
         inner = [commutator(_rand_fsword(rng), _rand_fsword(rng)) for _ in range(4)]
         deep = commutator(commutator(inner[0], inner[1]), commutator(inner[2], inner[3]))
-        if not twogen.is_trivial(twogen.from_word(deep), oracle):
+        if not twogen.is_trivial(FSElement.from_word(deep), oracle):
             deep_bad += 1
     _report(
         5,
@@ -230,7 +232,7 @@ def test_criterion_6_order_properties():
     report = check_order_axioms(
         sample,
         lambda u, v: lifted.compare(u, v) == "LT",
-        lambda w: twogen.is_trivial(twogen.from_word(w), oracle),
+        lambda w: twogen.is_trivial(FSElement.from_word(w), oracle),
     )
     ok = (
         total_bad == 0

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -125,6 +126,23 @@ def test_encode_rejects_index_past_integer_text_limit():
     assert "Exceeds the limit" not in result.stderr
     assert run_cli("encode", "1000000000000").returncode == 1
     assert run_cli("encode", "-3").stderr.startswith("wreathembed: error: generator index")
+
+
+def test_encode_bounds_the_index_when_the_integer_text_limit_is_off():
+    # With the limit off (0), encode bounds the index by Python's default of 4300 digits.
+    def encode(index: str) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "0"}
+        command = [sys.executable, "-m", "wreathembed", "encode", index]
+        return subprocess.run(command, capture_output=True, text=True, timeout=10, env=env)
+
+    result = encode("3000000")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "wreathembed: error: index 3000000 is too large: the exponent 2^3000000 - 1 "
+        "would have more than 4300 decimal digits\n"
+    )
+    assert encode("14000").stdout == run_cli("encode", "14000").stdout != ""
 
 
 NINES = "9" * 4300  # as many digits as Python prints by default

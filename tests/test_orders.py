@@ -39,6 +39,7 @@ from wreathembed.words import (
     Word,
     parse_word,
 )
+from wreathembed.wreath import ZBElement
 
 H = free_abelian_oracle()
 HORD = lex_order()
@@ -64,11 +65,11 @@ def x(text: str) -> Word:
 
 
 def zb(text: str):
-    return wreath.from_word(parse_word(text, ZB_ALPHABET))
+    return ZBElement.from_word(parse_word(text, ZB_ALPHABET))
 
 
 def fs(text: str):
-    return twogen.from_word(parse_word(text, FS_ALPHABET))
+    return FSElement.from_word(parse_word(text, FS_ALPHABET))
 
 
 def random_x_word(rng, max_letters=8, max_index=6) -> Word:
@@ -149,8 +150,6 @@ class TestInnerLift:
                 (rng.randrange(1, 5), rng.randrange(-3, 4), rng.choice([-2, -1, 1, 2]))
                 for _ in range(rng.randrange(0, 5))
             ]
-            from wreathembed.wreath import ZBElement
-
             a = ZBElement.make(pairs_a, rng.randrange(-2, 3))
             b = ZBElement.make(pairs_b, rng.randrange(-2, 3))
             outcomes = [
@@ -251,7 +250,7 @@ def test_compares_ask_the_base_only_to_confirm_a_zero_sign():
         ("LT", "value", 0), {"sign": 1})
     assert traffic(zb_compare, a, b, order, base) == (
         ("EQ", "equal", None), {"sign": 3, "rule": 3})
-    e1, e2 = (twogen.from_word(twogen.generator_word(i)) for i in (1, 2))
+    e1, e2 = (FSElement.from_word(twogen.generator_word(i)) for i in (1, 2))
     assert traffic(fs_compare, e2, e1, order, base) == (("LT", "value", 1), {"sign": 1})
     assert traffic(fs_compare, e2 * e1, e1 * e2, order, base) == (
         ("EQ", "equal", None), {"sign": 2, "rule": 2})
@@ -442,7 +441,7 @@ class TestAxiomChecker:
         order = lifted_order(H, HORD)
         relation = lambda u, v: order.compare(u, v) != "GT"
         report = check_order_axioms(
-            sample, relation, lambda w: twogen.is_trivial(twogen.from_word(w), H), n_max=3
+            sample, relation, lambda w: twogen.is_trivial(FSElement.from_word(w), H), n_max=3
         )
         assert report.ok
 

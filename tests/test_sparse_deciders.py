@@ -185,7 +185,7 @@ BIG_ETA = 10**9
 
 
 def zb(text: str) -> ZBElement:
-    return wreath.from_word(parse_word(text, ZB_ALPHABET))
+    return ZBElement.from_word(parse_word(text, ZB_ALPHABET))
 
 
 def test_inner_deciders_at_huge_eta():
@@ -219,7 +219,7 @@ def test_inner_conjugation_by_huge_power_shifts_support(H):
 
 
 def test_generator_600():
-    a = twogen.from_word(twogen.generator_word(600))
+    a = FSElement.from_word(twogen.generator_word(600))
     assert twogen.collision_points(a) == [1]
     assert not twogen.is_trivial(a, FREE)
     assert twogen.is_trivial(a * ~a, FREE)
@@ -321,7 +321,7 @@ def test_value_at_matches_product_of_factor_values():
                 [((1 << i) - 1 + rng.randrange(-2, 3), rng.choice([-2, -1, 1, 2]))
                  for _ in range(rng.randrange(1, 4))]
             )
-            a = rng.choice([huge * a, a * huge, twogen.from_word(twogen.generator_word(i)) * a])
+            a = rng.choice([huge * a, a * huge, FSElement.from_word(twogen.generator_word(i)) * a])
         classes = sorted({gamma for gamma, _ in a.factors})
         points = twogen.collision_points(a) + [1 - gamma for gamma in classes]
         points += [rng.randrange(-20, 21) for _ in range(5)]

@@ -28,7 +28,7 @@ H = free_abelian_oracle()
 
 
 def fs(text: str) -> FSElement:
-    return twogen.from_word(parse_word(text, FS_ALPHABET))
+    return FSElement.from_word(parse_word(text, FS_ALPHABET))
 
 
 def random_x_word(rng: random.Random, max_letters: int = 12, max_index: int = 8) -> Word:
@@ -146,7 +146,7 @@ class TestWordProblem:
                     for _ in range(rng.randrange(0, 8))
                 ],
             )
-            assert twogen.is_trivial(twogen.from_word(w * ~w), H)
+            assert twogen.is_trivial(FSElement.from_word(w * ~w), H)
 
     def test_conjugates_commute_unless_shift_is_power_minus_one(self):
         # f and its s^c-conjugate interact only when c + 1 is a power of
@@ -200,7 +200,7 @@ class TestEmbedding:
     def test_generator_word_normal_form(self):
         for i in (1, 2, 5):
             k = (1 << i) - 1
-            a = twogen.from_word(twogen.generator_word(i))
+            a = FSElement.from_word(twogen.generator_word(i))
             assert a.factors == ((0, 1), (k, 1), (0, -1), (k, -1))
             assert a.tail == 0
 
@@ -211,7 +211,7 @@ class TestEmbedding:
     def test_embedded_generator_support(self):
         # Supported exactly at point 1, carrying the inner [z, b_i].
         for i in (1, 2, 3):
-            a = twogen.from_word(twogen.generator_word(i))
+            a = FSElement.from_word(twogen.generator_word(i))
             for mu in range(-40, 41):
                 value = twogen.value_at(a, mu)
                 if mu == 1:
@@ -238,11 +238,11 @@ class TestEmbedding:
 
     def test_power_encoding_is_word_power(self):
         u = parse_word("x1^3", X_ALPHABET)
-        assert twogen.encode_word(u) == twogen.from_word(twogen.generator_word(1) ** 3)
+        assert twogen.encode_word(u) == FSElement.from_word(twogen.generator_word(1) ** 3)
 
     def test_inverse_encoding(self):
         u = parse_word("x2^-1", X_ALPHABET)
-        assert twogen.encode_word(u) == twogen.from_word(~twogen.generator_word(2))
+        assert twogen.encode_word(u) == FSElement.from_word(~twogen.generator_word(2))
         assert twogen.is_trivial(
             twogen.encode_word(u) * twogen.encode_word(~u), H
         )
@@ -395,18 +395,18 @@ class TestOracleAdapter:
     """Deciding words of this group: normal form, then the inner deciders."""
 
     def test_total_adapter(self):
-        a = twogen.from_word(parse_word("f s f^-1 s^-1", FS_ALPHABET))
+        a = FSElement.from_word(parse_word("f s f^-1 s^-1", FS_ALPHABET))
         assert not twogen.is_trivial(a, H)
 
     def test_insep_base(self):
         base = insep_oracle(mock_pair())
         w = twogen.encode_word(parse_word("a2 a1^-2", A_ALPHABET)).to_word()
-        assert twogen.is_trivial(twogen.from_word(w), base)
+        assert twogen.is_trivial(FSElement.from_word(w), base)
 
 
 def test_huge_conjugating_exponents_stay_cheap():
     # Embedded generator with index 80: conjugating exponent near 2^80.
-    a = twogen.from_word(twogen.generator_word(80))
+    a = FSElement.from_word(twogen.generator_word(80))
     assert twogen.is_trivial(a * ~a, H)
     assert not twogen.is_trivial(a, H)
     assert fs_support_by_compare(a, H) == 1

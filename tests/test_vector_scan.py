@@ -162,7 +162,7 @@ def test_vector_scan_matches_word_rule(H):
 def test_non_commuting_base_keeps_the_word_path():
     # The value at 1 is the commutator x1 x2 x1^-1 x2^-1, whose exponent
     # vector is empty: only a check of the word itself refutes it.
-    a = wreath.from_word(parse_word("b1 b2 b1^-1 b2^-1", ZB_ALPHABET))
+    a = ZBElement.from_word(parse_word("b1 b2 b1^-1 b2^-1", ZB_ALPHABET))
     assert wreath.value_at(a, 1) == parse_word("x1 x2 x1^-1 x2^-1", X_ALPHABET)
     assert not FREE_GROUP.on_vectors
     assert wreath.semi_trivial(a, FREE_GROUP, 0).nontrivial
@@ -219,14 +219,14 @@ def test_each_scan_stops_at_its_deciding_point(monkeypatch):
 
         return call
 
-    a = wreath.from_word(parse_word("b1 z^-1 b2 z z^-2 b3 z^2", ZB_ALPHABET))
+    a = ZBElement.from_word(parse_word("b1 z^-1 b2 z z^-2 b3 z^2", ZB_ALPHABET))
     assert wreath.step_points(a) == [1, 2, 3]
     counted_base = dataclasses.replace(FREE, rule=counted("vector", FREE.rule))
     assert wreath.semi_trivial(a, counted_base, 0).nontrivial
     order = lex_order()
     counted_order = dataclasses.replace(order, sign=counted("sign", order.sign))
     assert zb_compare(a, ZBElement(), counted_order, FREE) == ("GT", "value", 1)
-    u = twogen.from_word(
+    u = FSElement.from_word(
         parse_word(
             "s^-2 f s^7 f s^-6 f s^3 f s^-4 f^-1 s^7 f^-1 s^-3 f^-1 s^-3 f^-1 s", FS_ALPHABET
         )
