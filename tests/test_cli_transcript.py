@@ -28,15 +28,22 @@ import pytest
 
 TRANSCRIPT = Path(__file__).resolve().parent / "data" / "cli_transcript.txt"
 
-# Embedded base generators, as printed by ``encode 1`` / ``encode 2``, and
-# the inverse of the first.
+# Embedded base generators, as printed by ``encode 1``, ``encode 2``, ...,
+# and the inverse of the first.
 G1 = "f s f s^-1 f^-1 s f^-1 s^-1"
 G2 = "f s^3 f s^-3 f^-1 s^3 f^-1 s^-3"
+G3 = "f s^7 f s^-7 f^-1 s^7 f^-1 s^-7"
+G5 = "f s^31 f s^-31 f^-1 s^31 f^-1 s^-31"
 G1_INV = "s f s^-1 f s f^-1 s^-1 f^-1"
+BIG = "1" + "0" * 30  # a 31-digit exponent
 
 COMMANDS = [
     "normalize --group G 'f s f s^-1 f^-1 s^3'",
     "normalize --group L 'z b1 z^-1 b1^-1 z^2 b3^-2'",
+    "normalize --group G 'f s f s^-1'",
+    "normalize --group G 's^3'",
+    "normalize --group G 'f f^-1'",
+    "normalize --group L 'z b1 z^-1 b1^-1'",
     "normalize",
     "trivial --base free-abelian 'f s f^-1 s^-1'",
     "trivial --base free-abelian 's f s^-1 s f^-1 s^-1'",
@@ -48,6 +55,7 @@ COMMANDS = [
     "trivial --group L --base insep:halting 'b2 b1^-1'",
     "trivial --group L --base re:mock --fuel 5 'b2 b1^-1'",
     "trivial --group L --base re:mock --fuel 0 'b2 b1^-1'",
+    f"trivial --base re:mock --fuel 2 '{G1}'",
     "trivial --group L --base re:mock --fuel 0 ''",
     f"trivial --base re:mock --fuel 1 '{G2} {G1_INV}'",
     f"trivial --base re:mock --fuel 0 '{G2} {G1_INV}'",
@@ -56,32 +64,69 @@ COMMANDS = [
     "trivial --group L --base re:halting --fuel 3 'b4 b3^-1'",
     f"member --subgroup image '{G1}'",
     "member --subgroup image 'f'",
+    "member --subgroup image 's^2'",
+    f"member --subgroup image '{G3}'",
     "member --subgroup base 'f s f^-1 s^-1'",
     "member --subgroup base 's'",
     "member --group L --subgroup diagonal 'z b1 z^-1 b1^-1'",
     "member --group L --subgroup diagonal 'b1'",
+    "member --group L --subgroup diagonal 'b2 z b2^-1 z^-1'",
     "member --group G --subgroup diagonal 'f'",
     f"member --base re:mock '{G1}'",
     "member --group L --subgroup diagonal --base re:mock b1",
     f"decode --base free-abelian '{G1} {G2} {G2}'",
+    f"decode --base free-abelian '{G3}'",
+    f"decode '{G5} {G2}'",
     f"decode --base insep:mock-odd-even '{G2} {G1_INV}'",
     "decode 'f'",
     f"decode --base re:halting '{G1}'",
     "compare --base free-abelian 'f' 's'",
     "compare --base free-abelian 'f' 's f s^-1'",
     f"compare --base insep:mock-odd-even '{G2}' '{G1}'",
+    f"compare --base free-abelian '{G2} {G1}' '{G1} {G2}'",
+    f"compare --base insep:mock-odd-even '{G2}' '{G1} {G1}'",
+    f"compare --base free-abelian '{G2}' '{G1}'",
+    "compare --base insep:mock-odd-even"
+    " 's^2 f s f^-1 s^-8 f^-1 s^4 f^2 s^4 f s^-4 f^-2 s^3 f^-1 s^-7 f s^5' ''",
+    "compare --base free-abelian 's^-5 f s^5' ''",
+    "compare --base free-abelian '' 's^3 f s^-3 f^-1'",
+    f"compare --base free-abelian 's^-{BIG} f s^{BIG}' ''",
+    "compare 's f s^-1' 's f s^-1'",
     "compare --group L 'b1' 'z b1 z^-1'",
     "compare --group L 'b1 b2' 'b2 b1'",
     "compare --base re:mock 'f' 's'",
     "encode 1",
+    "encode 2",
+    "encode 3",
     "encode 5",
     "encode 0",
+    "encode -3",
+    "encode 200000",
     "demo theorem1 --max-n 50",
+    "demo theorem1 --max-n 2",
+    "demo theorem1 --max-n 4",
+    "demo theorem1 --max-n 40",
+    "demo theorem1 --pair mock-odd-even --max-n 6",
+    "demo theorem2 --max-n 2 --fuel 8",
+    "demo theorem2 --max-n 50 --fuel 100",
+    "demo theorem2 --pair mock-odd-even --max-n 4 --fuel 8",
+    "demo theorem2 --pair halting --max-n 10 --fuel 5000",
+    "demo theorem2 --pair halting --max-n 1 --fuel 0",
     "demo theorem2 --pair mock-odd-even",
     "demo theorem2 --pair halting --max-n 6 --fuel 200",
     "normalize 'f^x'",
     "normalize --group L 'z q1'",
+    "normalize --group L 'z b1 q2'",
+    "normalize 'f q'",
     "trivial --fuel -1 'f'",
+    "trivial --fuel -1 'f f^-1'",
+    "trivial --fuel abc f",
+    "trivial --base bogus f",
+    "demo theorem2 --fuel -5",
+    "demo theorem1 --max-n -4",
+    "demo theorem2 --max-n -1",
+    "demo theorem1 --max-n 1.5",
+    "demo theorem1 --pair halting",
     "trivial --group L --base re:mock 'b254 b253^-1'",
     "trivial --group L --base re:mock --fuel 63 'b254 b253^-1'",
     "member 'f'",
