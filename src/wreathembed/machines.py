@@ -168,6 +168,9 @@ def run_status(program: Program, max_steps: int) -> tuple[str, int]:
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    for code in program:
+        if code < 0:
+            raise ValueError(f"instruction code must be >= 0, got {code}")
     run = _RunState(program)
     fate = run.advance(max_steps)
     return (fate, run.steps) if fate else ("running", max_steps)

@@ -47,6 +47,8 @@ class OrderOracle:
     def compare(self, u: Word, v: Word) -> str:
         """The verdict "LT", "EQ" or "GT" as the sign of ``u * ~v`` is -1, 0 or 1."""
         w = u * ~v
+        if w.alphabet != self.alphabet:
+            raise ValueError(f"expected the {self.alphabet.name} alphabet")
         form = twogen.FSElement.from_word(w) if self.alphabet == FS_ALPHABET else exponent_vector(w)
         return _VERDICTS[self.sign(form)]
 

@@ -8,9 +8,17 @@ shows up as a diff against the file.  ``main`` reuses one parser per process,
 so the whole transcript is also replayed in one process in reversed and in
 shuffled order: a value that leaked from one call into the next would show.
 
-Re-record (only when an output change is intended) from the repository root:
+The transcript is the one record of what the CLI prints.  To pin a command,
+add a line to ``COMMANDS`` and record the transcript in a commit of its own,
+before the change it guards: the bytes then come from the code as it was,
+and the commit's diff only adds entries.  Otherwise re-record only when an
+output change is intended.  Record from the repository root:
 
     PYTHONPATH=src python tests/test_cli_transcript.py --record
+
+Commands whose arguments are too long to record (1 000-factor words, 4 300
+digit integers) are checked in-process below with ``run_in_process``.
+``tests/test_cli.py`` holds only the checks that need a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -216,6 +224,65 @@ def test_replay_in_one_process_in_any_order(order):
         entries = random.Random(20261018).sample(ENTRIES, len(ENTRIES))
     replayed = [(argv, *run_in_process(argv)) for argv, *_ in entries]
     assert replayed == entries
+
+
+def long_words() -> dict[str, str]:
+    """Products of 1 000 seeded factors ``z^e bi^x z^-e`` over ``--group L``:
+    ``f``, a shuffle ``g`` of the same factors, and ``long``, which is ``f``
+    followed by the inverse of ``g``."""
+    r = random.Random(1)
+    f = [(r.randint(1, 9), r.randint(-500, 500), r.choice((-1, 1))) for _ in range(1000)]
+    g = f[:]
+    r.shuffle(g)
+    g_inverse = [(i, e, -x) for i, e, x in reversed(g)]
+
+    def word(factors):
+        return " ".join(f"z^{e} b{i}^{x} z^{-e}" for i, e, x in factors)
+
+    return {"f": word(f), "g": word(g), "long": word(f + g_inverse)}
+
+
+LONG = long_words()
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["trivial", "--group", "L", LONG["long"]], "TRIVIAL"),
+        (["member", "--group", "L", "--subgroup", "diagonal", LONG["long"] + " z b3 z^-1 b3^-1"],
+         "MEMBER"),
+        (["member", "--group", "L", "--subgroup", "diagonal", LONG["long"] + " z b3 z^-1"],
+         "NONMEMBER"),
+        (["compare", "--group", "L", LONG["f"], LONG["g"]], "EQ clause=equal"),
+        (["compare", "--group", "L", LONG["f"] + " b3", LONG["g"]], "GT clause=value point=1"),
+    ],
+    ids=["trivial", "member", "nonmember", "compare-eq", "compare-gt"],
+)
+def test_long_words(argv, out):
+    assert run_in_process(argv) == (0, out + "\n", "")
+
+
+NINES = "9" * 4300  # as many digits as Python prints by default
+
+
+@pytest.mark.parametrize("output", ["text", "structured"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("normalize", "--group", "L", "z b1^" + "1" * 4400), "column 3: index or exponent"),
+        (("normalize", "--group", "L", f"z^{NINES} z^{NINES}"), "the result holds an integer"),
+        (("normalize", "--group", "G", f"s^{NINES} s^{NINES}"), "the result holds an integer"),
+        (("compare", "--group", "L", f"z^{NINES} z^{NINES} b1 z^-{NINES} z^-{NINES}", ""),
+         "the result holds an integer"),
+    ],
+    ids=["parse", "normalize-L", "normalize-G", "compare-point"],
+)
+def test_integers_past_the_text_limit_fail_clearly(output, argv, message):
+    code, out, err = run_in_process(["--output", output, *argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"wreathembed: error: {message}")
+    assert "Exceeds the limit" not in err and "set_int_max_str" not in err
 
 
 def test_main_builds_its_parser_once(monkeypatch):

@@ -84,10 +84,14 @@ class TestNumbering:
         with pytest.raises(ValueError, match=f"^program index must be >= 0, got {n}$"):
             index_to_program(n)
 
-    @pytest.mark.parametrize("convert", [program_to_index, program_to_text])
+    @pytest.mark.parametrize(
+        "convert",
+        [program_to_index, program_to_text, lambda p: run_status(p, 5)],
+        ids=["program_to_index", "program_to_text", "run_status"],
+    )
     def test_negative_code_rejected(self, convert):
-        # (-1,) used to get the index 1 of (0,), and the text "INC -2", which
-        # parse_program rejects.
+        # (-1,) used to get the index 1 of (0,), the text "INC -2", which
+        # parse_program rejects, and the run ("halt", 2) of INC 1.
         with pytest.raises(ValueError, match="^instruction code must be >= 0, got -1$"):
             convert((-1,))
 

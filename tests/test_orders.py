@@ -107,6 +107,13 @@ class TestLex:
             u, v, w = (random_x_word(rng) for _ in range(3))
             assert lex_less(u, v) == lex_less(u * w, v * w)
 
+    @pytest.mark.parametrize("text, alphabet", [("a1", A_ALPHABET), ("b1", ZB_ALPHABET)],
+                             ids=["a1", "b1"])
+    def test_words_over_another_alphabet_are_refused(self, text, alphabet):
+        # Both used to compare as GT.
+        with pytest.raises(ValueError, match="^expected the free-abelian alphabet$"):
+            HORD.compare(parse_word(text, alphabet), Word.identity(alphabet))
+
 
 class TestPairAdapted:
     def test_relation_respected(self):
