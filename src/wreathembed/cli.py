@@ -31,7 +31,7 @@ from wreathembed.base_groups import (
     re_oracle,
 )
 from wreathembed.orders import fs_compare, lex_order, pair_adapted_order, zb_compare
-from wreathembed.words import parse_word, word_to_text
+from wreathembed.words import max_digits, parse_word, too_many_digits, word_to_text
 
 # One table per selector flag, mapping each choice, in the order ``--help``
 # lists it, to a factory.  A factory looks its callee up when it is called,
@@ -82,18 +82,22 @@ ARGUMENTS = {
 
 
 def _printed(render, *args) -> str:
-    """``render(*args)``, failing clearly on an integer too long to print.
+    """``render(*args)``, failing clearly on an integer of more than
+    ``max_digits()`` decimal digits.
 
-    Rendering a valid result raises ValueError only when one of its
-    integers has more decimal digits than Python's integer-to-text limit.
+    Under Python's integer-to-text limit, rendering such an integer raises
+    ValueError; with the limit off, the rendered text is searched for one.
     """
     try:
-        return render(*args)
+        text = render(*args)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
+        text = None
+    if text is None or too_many_digits(text):
         raise ValueError(
-            f"the result holds an integer of more than {limit} decimal digits, too long to print"
-        ) from None
+            f"the result holds an integer of more than {max_digits()} decimal digits, "
+            "too long to print"
+        )
+    return text
 
 
 # A group as the commands see it: its stage module, its element class, the
@@ -154,10 +158,11 @@ def cmd_compare(args):
 
 
 def cmd_encode(args):
-    # The word prints 2^index - 1 in decimal; refuse up front an index past
-    # Python's integer-to-text limit, or past its default 4300 digits when off.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    if args.index > 0 and (args.index > 4 * limit or (1 << args.index) > 10**limit):
+    # The word prints 2^index - 1 in decimal, which has more than ``limit``
+    # digits exactly when 2^index > 10^limit; an index <= 0 reaches
+    # ``generator_word``'s own error.
+    limit = max_digits()
+    if args.index >= (10**limit).bit_length():
         raise ValueError(
             f"index {args.index} is too large: the exponent 2^{args.index} - 1 "
             f"would have more than {limit} decimal digits"

@@ -27,45 +27,50 @@ programs with unboundedly growing counters are never emitted).
 from __future__ import annotations
 
 import math
+import re
 import threading
 from dataclasses import dataclass, field
 
+from wreathembed.words import max_digits
+
 Program = tuple[int, ...]  # instruction codes, as in the module docstring
+
+
+# A line's words joined by single spaces: the whole text of one instruction.
+_INSTRUCTION = re.compile(r"HALT|INC ([01])|JZDEC ([01]) ([1-9][0-9]*)")
 
 
 def parse_program(text: str) -> Program:
     """Parse program text; raises ValueError naming the offending line.
 
-    Operands are ASCII decimal digits without leading zeros.
+    The words of an instruction are separated by any run of whitespace.
+    Operands are ASCII decimal digits without leading zeros, a jump target
+    of at most ``words.max_digits()`` of them.
     """
     out: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        op, *args = line.split()
-        try:
-            if not all(a.isascii() and a.isdigit() and (a == "0" or a[0] != "0") for a in args):
-                raise ValueError
-            nums = [int(a) for a in args]
-            if op == "HALT" and not nums:
-                out.append(0)
-            elif op == "INC" and nums in ([0], [1]):
-                out.append(1 + nums[0])
-            elif op == "JZDEC" and len(nums) == 2 and nums[0] in (0, 1) and nums[1] >= 1:
-                out.append(3 + 2 * (nums[1] - 1) + nums[0])
-            else:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad instruction {line!r}") from None
+        m = _INSTRUCTION.fullmatch(" ".join(line.split()))
+        if m is None or len(m[3] or "") > max_digits():
+            raise ValueError(f"line {lineno}: bad instruction {line!r}")
+        inc, reg, target = m.groups()  # INC fills inc, JZDEC reg and target
+        out.append(1 + 2 * int(target) + int(reg) if target else 1 + int(inc) if inc else 0)
     return tuple(out)
+
+
+def _checked(program: Program) -> Program:
+    """``program``, once each of its instruction codes is checked to be >= 0."""
+    for code in program:
+        if code < 0:
+            raise ValueError(f"instruction code must be >= 0, got {code}")
+    return program
 
 
 def program_to_text(program: Program) -> str:
     lines = []
-    for code in program:
-        if code < 0:
-            raise ValueError(f"instruction code must be >= 0, got {code}")
+    for code in _checked(program):
         if code == 0:
             lines.append("HALT")
         elif code <= 2:
@@ -87,9 +92,7 @@ def cantor_unpair(n: int) -> tuple[int, int]:
 
 def program_to_index(program: Program) -> int:
     n = 0
-    for code in reversed(program):
-        if code < 0:
-            raise ValueError(f"instruction code must be >= 0, got {code}")
+    for code in reversed(_checked(program)):
         n = cantor_pair(code, n) + 1
     return n
 
@@ -168,10 +171,7 @@ def run_status(program: Program, max_steps: int) -> tuple[str, int]:
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    for code in program:
-        if code < 0:
-            raise ValueError(f"instruction code must be >= 0, got {code}")
-    run = _RunState(program)
+    run = _RunState(_checked(program))
     fate = run.advance(max_steps)
     return (fate, run.steps) if fate else ("running", max_steps)
 

@@ -24,6 +24,7 @@ push keeps words and both stages canonical.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import ClassVar, Iterable
 
@@ -151,6 +152,21 @@ class Word:
         return word_to_text(self)
 
 
+def max_digits() -> int:
+    """The most decimal digits an index, exponent or printed integer may have.
+
+    This is Python's integer-to-text limit, or its default of 4300 when the
+    limit is off (0, or absent before Python 3.10.7), so that the package
+    bounds its integers the same way under every setting.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def too_many_digits(text: str) -> bool:
+    """Whether ``text`` holds a run of more than :func:`max_digits` decimal digits."""
+    return re.search(f"(?<![0-9])[0-9]{{{max_digits() + 1}}}", text) is not None
+
+
 # One match per term: a well-formed term fills the groups, and any other
 # maximal run of non-whitespace matches the second branch as a malformed term.
 # ``[0-9]``, not ``\d``, so that non-ASCII digits stay malformed.
@@ -158,17 +174,21 @@ _TOKEN = re.compile(r"([a-z])([0-9]*)(?:\^([+-]?[0-9]+))?(?!\S)|\S+")
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse word text; raises WordError with a 1-based column on bad input."""
+    """Parse word text; raises WordError with a 1-based column on bad input.
+
+    An index or exponent may have at most :func:`max_digits` digits.
+    """
+    bound = max_digits()
     runs: list[_Run] = []
     for m in _TOKEN.finditer(text):
         letter, digits, exp_text = m.groups()
         if letter is None:
             raise WordError(f"malformed term {m.group()!r}", m.start() + 1)
-        try:
-            index = int(digits) if digits else None
-            exp = int(exp_text) if exp_text is not None else 1
-        except ValueError:  # the digits pass Python's integer-to-text limit
-            raise WordError("index or exponent has too many digits", m.start() + 1) from None
+        # Only a term longer than the bound can hold a digit string past it.
+        if m.end() - m.start() > bound and too_many_digits(m.group()):
+            raise WordError("index or exponent has too many digits", m.start() + 1)
+        index = int(digits) if digits else None
+        exp = int(exp_text) if exp_text is not None else 1
         try:
             alphabet.validate(letter, index)
         except WordError as exc:

@@ -15,7 +15,11 @@ multiplies the generator words and parses the product, where
 runs, and :func:`zb_value_at_by_make` canonicalizes the base value with
 ``Word.make``.  :func:`parse_word_by_tokens` is the word parser the library
 replaced by a one-pass tokenizer: it cuts the text into runs of
-non-whitespace first and matches each with a second pattern.
+non-whitespace first and matches each with a second pattern, and it bounds
+each index and exponent by ``words.max_digits()`` digit by digit.
+:func:`parse_program_by_checks` is the register-machine text parser that
+``machines.parse_program``'s one instruction pattern replaced: it splits a
+line into words and checks the operands one by one.
 The two compares are the lifted orders as they were computed before each
 order became a sign rule on its positive cone.
 :func:`zb_compare_by_min_support` finds the least support point of
@@ -39,7 +43,15 @@ from typing import Callable
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, UNKNOWN, GroupOracle, SemiVerdict
 from wreathembed.twogen import FSElement
-from wreathembed.words import FS_ALPHABET, X_ALPHABET, Alphabet, Word, WordError, _push
+from wreathembed.words import (
+    FS_ALPHABET,
+    X_ALPHABET,
+    Alphabet,
+    Word,
+    WordError,
+    _push,
+    max_digits,
+)
 from wreathembed.wreath import ZBElement
 
 # -- the routes through words ---------------------------------------------------
@@ -73,17 +85,42 @@ def parse_word_by_tokens(text: str, alphabet: Alphabet) -> Word:
         if m is None:
             raise WordError(f"malformed term {token!r}", pos)
         letter, digits, exp_text = m.group(1), m.group(2), m.group(3)
-        try:
-            index = int(digits) if digits else None
-            exp = int(exp_text) if exp_text is not None else 1
-        except ValueError:  # the digits pass Python's integer-to-text limit
-            raise WordError("index or exponent has too many digits", pos) from None
+        if any(len(d.lstrip("+-")) > max_digits() for d in (digits, exp_text or "")):
+            raise WordError("index or exponent has too many digits", pos)
+        index = int(digits) if digits else None
+        exp = int(exp_text) if exp_text is not None else 1
         try:
             alphabet.validate(letter, index)
         except WordError as exc:
             raise WordError(str(exc), pos) from None
         _push(runs, (letter, index, exp))
     return Word(alphabet, tuple(runs))
+
+
+def parse_program_by_checks(text: str) -> tuple[int, ...]:
+    """Program text parsed by splitting each line into words and checking
+    the operands one by one."""
+    out: list[int] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        op, *args = line.split()
+        try:
+            if not all(a.isascii() and a.isdigit() and (a == "0" or a[0] != "0") for a in args):
+                raise ValueError
+            nums = [int(a) for a in args]
+            if op == "HALT" and not nums:
+                out.append(0)
+            elif op == "INC" and nums in ([0], [1]):
+                out.append(1 + nums[0])
+            elif op == "JZDEC" and len(nums) == 2 and nums[0] in (0, 1) and nums[1] >= 1:
+                out.append(3 + 2 * (nums[1] - 1) + nums[0])
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad instruction {line!r}") from None
+    return tuple(out)
 
 
 def zb_decode(a: ZBElement, H: GroupOracle) -> Word:

@@ -29,6 +29,7 @@ import os
 import random
 import shlex
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -277,12 +278,34 @@ NINES = "9" * 4300  # as many digits as Python prints by default
     ],
     ids=["parse", "normalize-L", "normalize-G", "compare-point"],
 )
-def test_integers_past_the_text_limit_fail_clearly(output, argv, message):
+def test_integers_past_the_text_limit_fail_clearly(output, argv, message, int_text_limit):
+    # The same 4300-digit bound whether Python's limit is at its default or off.
     code, out, err = run_in_process(["--output", output, *argv])
     assert code == 1
     assert out == ""
     assert err.startswith(f"wreathembed: error: {message}")
     assert "Exceeds the limit" not in err and "set_int_max_str" not in err
+
+
+def test_encode_index_bound_is_exact(int_text_limit):
+    # 2^14284 - 1 has 4300 digits; 2^14285 - 1 has 4301.
+    code, out, err = run_in_process(["encode", "14284"])
+    assert (code, err) == (0, "")
+    assert len(out.split()[1]) == len("s^") + 4300
+    assert run_in_process(["encode", "14285"]) == (
+        1,
+        "",
+        "wreathembed: error: index 14285 is too large: the exponent 2^14285 - 1 "
+        "would have more than 4300 decimal digits\n",
+    )
+
+
+def test_a_million_digit_exponent_fails_at_once(int_text_limit):
+    start = time.perf_counter()
+    code, out, err = run_in_process(["normalize", "--group", "G", "s^" + "9" * 10**6])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == "wreathembed: error: column 1: index or exponent has too many digits\n"
 
 
 def test_main_builds_its_parser_once(monkeypatch):

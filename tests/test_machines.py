@@ -1,4 +1,5 @@
 import doctest
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from wreathembed.machines import (
     shared_enumeration,
     step,
 )
+
+from reference_scans import parse_program_by_checks
 
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -55,6 +58,62 @@ class TestText:
     def test_operand_is_ascii_digits(self, text):
         with pytest.raises(ValueError, match="line 1: bad instruction"):
             parse_program(text)
+
+
+# Pieces of random program lines: instruction words in either case, operands
+# with leading zeros, signs and non-ASCII digits (Arabic-Indic three,
+# fullwidth one, superscript one), and runs of ASCII and non-ASCII spaces.
+OPS = ["HALT", "INC", "JZDEC"] * 8 + ["halt", "Inc", "jzDEC", "NOP", "HALT0", "INC0", "JZ"]
+OPERANDS = ["0", "1"] * 8 + ["2", "3", "9", "10", "123", "00", "01", "007", "+1", "-1", "-0",
+                             "1_0", "\u0663", "\uff11", "\u00b9", "1\u0663", "2\uff11", "1.0"]
+SPACES = [" "] * 6 + ["  ", "\t", " \t ", "\u00a0", "\u2003", "\u3000"]
+ARITY = {"HALT": 0, "INC": 1, "JZDEC": 2}
+
+
+def _random_line(rng: random.Random) -> str:
+    op = rng.choice(OPS)
+    arity = max(0, ARITY.get(op, rng.randrange(3)) + rng.choice([0] * 8 + [-1, 1]))
+    words = [op] + [rng.choice(OPERANDS) for _ in range(arity)]
+    if op == "JZDEC" and arity == 2 and rng.random() < 0.3:
+        words[2] = str(rng.randrange(1, 10**6))
+    edge = ["", "", "", " ", "\t", "\u00a0"]
+    return rng.choice(edge) + "".join(w + rng.choice(SPACES) for w in words).rstrip() + rng.choice(edge)
+
+
+def _outcome(text: str):
+    # The parsed program, or the error text.
+    try:
+        return parse_program(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _outcome_by_checks(text: str):
+    try:
+        return parse_program_by_checks(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_matches_check_by_check_parser():
+    rng = random.Random("parse-program")
+    kinds = {tuple: 0, str: 0}
+    for _ in range(20_000):
+        lines = [_random_line(rng) if rng.random() < 0.9 else "" for _ in range(rng.randrange(1, 4))]
+        text = rng.choice(["\n", "\r\n", "\u2028"]).join(lines)
+        got = _outcome(text)
+        assert got == _outcome_by_checks(text), repr(text)
+        kinds[type(got)] += 1
+    # Both the programs and the errors are well represented.
+    assert min(kinds.values()) > 4_000, kinds
+
+
+def test_jump_target_digits_are_bounded(int_text_limit):
+    # A jump target may have as many digits as an exponent, whatever Python's limit.
+    target = "9" * 4300
+    assert parse_program("JZDEC 1 " + target) == (2 + 2 * int(target),)
+    with pytest.raises(ValueError, match="^line 2: bad instruction 'JZDEC 1 9"):
+        parse_program("HALT\nJZDEC 1 9" + target)
 
 
 class TestNumbering:

@@ -13,6 +13,7 @@ from wreathembed.words import (
     Alphabet,
     Word,
     WordError,
+    max_digits,
     parse_word,
     word_to_text,
 )
@@ -161,12 +162,26 @@ def test_invert_of_parse_example():
     assert word_to_text(~w) == "s^-2 f^-1"
 
 
-def test_overlong_numbers_are_positioned_word_errors():
-    # Past Python's integer-to-text limit (4300 digits by default).
+def test_overlong_numbers_are_positioned_word_errors(int_text_limit):
+    # Past max_digits(): Python's integer-to-text limit, 4300 digits by
+    # default, and the same 4300 when the limit is off.
     with pytest.raises(WordError) as exc:
         parse_word("z^" + "9" * 4400, ZB_ALPHABET)
     assert exc.value.position == 1
     assert "too many digits" in str(exc.value)
+
+
+def test_digit_bound_is_exact(int_text_limit):
+    assert max_digits() == 4300
+    nines = "9" * 4300
+    assert parse_word(f"b{nines}^-{nines}", ZB_ALPHABET).runs == (("b", int(nines), -int(nines)),)
+    assert parse_word(f"z^+{nines}", ZB_ALPHABET).runs == (("z", None, int(nines)),)
+    for text in (f"z b{nines}9", f"z b1^{nines}9", f"z z^-{nines}9", f"z z^+0{nines}"):
+        with pytest.raises(WordError, match="^column 3: index or exponent has too many digits$"):
+            parse_word(text, ZB_ALPHABET)
+        assert _outcome(parse_word_by_tokens, text, ZB_ALPHABET) == (
+            "column 3: index or exponent has too many digits", 3
+        )
 
 
 # -- the one-pass tokenizer against the token-by-token parser ------------------
