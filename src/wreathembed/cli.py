@@ -31,7 +31,7 @@ from wreathembed.base_groups import (
     re_oracle,
 )
 from wreathembed.orders import fs_compare, lex_order, pair_adapted_order, zb_compare
-from wreathembed.words import max_digits, parse_word, too_many_digits, word_to_text
+from wreathembed.words import int_text, max_digits, parse_word, word_to_text
 
 # One table per selector flag, mapping each choice, in the order ``--help``
 # lists it, to a factory.  A factory looks its callee up when it is called,
@@ -59,12 +59,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _count(text: str) -> int:
-    """Argument type of ``--fuel`` and ``--max-n``: a non-negative integer."""
+def _integer(text: str) -> int:
+    """Argument type of ``encode``'s index: an integer of at most ``max_digits()`` digits,
+    counted before ``int`` reads them, so that a longer one is refused at once, unechoed."""
+    if len(text) > max_digits() and sum(map(str.isdigit, text)) > max_digits():
+        raise argparse.ArgumentTypeError(f"integer has more than {max_digits()} decimal digits")
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """Argument type of ``--fuel`` and ``--max-n``: a non-negative :func:`_integer`."""
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
@@ -79,25 +87,6 @@ ARGUMENTS = {
     "--fuel": {"type": _count, "default": 64},
     "word": {"nargs": "?", "default": ""},
 }
-
-
-def _printed(render, *args) -> str:
-    """``render(*args)``, failing clearly on an integer of more than
-    ``max_digits()`` decimal digits.
-
-    Under Python's integer-to-text limit, rendering such an integer raises
-    ValueError; with the limit off, the rendered text is searched for one.
-    """
-    try:
-        text = render(*args)
-    except ValueError:
-        text = None
-    if text is None or too_many_digits(text):
-        raise ValueError(
-            f"the result holds an integer of more than {max_digits()} decimal digits, "
-            "too long to print"
-        )
-    return text
 
 
 # A group as the commands see it: its stage module, its element class, the
@@ -121,7 +110,7 @@ def _element(args, text: str):
 
 
 def cmd_normalize(args):
-    text = _printed(_element(args, args.word).normal_form_text)
+    text = _element(args, args.word).normal_form_text()
     return 0, [{"command": "normalize", "group": args.group, "normal_form": text}], [text]
 
 
@@ -151,7 +140,7 @@ def cmd_compare(args):
     base, order = BASES[args.base](), ORDERS[args.base]()
     left, right = _element(args, args.left), _element(args, args.right)
     verdict, clause, point = _group(args.group).compare(left, right, order, base)
-    text = f"{verdict} clause={clause}" + ("" if point is None else " point=" + _printed(str, point))
+    text = f"{verdict} clause={clause}" + ("" if point is None else " point=" + int_text(point))
     record = {"command": "compare", "group": args.group, "base": args.base,
               "verdict": verdict, "clause": clause, "point": point}
     return 0, [record], [text]
@@ -174,7 +163,7 @@ def cmd_encode(args):
 def cmd_decode(args):
     base = BASES[args.base]()
     element = _element(args, args.word)
-    decoded = _printed(word_to_text, twogen.decode(element, base))
+    decoded = word_to_text(twogen.decode(element, base))
     return 0, [{"command": "decode", "base": args.base, "word": decoded}], [decoded]
 
 
@@ -240,7 +229,7 @@ def build_parser() -> _Parser:
     p.add_argument("left", nargs="?", default="")
     p.add_argument("right", nargs="?", default="")
     p = add(sub, "encode", cmd_encode, "embed the i-th base generator")
-    p.add_argument("index", type=int)
+    p.add_argument("index", type=_integer)
     p = add(sub, "decode", cmd_decode, "recover a base word from its embedding", "--base", "word")
     p.set_defaults(group="G")
 

@@ -31,7 +31,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 
-from wreathembed.words import max_digits
+from wreathembed.words import int_text, max_digits
 
 Program = tuple[int, ...]  # instruction codes, as in the module docstring
 
@@ -76,7 +76,7 @@ def program_to_text(program: Program) -> str:
         elif code <= 2:
             lines.append(f"INC {code - 1}")
         else:
-            lines.append(f"JZDEC {(code - 3) % 2} {(code - 3) // 2 + 1}")
+            lines.append(f"JZDEC {(code - 3) % 2} {int_text((code - 3) // 2 + 1)}")
     return "\n".join(lines)
 
 
@@ -234,14 +234,9 @@ class DovetailEnumeration:
         return self._nth(self.cycling, i)
 
 
-_shared: DovetailEnumeration | None = None
-_shared_lock = threading.Lock()
+_shared = DovetailEnumeration()
 
 
 def shared_enumeration() -> DovetailEnumeration:
     """Process-wide memoized enumeration; probes share discovered prefixes."""
-    global _shared
-    with _shared_lock:
-        if _shared is None:
-            _shared = DovetailEnumeration()
-        return _shared
+    return _shared

@@ -162,9 +162,19 @@ def max_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
-def too_many_digits(text: str) -> bool:
-    """Whether ``text`` holds a run of more than :func:`max_digits` decimal digits."""
-    return re.search(f"(?<![0-9])[0-9]{{{max_digits() + 1}}}", text) is not None
+def int_text(n: int) -> str:
+    """``str(n)``, or ValueError when ``n`` has more than :func:`max_digits` decimal
+    digits, its sign not counted.  Every integer the package prints is rendered here."""
+    try:
+        text = str(n)
+        if len(text) - (n < 0) <= max_digits():
+            return text
+    except ValueError:
+        pass
+    raise ValueError(
+        f"the result holds an integer of more than {max_digits()} decimal digits, "
+        "too long to print"
+    )
 
 
 # One match per term: a well-formed term fills the groups, and any other
@@ -184,8 +194,10 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         letter, digits, exp_text = m.groups()
         if letter is None:
             raise WordError(f"malformed term {m.group()!r}", m.start() + 1)
-        # Only a term longer than the bound can hold a digit string past it.
-        if m.end() - m.start() > bound and too_many_digits(m.group()):
+        # Only a term longer than the bound can hold an index or exponent past it.
+        if m.end() - m.start() > bound and (
+            len(digits) > bound or len((exp_text or "").lstrip("+-")) > bound
+        ):
             raise WordError("index or exponent has too many digits", m.start() + 1)
         index = int(digits) if digits else None
         exp = int(exp_text) if exp_text is not None else 1
@@ -201,8 +213,8 @@ def word_to_text(word: Word) -> str:
     """Inverse of parse_word on canonical words; identity prints as ''."""
     terms = []
     for letter, index, exp in word.runs:
-        gen = letter if index is None else f"{letter}{index}"
-        terms.append(gen if exp == 1 else f"{gen}^{exp}")
+        gen = letter if index is None else letter + int_text(index)
+        terms.append(gen if exp == 1 else f"{gen}^{int_text(exp)}")
     return " ".join(terms)
 
 
@@ -316,5 +328,5 @@ class WreathElement:
         return Word(self.ALPHABET, tuple(runs))
 
     def normal_form_text(self) -> str:
-        body = ",".join("(" + ",".join(map(str, factor)) + ")" for factor in self.factors)
-        return f"[{body}] ; {self.tail}"
+        body = ",".join("(" + ",".join(map(int_text, factor)) + ")" for factor in self.factors)
+        return f"[{body}] ; {int_text(self.tail)}"

@@ -44,7 +44,6 @@ from wreathembed.words import (
     ZB_ALPHABET,
     Alphabet,
     Word,
-    WordError,
     WreathElement,
     _push,
 )
@@ -74,7 +73,7 @@ def value_at(a: ZBElement, nu: int, alphabet: Alphabet = X_ALPHABET) -> Word:
     for i, eta, xi in a.factors:
         if nu + eta >= 1:
             if i < 1:
-                raise WordError(f"index must be >= 1, got {letter}{i}")
+                alphabet.validate(letter, i)
             _push(runs, (letter, i, xi))
     return Word(alphabet, tuple(runs))
 
@@ -120,7 +119,7 @@ def _walk(
         while pending and nu + pending[-1][1] >= 1:
             i, _, xi = pending.pop()
             if i < 1:
-                raise WordError(f"index must be >= 1, got {next(iter(alphabet.indexed))}{i}")
+                alphabet.validate(next(iter(alphabet.indexed)), i)
             _shift(vector, i, xi)
         yield nu, rule(vector, *args)
 

@@ -301,11 +301,33 @@ def test_encode_index_bound_is_exact(int_text_limit):
 
 
 def test_a_million_digit_exponent_fails_at_once(int_text_limit):
-    start = time.perf_counter()
-    code, out, err = run_in_process(["normalize", "--group", "G", "s^" + "9" * 10**6])
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (1, "")
-    assert err == "wreathembed: error: column 1: index or exponent has too many digits\n"
+    # Each integer a command reads is bounded before it is converted, and the
+    # message does not echo it.
+    million = "9" * 10**6
+    too_long = "integer has more than 4300 decimal digits"
+    for argv, message in [
+        (["normalize", "--group", "G", "s^" + million],
+         "wreathembed: error: column 1: index or exponent has too many digits"),
+        (["trivial", "--group", "L", "--fuel", million, ""],
+         f"wreathembed trivial: error: argument --fuel: {too_long}"),
+        (["demo", "theorem2", "--max-n", million],
+         f"wreathembed demo theorem2: error: argument --max-n: {too_long}"),
+        (["encode", million], f"wreathembed encode: error: argument index: {too_long}"),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run_in_process(argv)
+        assert time.perf_counter() - start < 1, argv[:2]
+        assert (code, out, err) == (1, "", message + "\n")
+        assert len(err) < 200
+
+
+def test_integer_argument_bound_is_exact(int_text_limit):
+    # A sign is not counted, as in a word; the next digit is refused.
+    nines = "9" * 4300
+    for fuel in (nines, "+" + nines):
+        assert run_in_process(["trivial", "--fuel", fuel, "f"]) == (0, "NONTRIVIAL\n", "")
+    message = "wreathembed trivial: error: argument --fuel: integer has more than 4300 decimal digits"
+    assert run_in_process(["trivial", "--fuel", nines + "9", "f"]) == (1, "", message + "\n")
 
 
 def test_main_builds_its_parser_once(monkeypatch):

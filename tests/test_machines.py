@@ -116,6 +116,14 @@ def test_jump_target_digits_are_bounded(int_text_limit):
         parse_program("HALT\nJZDEC 1 9" + target)
 
 
+def test_program_text_bounds_each_jump_target(int_text_limit):
+    # The package's message, not Python's, for a target too long to print.
+    target = 10**4300 - 1
+    assert program_to_text((2 + 2 * target,)) == f"JZDEC 1 {'9' * 4300}"
+    with pytest.raises(ValueError, match="^the result holds an integer of more than 4300 decimal"):
+        program_to_text((10**5000,))
+
+
 class TestNumbering:
     def test_pairing_roundtrip(self):
         for n in range(2000):

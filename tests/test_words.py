@@ -13,6 +13,7 @@ from wreathembed.words import (
     Alphabet,
     Word,
     WordError,
+    int_text,
     max_digits,
     parse_word,
     word_to_text,
@@ -182,6 +183,30 @@ def test_digit_bound_is_exact(int_text_limit):
         assert _outcome(parse_word_by_tokens, text, ZB_ALPHABET) == (
             "column 3: index or exponent has too many digits", 3
         )
+
+
+TOO_LONG = "^the result holds an integer of more than 4300 decimal digits, too long to print$"
+
+
+def test_int_text_bound_is_exact(int_text_limit):
+    # The same 4300 digits whether Python's limit is at its default or off;
+    # a minus sign is not counted, and Python's own message never shows.
+    nines = 10**4300 - 1
+    assert int_text(nines) == "9" * 4300
+    assert int_text(-nines) == "-" + "9" * 4300
+    for n in (nines + 1, -nines - 1):
+        with pytest.raises(ValueError, match=TOO_LONG) as exc:
+            int_text(n)
+        assert "Exceeds the limit" not in str(exc.value)
+
+
+def test_word_to_text_bounds_each_integer(int_text_limit):
+    # A word built in the library, not parsed, still prints through the bound.
+    nines = Word.make(ZB_ALPHABET, [("z", None, -(10**4300 - 1))])
+    assert word_to_text(nines) == "z^-" + "9" * 4300
+    for runs in ([("z", None, 10**4300)], [("b", 10**4300, 1)]):
+        with pytest.raises(ValueError, match=TOO_LONG):
+            word_to_text(Word.make(ZB_ALPHABET, runs))
 
 
 # -- the one-pass tokenizer against the token-by-token parser ------------------
