@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from wreathembed import machines
-from wreathembed.words import A_ALPHABET, X_ALPHABET, Alphabet, Word
+from wreathembed.words import A_ALPHABET, X_ALPHABET, Alphabet, Word, _at_least
 
 
 class SemiVerdict(enum.Enum):
@@ -122,8 +122,7 @@ def _grow_primes() -> None:
 
 def prime(i: int) -> int:
     """The i-th prime, 1-based: prime(1) = 2."""
-    if i < 1:
-        raise ValueError("prime index must be >= 1")
+    _at_least(i, 1, "prime index")
     with _primes_lock:
         while len(_primes) < i:
             _grow_primes()
@@ -210,8 +209,8 @@ def mock_pair() -> EnumeratedPair:
     """A decidable stand-in pair: N the odd naturals, M the even ones."""
     return EnumeratedPair(
         name="mock-odd-even",
-        enum_n=lambda i: 2 * i - 1,
-        enum_m=lambda i: 2 * i,
+        enum_n=lambda i: 2 * _at_least(i, 1, "enumeration index") - 1,
+        enum_m=lambda i: 2 * _at_least(i, 1, "enumeration index"),
         classify=_classify_odd_even,
     )
 
@@ -231,9 +230,7 @@ def halting_pair() -> EnumeratedPair:
     enum = machines.shared_enumeration()
 
     def enum_n(i: int) -> int:
-        if i < 1:
-            raise ValueError("enumeration index must be >= 1")
-        return enum.halting(i + 1)
+        return enum.halting(_at_least(i, 1, "enumeration index") + 1)
 
     return EnumeratedPair(name="halting", enum_n=enum_n, enum_m=enum.cycling_at)
 

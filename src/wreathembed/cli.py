@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from collections import namedtuple
 
@@ -54,20 +55,30 @@ PAIRS = {
 HINTED_PAIRS = ("mock-odd-even",)  # theorem1 needs a membership hint
 
 
+# The most characters of an error message the CLI prints.  A longer message
+# keeps both ends, so that argparse's "(choose from ...)" list still shows.
+_MESSAGE_CAP = 500
+
+
+def _capped(message: str) -> str:
+    half = (_MESSAGE_CAP - 3) // 2
+    return message if len(message) <= _MESSAGE_CAP else f"{message[:half]}...{message[-half:]}"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage problems exit 1, not argparse's 2
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.prog}: error: {_capped(message)}\n")
 
 
 def _integer(text: str) -> int:
-    """Argument type of ``encode``'s index: an integer of at most ``max_digits()`` digits,
-    counted before ``int`` reads them, so that a longer one is refused at once, unechoed."""
-    if len(text) > max_digits() and sum(map(str.isdigit, text)) > max_digits():
+    """Argument type of ``encode``'s index: an integer in ASCII digits, as in a word, of
+    at most ``max_digits()`` digits, counted before ``int`` reads them, so that a longer
+    one is refused at once, unechoed."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    if len(text.lstrip("+-")) > max_digits():
         raise argparse.ArgumentTypeError(f"integer has more than {max_digits()} decimal digits")
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    return int(text)
 
 
 def _count(text: str) -> int:
@@ -254,5 +265,5 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(lines))
         return code
     except ValueError as exc:  # WordError included
-        print(f"wreathembed: error: {exc}", file=sys.stderr)
+        print(f"wreathembed: error: {_capped(str(exc))}", file=sys.stderr)
         return 1

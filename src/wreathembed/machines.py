@@ -31,7 +31,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 
-from wreathembed.words import int_text, max_digits
+from wreathembed.words import _at_least, int_text, max_digits
 
 Program = tuple[int, ...]  # instruction codes, as in the module docstring
 
@@ -63,8 +63,7 @@ def parse_program(text: str) -> Program:
 def _checked(program: Program) -> Program:
     """``program``, once each of its instruction codes is checked to be >= 0."""
     for code in program:
-        if code < 0:
-            raise ValueError(f"instruction code must be >= 0, got {code}")
+        _at_least(code, 0, "instruction code")
     return program
 
 
@@ -98,8 +97,7 @@ def program_to_index(program: Program) -> int:
 
 
 def index_to_program(n: int) -> Program:
-    if n < 0:
-        raise ValueError(f"program index must be >= 0, got {n}")
+    _at_least(n, 0, "program index")
     out: list[int] = []
     while n > 0:
         code, n = cantor_unpair(n - 1)
@@ -169,8 +167,7 @@ def run_status(program: Program, max_steps: int) -> tuple[str, int]:
     Cycles in the configuration sequence are found with Brent's algorithm,
     as in the enumeration.
     """
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    _at_least(max_steps, 0, "max_steps")
     run = _RunState(_checked(program))
     fate = run.advance(max_steps)
     return (fate, run.steps) if fate else ("running", max_steps)
@@ -218,8 +215,7 @@ class DovetailEnumeration:
             (self.halted if fate == "halt" else self.cycling).append(g)
 
     def _nth(self, stream: list[int], i: int) -> int:
-        if i < 1:
-            raise ValueError("enumeration index must be >= 1")
+        _at_least(i, 1, "enumeration index")
         with self._lock:
             while len(stream) < i:
                 self._advance_one_tick()

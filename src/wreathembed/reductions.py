@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from wreathembed import twogen
 from wreathembed.base_groups import EnumeratedPair, SemiVerdict, insep_oracle, re_oracle
 from wreathembed.orders import OrderOracle, lifted_order, pair_adapted_order
-from wreathembed.words import A_ALPHABET, Word
+from wreathembed.words import A_ALPHABET, Word, _at_least
 
 
 # Called by perfbench/workloads.py (SeparateMock); perfbench/spans.py traces it by name (EXTRA).
@@ -50,8 +50,7 @@ def separator(n: int, order: OrderOracle) -> bool:
     on the same side of the identity ("weakly": equality counts for both
     sides).  Read off the two signs, so two sign calls.
     """
-    if n < 1:
-        raise ValueError("index must be >= 1")
+    _at_least(n, 1, "index")
     return _same_side(*_signs(n, order))
 
 
@@ -101,8 +100,7 @@ def merge_probe(n: int, enum_n, fuel: int) -> SemiVerdict:
     enumerated value is fetched once, however many probes ask for it.
     The base word is built directly as its two runs, with no text.
     """
-    if n < 1:
-        raise ValueError("index must be >= 1")
+    _at_least(n, 1, "index")
     word = Word(A_ALPHABET, (("a", 2 * n, 1), ("a", 2 * n - 1, -1)))
     element = twogen.encode_word(word)
     return twogen.semi_trivial(element, re_oracle(enum_n), fuel)

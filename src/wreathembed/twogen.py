@@ -44,7 +44,7 @@ from typing import Iterable, Iterator
 
 from wreathembed import wreath
 from wreathembed.base_groups import NONTRIVIAL, GroupOracle, SemiVerdict
-from wreathembed.words import FS_ALPHABET, Word, WreathElement, _push
+from wreathembed.words import FS_ALPHABET, Word, WreathElement, _at_least, _push
 from wreathembed.wreath import ZBElement
 
 
@@ -168,8 +168,7 @@ def _generator_factors(i: int, sign: int) -> tuple[tuple[int, int], ...]:
     # The commutator f s^k f s^-k f^-1 s^k f^-1 s^-k with k = 2^i - 1 in normal
     # form or, for sign < 0, its inverse: [x, y]^-1 = [y, x] swaps the classes
     # 0 and k.  k >= 1, so no two adjacent factors share a class, even across copies.
-    if i < 1:
-        raise ValueError(f"generator index must be >= 1, got {i}")
+    _at_least(i, 1, "generator index")
     x, y = (0, (1 << i) - 1) if sign > 0 else ((1 << i) - 1, 0)
     return ((x, 1), (y, 1), (x, -1), (y, -1))
 

@@ -67,7 +67,7 @@ class Alphabet:
             if index is None:
                 raise WordError(f"letter {letter!r} requires an index")
             if index < 1:
-                raise WordError(f"index must be >= 1, got {letter}{index}")
+                raise WordError(f"index must be >= 1, got {letter}{_shown(index)}")
         else:
             raise WordError(f"unknown letter {letter!r} for alphabet {self.name}")
 
@@ -175,6 +175,20 @@ def int_text(n: int) -> str:
         f"the result holds an integer of more than {max_digits()} decimal digits, "
         "too long to print"
     )
+
+
+def _shown(n: int) -> str:
+    # A caller's integer as an error message shows it: its text within the
+    # digit bound, else a note naming the bound, without converting it to text.
+    return int_text(n) if abs(n) < 10 ** max_digits() else f"<more than {max_digits()} digits>"
+
+
+def _at_least(n: int, least: int, what: str) -> int:
+    """``n``, or ValueError ``{what} must be >= {least}, got {n}``: the one range
+    check of the package's integer arguments."""
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}, got {_shown(n)}")
+    return n
 
 
 # One match per term: a well-formed term fills the groups, and any other

@@ -330,6 +330,48 @@ def test_integer_argument_bound_is_exact(int_text_limit):
     assert run_in_process(["trivial", "--fuel", nines + "9", "f"]) == (1, "", message + "\n")
 
 
+@pytest.mark.parametrize(
+    "argv, start, end",
+    [
+        (["trivial", "--fuel", "a" * 10**6, "f"],
+         "wreathembed trivial: error: argument --fuel: invalid integer: 'aaa", "aaa'"),
+        (["encode", "x" * 10**6], "wreathembed encode: error: argument index: invalid integer: 'xxx",
+         "xxx'"),
+        (["trivial", "--base", "q" * 10**6, "f"],
+         "wreathembed trivial: error: argument --base: invalid choice: 'qqq",
+         "(choose from 'free-abelian', 'insep:mock-odd-even', 'insep:halting', 're:mock', "
+         "'re:halting')"),
+        (["normalize", "--group", "G", "f^" + "9" * 10**6 + "x"],
+         "wreathembed: error: column 1: malformed term 'f^999", "999x'"),
+    ],
+    ids=["fuel", "encode", "base", "term"],
+)
+def test_a_million_character_error_message_is_capped(argv, start, end, int_text_limit):
+    # Both ends of a long message are kept, joined by "...".
+    began = time.perf_counter()
+    code, out, err = run_in_process(argv)
+    assert time.perf_counter() - began < 1
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err) <= 600
+    assert err.startswith(start) and err.endswith(end + "\n") and "..." in err
+
+
+@pytest.mark.parametrize("text", ["1_000", " 5", "5 ", "\u0665"])
+def test_integer_arguments_take_ascii_digits_only(text):
+    # The integer grammar of a word: an optional sign, then ASCII digits.
+    assert run_in_process(["trivial", "--fuel", text, "f"]) == (
+        1, "", f"wreathembed trivial: error: argument --fuel: invalid integer: {text!r}\n"
+    )
+    assert run_in_process(["encode", text]) == (
+        1, "", f"wreathembed encode: error: argument index: invalid integer: {text!r}\n"
+    )
+
+
+def test_integer_arguments_take_a_sign():
+    assert run_in_process(["trivial", "--fuel", "+7", "f"]) == (0, "NONTRIVIAL\n", "")
+    assert run_in_process(["encode", "+1"]) == (0, G1 + "\n", "")
+
+
 def test_main_builds_its_parser_once(monkeypatch):
     from wreathembed import cli
 

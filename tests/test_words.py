@@ -1,10 +1,14 @@
 import random
 import string
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wreathembed import machines, reductions, twogen, wreath
+from wreathembed.base_groups import halting_pair, insep_oracle, mock_pair, prime
+from wreathembed.orders import lifted_order, pair_adapted_order
 from wreathembed.words import (
     A_ALPHABET,
     FS_ALPHABET,
@@ -13,6 +17,7 @@ from wreathembed.words import (
     Alphabet,
     Word,
     WordError,
+    _at_least,
     int_text,
     max_digits,
     parse_word,
@@ -207,6 +212,71 @@ def test_word_to_text_bounds_each_integer(int_text_limit):
     for runs in ([("z", None, 10**4300)], [("b", 10**4300, 1)]):
         with pytest.raises(ValueError, match=TOO_LONG):
             word_to_text(Word.make(ZB_ALPHABET, runs))
+
+
+# -- one range check for every integer argument ---------------------------------
+
+_MOCK = mock_pair()
+_ORDER = lifted_order(insep_oracle(_MOCK), pair_adapted_order(_MOCK))
+
+# Each range-checked entry point: (call on one integer, least value allowed,
+# message with ``{}`` for the value).
+RANGE_CHECKS = {
+    "validate": (lambda n: X_ALPHABET.validate("x", n), 1, "index must be >= 1, got x{}"),
+    "Word.make": (lambda n: Word.make(A_ALPHABET, [("a", n, 1)]), 1,
+                  "index must be >= 1, got a{}"),
+    "ZBElement.make": (lambda n: wreath.ZBElement.make([(n, 0, 1)]), 1,
+                       "index must be >= 1, got b{}"),
+    "value_at": (lambda n: wreath.value_at(wreath.ZBElement(((n, 5, 1),)), 0), 1,
+                 "index must be >= 1, got x{}"),
+    "prime": (prime, 1, "prime index must be >= 1, got {}"),
+    "mock enum_n": (_MOCK.enum_n, 1, "enumeration index must be >= 1, got {}"),
+    "mock enum_m": (_MOCK.enum_m, 1, "enumeration index must be >= 1, got {}"),
+    "halting enum_n": (lambda n: halting_pair().enum_n(n), 1,
+                       "enumeration index must be >= 1, got {}"),
+    "halting enum_m": (lambda n: halting_pair().enum_m(n), 1,
+                       "enumeration index must be >= 1, got {}"),
+    "dovetail halting": (lambda n: machines.DovetailEnumeration().halting(n), 1,
+                         "enumeration index must be >= 1, got {}"),
+    "index_to_program": (machines.index_to_program, 0, "program index must be >= 0, got {}"),
+    "run_status steps": (lambda n: machines.run_status((), n), 0,
+                         "max_steps must be >= 0, got {}"),
+    "run_status code": (lambda n: machines.run_status((n,), 1), 0,
+                        "instruction code must be >= 0, got {}"),
+    "program_to_index": (lambda n: machines.program_to_index((n,)), 0,
+                         "instruction code must be >= 0, got {}"),
+    "program_to_text": (lambda n: machines.program_to_text((n,)), 0,
+                        "instruction code must be >= 0, got {}"),
+    "generator_word": (twogen.generator_word, 1, "generator index must be >= 1, got {}"),
+    "encode_word": (lambda n: twogen.encode_word(Word(X_ALPHABET, (("x", n, 1),))), 1,
+                    "generator index must be >= 1, got {}"),
+    "separator": (lambda n: reductions.separator(n, _ORDER), 1, "index must be >= 1, got {}"),
+    "merge_probe": (lambda n: reductions.merge_probe(n, _MOCK.enum_n, 1), 1,
+                    "index must be >= 1, got {}"),
+}
+
+
+@pytest.mark.parametrize("name", RANGE_CHECKS)
+def test_each_range_check_names_the_value_within_the_bound(name, int_text_limit):
+    call, least, message = RANGE_CHECKS[name]
+    call(least)
+    for n, shown in ((least - 1, least - 1), (-(10**5000), "<more than 4300 digits>")):
+        with pytest.raises(ValueError) as exc:
+            call(n)
+        assert str(exc.value) == message.format(shown)
+        assert "Exceeds the limit" not in str(exc.value)
+
+
+def test_range_check_shows_a_value_up_to_the_bound(int_text_limit):
+    nines = 10**4300 - 1
+    with pytest.raises(ValueError, match=f"^n must be >= 0, got -{nines}$"):
+        _at_least(-nines, 0, "n")
+    for n in (-nines - 1, -(1 << 3_400_000)):  # 4 301 and about a million digits
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^n must be >= 0, got <more than 4300 digits>$"):
+            _at_least(n, 0, "n")
+        assert time.perf_counter() - start < 1  # not converted to text in full
+    assert _at_least(5, 5, "n") == 5
 
 
 # -- the one-pass tokenizer against the token-by-token parser ------------------
