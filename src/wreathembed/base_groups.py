@@ -103,6 +103,8 @@ class GroupOracle:
             raise ValueError(f"oracle {self.name!r} has no total word-problem decider")
 
 
+# The primes found so far, in order.  The list only grows, and only under the
+# lock, so a read of a prefix it already holds needs no lock.
 _primes: list[int] = [2, 3]
 _primes_lock = threading.Lock()
 
@@ -123,10 +125,11 @@ def _grow_primes() -> None:
 def prime(i: int) -> int:
     """The i-th prime, 1-based: prime(1) = 2."""
     _at_least(i, 1, "prime index")
-    with _primes_lock:
-        while len(_primes) < i:
-            _grow_primes()
-        return _primes[i - 1]
+    if len(_primes) < i:
+        with _primes_lock:
+            while len(_primes) < i:
+                _grow_primes()
+    return _primes[i - 1]
 
 
 def _prime_index(q: int) -> int | None:
@@ -134,11 +137,12 @@ def _prime_index(q: int) -> int | None:
     # A failed Fermat test proves q composite without growing the cache.
     if q < 2 or (q > 2 and pow(2, q - 1, q) != 1):
         return None
-    with _primes_lock:
-        while _primes[-1] < q:
-            _grow_primes()
-        i = bisect.bisect_left(_primes, q)
-        return i + 1 if _primes[i] == q else None
+    if _primes[-1] < q:
+        with _primes_lock:
+            while _primes[-1] < q:
+                _grow_primes()
+    i = bisect.bisect_left(_primes, q)
+    return i + 1 if _primes[i] == q else None
 
 
 def _shift(vec: dict[int, int], key: int, delta: int) -> None:

@@ -3,11 +3,13 @@
 A bi-order is fixed by its positive cone P: ``u < v`` exactly when
 ``v * ~u`` lies in P (Clay & Rolfsen, *Ordered Groups and Topology*).  So an
 :class:`OrderOracle` is one sign rule on the normal forms of one group: 1 on
-P, -1 on its inverses and 0 exactly on the identity; ``compare(u, v)``
-reads the sign of ``u * ~v``.  The orders on the base groups read the sign
-of the least live coordinate of an exponent vector.  For the pair-relation
-base groups that vector is first rewritten into a basis adapted to the
-relations, so equal group elements always get the same sign.
+P, -1 on its inverses and 0 exactly on the identity.
+:meth:`OrderOracle.sign_of` reads the sign of a word off its normal form,
+and ``compare(u, v)`` is the sign of ``u * ~v``.  The orders on the base
+groups read the sign of the least live coordinate of an exponent vector.
+For the pair-relation base groups that vector is first rewritten into a
+basis adapted to the relations, so equal group elements always get the
+same sign.
 
 Each wreath stage module lifts a sign in the same way, over the points its
 deciders scan (``wreath._lifted_sign``, ``twogen._lifted_sign``): the sign
@@ -44,13 +46,18 @@ class OrderOracle:
     alphabet: Alphabet
     sign: Callable[[Any], int]
 
+    def sign_of(self, word: Word) -> int:
+        """The sign of ``word``'s normal form: 1 on the positive cone, -1 on
+        its inverses, 0 on the identity."""
+        if word.alphabet is not self.alphabet:
+            raise ValueError(f"expected the {self.alphabet.name} alphabet")
+        if self.alphabet is FS_ALPHABET:
+            return self.sign(twogen.FSElement.from_word(word))
+        return self.sign(exponent_vector(word))
+
     def compare(self, u: Word, v: Word) -> str:
         """The verdict "LT", "EQ" or "GT" as the sign of ``u * ~v`` is -1, 0 or 1."""
-        w = u * ~v
-        if w.alphabet != self.alphabet:
-            raise ValueError(f"expected the {self.alphabet.name} alphabet")
-        form = twogen.FSElement.from_word(w) if self.alphabet == FS_ALPHABET else exponent_vector(w)
-        return _VERDICTS[self.sign(form)]
+        return _VERDICTS[self.sign_of(u * ~v)]
 
 
 def _lex_sign(vector: dict[int, int]) -> int:
@@ -78,7 +85,7 @@ def pair_adapted_order(pair: EnumeratedPair) -> OrderOracle:
 def _checked_sign(c, H_order: OrderOracle, H: GroupOracle, stage):
     # The lifted sign of c in the group of the stage module, with its clause
     # and point; the base oracle confirms a zero sign.
-    if H.alphabet != H_order.alphabet:
+    if H.alphabet is not H_order.alphabet:
         raise ValueError(f"oracle {H.name!r} and order {H_order.name!r} use different alphabets")
     if not c.tail:
         H.require_total()

@@ -28,7 +28,8 @@ from wreathembed.words import A_ALPHABET, Word, _at_least
 
 # Called by perfbench/workloads.py (SeparateMock); perfbench/spans.py traces it by name (EXTRA).
 def _sign(word: Word, order: OrderOracle) -> str:
-    return {"LT": "+", "EQ": "0", "GT": "-"}[order.compare(Word.identity(order.alphabet), word)]
+    # The sign of the word's normal form, spelled "0", "+" or "-" as in _signs.
+    return "0+-"[order.sign_of(word)]
 
 
 def _same_side(sign_lo: str, sign_hi: str) -> bool:

@@ -152,8 +152,12 @@ def _support_points(a: FSElement) -> list[int]:
     when that sum is.  Below that point the class carries nothing, and a lone
     class with a zero sum the identity.  So the least support point is a
     collision point below the least such ``1 - gamma``, or that point."""
-    best = sorted(1 - gamma for gamma, total in class_sums(a).items() if total != 0)[:1]
-    return [mu for mu in collision_points(a) if not best or mu < best[0]] + best
+    points = collision_points(a)
+    firsts = [1 - gamma for gamma, total in class_sums(a).items() if total]
+    if not firsts:
+        return points
+    best = min(firsts)
+    return [mu for mu in points if mu < best] + [best]
 
 
 def _lifted_sign(a: FSElement, H_order) -> tuple[int | None, int]:

@@ -43,9 +43,14 @@ class WordError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Alphabet:
-    """A finite set of plain letters plus a set of indexed letter families."""
+    """A finite set of plain letters plus a set of indexed letter families.
+
+    Equality is identity, and so is the hash: build each alphabet once.  The
+    package uses only the four module constants below, so two alphabets with
+    the same fields are still two alphabets, and their words do not mix.
+    """
 
     name: str
     plain: frozenset[str] = frozenset()
@@ -100,11 +105,20 @@ def _push(runs: list, entry: tuple) -> None:
 
 
 def _power(element, identity, n: int):
-    """The n-th power of ``element``: ``identity`` when n is 0."""
+    """The n-th power of ``element``: ``identity`` when n is 0.
+
+    By repeated squaring, so O(log |n|) products.  Words and wreath elements
+    multiply associatively on the nose, so every grouping of the |n| factors
+    gives the same normal form as the left-to-right product.
+    """
     base = element if n >= 0 else ~element
-    out = base if n else identity
-    for _ in range(abs(n) - 1):
-        out = out * base
+    out, n = identity, abs(n)
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
     return out
 
 
@@ -135,7 +149,7 @@ class Word:
     def __mul__(self, other: Word) -> Word:
         if type(other) is not Word:
             return NotImplemented
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet:
             raise WordError("cannot multiply words over different alphabets")
         runs = list(self.runs)
         for run in other.runs:
@@ -162,15 +176,21 @@ def max_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
+def _fits(n: int) -> bool:
+    # Whether n has at most B = max_digits() decimal digits, its sign not
+    # counted, decided without converting n to text: 10**B lies between
+    # 2**(3B) and 2**(4B), so only a bit length between the two needs the
+    # exact comparison.
+    bound = max_digits()
+    bits = n.bit_length()
+    return bits <= 3 * bound or (bits <= 4 * bound and abs(n) < 10**bound)
+
+
 def int_text(n: int) -> str:
     """``str(n)``, or ValueError when ``n`` has more than :func:`max_digits` decimal
     digits, its sign not counted.  Every integer the package prints is rendered here."""
-    try:
-        text = str(n)
-        if len(text) - (n < 0) <= max_digits():
-            return text
-    except ValueError:
-        pass
+    if _fits(n):
+        return str(n)
     raise ValueError(
         f"the result holds an integer of more than {max_digits()} decimal digits, "
         "too long to print"
@@ -180,7 +200,7 @@ def int_text(n: int) -> str:
 def _shown(n: int) -> str:
     # A caller's integer as an error message shows it: its text within the
     # digit bound, else a note naming the bound, without converting it to text.
-    return int_text(n) if abs(n) < 10 ** max_digits() else f"<more than {max_digits()} digits>"
+    return int_text(n) if _fits(n) else f"<more than {max_digits()} digits>"
 
 
 def _at_least(n: int, least: int, what: str) -> int:
@@ -318,7 +338,7 @@ class WreathElement:
     @classmethod
     def from_word(cls, word: Word):
         """Evaluate a word over this stage's alphabet into normal form."""
-        if word.alphabet != cls.ALPHABET:
+        if word.alphabet is not cls.ALPHABET:
             raise ValueError(f"expected the {cls.ALPHABET.name} alphabet")
         factors: list[tuple[int, ...]] = []
         offset = 0

@@ -29,6 +29,14 @@ value words there lexicographically on their vectors;
 the window scan :func:`fs_min_support` and calls it there.  Neither reads a
 sign, and neither calls a library scan.
 
+Two more keep the sign path's routes that the library replaced by reading
+a sign straight off a normal form: :func:`sign_by_compare` signs a word by
+comparing the identity with it, so it applies the order's rule to the
+normal form of ``1 * ~w``, as ``OrderOracle.compare`` did before
+``OrderOracle.sign_of``, and :func:`support_points_by_sort` finds the least
+first-active point of a class with a nonzero sum by sorting them all and
+appends it to a copy of the collision points below it.
+
 :func:`zb_decode` is the inverse of ``wreath.diagonal_encode``, which the
 library no longer needs.  There is no word-built verdict rule here: the
 library's own word path, taken by a base with no vector rule, serves as the
@@ -41,7 +49,14 @@ import re
 from typing import Callable
 
 from wreathembed import twogen, wreath
-from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, UNKNOWN, GroupOracle, SemiVerdict
+from wreathembed.base_groups import (
+    NONTRIVIAL,
+    TRIVIAL,
+    UNKNOWN,
+    GroupOracle,
+    SemiVerdict,
+    exponent_vector,
+)
 from wreathembed.twogen import FSElement
 from wreathembed.words import (
     FS_ALPHABET,
@@ -306,3 +321,24 @@ def fs_compare_by_min_support(
     verdict = zb_compare_by_min_support(u, v, vector, H)[0]
     assert verdict != "EQ", (a, b, point)
     return (verdict, "value", point)
+
+
+# -- the sign path's replaced routes -------------------------------------------
+
+
+def sign_by_compare(word: Word, order) -> str:
+    """The sign of ``word`` in ``order`` as "0", "+" or "-", read from the
+    verdict of the identity against ``word`` as ``compare`` reached it
+    before ``sign_of``: the order's rule on the normal form of ``1 * ~word``,
+    whose sign -1 ("LT") is "+"."""
+    w = Word.identity(order.alphabet) * ~word
+    form = FSElement.from_word(w) if order.alphabet is FS_ALPHABET else exponent_vector(w)
+    return {-1: "+", 0: "0", 1: "-"}[order.sign(form)]
+
+
+def support_points_by_sort(a: FSElement) -> list[int]:
+    """The candidates of ``twogen._support_points``: the collision points
+    below the least sorted first-active point of a class with a nonzero sum,
+    then that point, if any."""
+    best = sorted(1 - gamma for gamma, total in twogen.class_sums(a).items() if total != 0)[:1]
+    return [mu for mu in twogen.collision_points(a) if not best or mu < best[0]] + best

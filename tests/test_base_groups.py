@@ -108,6 +108,41 @@ class TestPrimes:
         assert _prime_index(561) is None
         assert _prime_index(563) == 103
 
+    def test_threads_read_the_list_as_a_sequential_run_does(self, monkeypatch):
+        # The list only grows, and only under the lock, so a read of a prefix
+        # it already holds takes no lock; four threads switching often must
+        # still answer, and leave the list, as one thread asking in turn does.
+        ks = range(1, 2001)
+        monkeypatch.setattr(base_groups, "_primes", [2, 3])
+        expected = {k: (prime(k), _prime_index(prime(k))) for k in ks}
+        sequential = list(base_groups._primes)
+        monkeypatch.setattr(base_groups, "_primes", [2, 3])
+        answers: list[dict] = [{} for _ in range(4)]
+        start = threading.Barrier(4, timeout=60)
+
+        def ask(out: dict, seed: int) -> None:
+            order = list(ks)
+            random.Random(seed).shuffle(order)
+            start.wait()
+            for k in order:
+                p = prime(k)
+                out[k] = (p, _prime_index(p))
+
+        threads = [threading.Thread(target=ask, args=(out, t)) for t, out in enumerate(answers)]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [expected] * 4
+        assert base_groups._primes == sequential
+        assert expected[2000] == (17389, 2000)
+
 
 class TestFreeAbelian:
     def test_commutator_is_trivial(self):

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -19,11 +21,13 @@ from wreathembed.orders import lifted_order, pair_adapted_order
 from wreathembed.reductions import (
     SeparatorEntry,
     _sign,
+    _signs,
     merge_probe,
     separation_report,
     separator,
 )
-from wreathembed.words import A_ALPHABET, parse_word
+from wreathembed.twogen import FSElement
+from wreathembed.words import A_ALPHABET, FS_ALPHABET, Word, parse_word
 
 
 def mock_order():
@@ -52,6 +56,72 @@ class TestSeparator:
         counted = dataclasses.replace(order, sign=sign)
         assert _sign(twogen.generator_word(4), counted) == "-"
         assert len(calls) == 1
+
+
+FAR = 1 << 600
+
+
+def random_class(rng: random.Random) -> int:
+    # A small conjugating class, or one about 2**600 away on either side
+    # that collides with some small class: 2**p - 2**q plus a small offset.
+    if rng.random() < 0.5:
+        return rng.randrange(-6, 7)
+    far = (1 << rng.randrange(599, 602)) - (1 << rng.randrange(0, 3))
+    return rng.choice([1, -1]) * far + rng.randrange(-2, 3)
+
+
+def random_fs_sample(rng: random.Random) -> FSElement:
+    """A random element: raw factors, a product of commutators of conjugates
+    of ``f`` (every class sum zero), or the normal form of a random word."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        factors = [(random_class(rng), rng.randrange(-2, 3)) for _ in range(rng.randrange(7))]
+        return FSElement.make(factors, rng.choice([0, 0, 0, 1, -1]))
+    if kind == 1:
+        out = FSElement.identity()
+        for _ in range(rng.randrange(1, 4)):
+            u = FSElement(((random_class(rng), rng.choice([1, -1])),))
+            v = FSElement(((random_class(rng), rng.choice([1, -1])),))
+            out = out * u * v * ~u * ~v
+        return out
+    runs: list = []
+    for _ in range(rng.randrange(1, 6)):
+        runs.append(("s", None, random_class(rng)))
+        runs.append(("f", None, rng.choice([-2, -1, 1, 2])))
+    runs.append(("s", None, -sum(e for letter, _, e in runs if letter == "s") + rng.choice([0, 0, 1])))
+    return FSElement.from_word(Word.make(FS_ALPHABET, runs))
+
+
+class TestReplacedRoutes:
+    def test_sign_and_support_points_match_the_routes_they_replaced(self):
+        # Read off the normal form of w, the sign agrees with the sign of
+        # 1 * ~w as compare used to read it, and the support candidates agree
+        # with the sorted route, on random elements and words with classes
+        # near 2**600.
+        order = mock_order()
+        rng = random.Random(31)
+        seen = Counter()
+        for _ in range(300):
+            a = random_fs_sample(rng)
+            word = a.to_word()
+            sign = _sign(word, order)
+            assert sign == reference_scans.sign_by_compare(word, order), a
+            points = twogen._support_points(a)
+            assert points == reference_scans.support_points_by_sort(a), a
+            far = any(abs(gamma) > FAR // 4 for gamma, _ in a.factors)
+            seen[("tail" if a.tail else "value", sign, far)] += 1
+            seen["far point"] += any(abs(mu) > FAR // 4 for mu in points)
+        for sign in "+-":
+            assert seen[("value", sign, True)] >= 10, seen
+            assert seen[("tail", sign, True)] >= 5, seen
+        assert seen[("value", "0", True)] >= 10 and seen["far point"] >= 50, seen
+
+    def test_signs_match_the_route_through_compare(self):
+        order = mock_order()
+        for n in range(1, 61):
+            words = [twogen.generator_word(i) for i in (2 * n - 1, 2 * n)]
+            expected = tuple(reference_scans.sign_by_compare(w, order) for w in words)
+            assert _signs(n, order) == expected == tuple(_sign(w, order) for w in words), n
 
 
 class TestSeparationReport:

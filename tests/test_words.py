@@ -128,6 +128,17 @@ def test_power_matches_repeated_product(w, n):
     assert w**n == expected
 
 
+def test_power_of_one_run_merges_it_at_once():
+    # Repeated squaring: a millionth power costs about forty products, not a
+    # million, and ends in the one merged run.
+    start = time.perf_counter()
+    x1 = parse_word("x1", X_ALPHABET)
+    assert x1**10**6 == Word(X_ALPHABET, (("x", 1, 10**6),))
+    assert x1 ** -(10**6) == Word(X_ALPHABET, (("x", 1, -(10**6)),))
+    assert wreath.ZBElement(((1, 0, 1),)) ** 10**6 == wreath.ZBElement(((1, 0, 10**6),))
+    assert time.perf_counter() - start < 1
+
+
 @given(zb_words)
 def test_free_reduce_is_identity_on_canonical(w):
     # Re-canonicalizing a canonical word's runs changes nothing.
@@ -152,6 +163,24 @@ def test_roundtrip_bulk_random():
 def test_alphabet_mismatch_rejected():
     with pytest.raises(WordError):
         parse_word("x1", X_ALPHABET) * parse_word("a1", A_ALPHABET)
+
+
+def test_alphabets_compare_by_identity():
+    # Equal fields make a second alphabet, not a second name for the first.
+    twin = Alphabet(ZB_ALPHABET.name, ZB_ALPHABET.plain, ZB_ALPHABET.indexed)
+    assert twin != ZB_ALPHABET
+    with pytest.raises(WordError, match="^cannot multiply words over different alphabets$"):
+        parse_word("z b1", twin) * parse_word("z b1", ZB_ALPHABET)
+
+
+def test_package_alphabets_equal_themselves_and_hash_stably():
+    alphabets = [X_ALPHABET, A_ALPHABET, ZB_ALPHABET, FS_ALPHABET]
+    for alphabet in alphabets:
+        assert alphabet == alphabet and not alphabet != alphabet
+        assert hash(alphabet) == hash(alphabet) == object.__hash__(alphabet)
+    assert len(set(alphabets)) == 4
+    assert {alphabet: alphabet.name for alphabet in alphabets}[ZB_ALPHABET] == "inner-wreath"
+    assert hash(parse_word("z b1", ZB_ALPHABET)) == hash(parse_word("z b1", ZB_ALPHABET))
 
 
 def test_alphabet_letters_are_single_lowercase_and_of_one_kind():
@@ -203,6 +232,14 @@ def test_int_text_bound_is_exact(int_text_limit):
         with pytest.raises(ValueError, match=TOO_LONG) as exc:
             int_text(n)
         assert "Exceeds the limit" not in str(exc.value)
+
+
+def test_int_text_refuses_a_million_digits_at_once(int_text_limit):
+    # The bit length refuses it before any conversion to text.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=TOO_LONG):
+        int_text(1 << 3_400_000)
+    assert time.perf_counter() - start < 1
 
 
 def test_word_to_text_bounds_each_integer(int_text_limit):
