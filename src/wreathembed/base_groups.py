@@ -303,16 +303,19 @@ def re_oracle(enum_n: Callable[[int], int], name: str = "re") -> GroupOracle:
     ``enum_n``, and the index holds at most as many entries as the largest
     fuel asked for.  It lives as long as ``enum_n`` does: the module keeps
     it under a weak reference to ``enum_n``, which must therefore be weakly
-    referenceable (functions, lambdas and bound methods are).  One lock
-    guards every lookup and extension, so threads may share ``enum_n``.
+    referenceable (functions, lambdas and bound methods are).  Each oracle
+    looks its index up once, when it is built.  One lock guards every lookup
+    and extension, so threads may share ``enum_n``.
     """
+    with _positions_lock:
+        index = _positions.setdefault(enum_n, {})
 
     def rule(vector: dict[int, int], fuel: int) -> SemiVerdict:
         pairs = _pairs(vector)
-        if any(lo + hi for lo, hi in pairs.values()):
-            return UNKNOWN
+        for lo, hi in pairs.values():
+            if lo + hi:
+                return UNKNOWN
         with _positions_lock:
-            index = _positions.setdefault(enum_n, {})
             missing = set(pairs).difference(index)
             # The enumeration is injective, so positions 1..len(index) are
             # the ones fetched so far.
@@ -322,6 +325,9 @@ def re_oracle(enum_n: Callable[[int], int], name: str = "re") -> GroupOracle:
                 value = enum_n(i)
                 index.setdefault(value, i)
                 missing.discard(value)
-            return TRIVIAL if all(index.get(k, fuel + 1) <= fuel for k in pairs) else UNKNOWN
+            for k in pairs:
+                if index.get(k, fuel + 1) > fuel:
+                    return UNKNOWN
+            return TRIVIAL
 
     return GroupOracle(f"re:{name}", A_ALPHABET, rule, on_vectors=True)

@@ -13,12 +13,13 @@ Words are stored in run-length canonical form: a tuple of runs ``(letter,
 index, exponent)``, ``index`` None for a plain letter, with no zero exponents
 and no two adjacent runs sharing a generator.  Canonical form is exactly free
 reduction for words in distinct letters, so two words are freely equal iff
-their canonical forms are equal.
+their canonical forms are equal.  :func:`parse_word` reads all terms with
+one ``findall``; a bad term goes to one error locator, which names its column.
 
 The normal forms of both wreath stages are run lists too, with factors
 keyed by a generator index and a conjugating shift: :class:`WreathElement`
 holds them.  Every run list in the package is ``(*key, exponent)``, and one
-push keeps words and both stages canonical.
+push keeps words and both stages canonical (the parser inlines its rule).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import ClassVar, Iterable
+from typing import ClassVar, Iterable, NoReturn
 
 
 class WordError(ValueError):
@@ -220,27 +221,43 @@ _TOKEN = re.compile(r"([a-z])([0-9]*)(?:\^([+-]?[0-9]+))?(?!\S)|\S+")
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse word text; raises WordError with a 1-based column on bad input.
 
-    An index or exponent may have at most :func:`max_digits` digits.
+    An index or exponent may have at most :func:`max_digits` digits.  Each
+    term of one ``findall`` is checked against the alphabet's letter sets, and
+    against the digit bound only if the text is longer than it, then merged;
+    the first bad term goes to the error locator :func:`_raise_at_bad_term`.
     """
     bound = max_digits()
+    long_text = len(text) > bound
+    plain, indexed = alphabet.plain, alphabet.indexed
     runs: list[_Run] = []
+    for letter, digits, exp_text in _TOKEN.findall(text):
+        if long_text and (len(digits) > bound or len(exp_text.lstrip("+-")) > bound):
+            _raise_at_bad_term(text, alphabet)
+        index = int(digits) if digits else None
+        if (letter not in indexed or index < 1) if digits else letter not in plain:
+            _raise_at_bad_term(text, alphabet)
+        exp = int(exp_text) if exp_text else 1
+        if runs and runs[-1][0] == letter and runs[-1][1] == index:
+            exp += runs.pop()[2]
+        if exp:
+            runs.append((letter, index, exp))
+    return Word(alphabet, tuple(runs))
+
+
+def _raise_at_bad_term(text: str, alphabet: Alphabet) -> NoReturn:
+    # The WordError of the first malformed, too long or foreign term, at its column.
+    bound = max_digits()
     for m in _TOKEN.finditer(text):
         letter, digits, exp_text = m.groups()
         if letter is None:
             raise WordError(f"malformed term {m.group()!r}", m.start() + 1)
-        # Only a term longer than the bound can hold an index or exponent past it.
-        if m.end() - m.start() > bound and (
-            len(digits) > bound or len((exp_text or "").lstrip("+-")) > bound
-        ):
+        if len(digits) > bound or len((exp_text or "").lstrip("+-")) > bound:
             raise WordError("index or exponent has too many digits", m.start() + 1)
-        index = int(digits) if digits else None
-        exp = int(exp_text) if exp_text is not None else 1
         try:
-            alphabet.validate(letter, index)
+            alphabet.validate(letter, int(digits) if digits else None)
         except WordError as exc:
             raise WordError(str(exc), m.start() + 1) from None
-        _push(runs, (letter, index, exp))
-    return Word(alphabet, tuple(runs))
+    raise AssertionError(f"no bad term in {text!r}")
 
 
 def word_to_text(word: Word) -> str:

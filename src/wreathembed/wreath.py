@@ -23,11 +23,13 @@ read their streams through it too.
 
 Every base in :mod:`wreathembed.base_groups` is abelian and states its rule
 on exponent vectors (``GroupOracle.on_vectors``).  Over such a base the
-stream is the walk :func:`_walk`: it sorts the factors once by step point,
-adds each to one running vector as it reaches that step point, and yields
-the rule on the live vector at each point, so a scan over n factors costs
-O(n log n + points * live coordinates).  A base whose values need not
-commute gets the word :func:`value_at` builds at each point instead.
+stream is the walk :func:`_walk`: it sorts the factors once by ``eta``,
+pops every factor sharing the next ``eta`` into one running vector, and
+yields ``1 - eta`` with the rule on the live vector, so a scan over n
+factors costs O(n log n + points * live coordinates).  :func:`in_diagonal`
+reads the step point 0 as the point 1 unless some factor has ``eta == 0``.
+A base whose values need not commute gets the word :func:`value_at` builds
+at each of the :func:`step_points` instead.
 :func:`_lifted_sign`, the sign :mod:`wreathembed.orders` compares by, walks
 the same vector: the tail's sign or, when that is 0, the first nonzero sign
 the base order gives that vector over the step points.
@@ -103,33 +105,39 @@ def _first_failure(values: Iterable[tuple[int, Any]], neutral=TRIVIAL) -> tuple[
 
 
 def _walk(
-    a: ZBElement, points: Iterable[int], alphabet: Alphabet, rule: Callable[..., Any], *args
+    a: ZBElement, alphabet: Alphabet, rule: Callable[..., Any], *args, zero_as_one: bool = False
 ) -> Iterator[tuple[int, Any]]:
-    """``(nu, rule(vector, *args))`` at each of the ascending ``points``.
+    """``(1 - eta, rule(vector, *args))`` at each distinct step point, ascending.
 
-    ``vector`` is the exponent vector of the value at ``nu``.  The factors
-    are sorted once by step point, and each is added to one running vector
-    as the walk reaches its step point ``1 - eta``.  The rule may read the
-    live vector but must neither change nor keep it.  A raw factor with an
-    index below 1 is reported with the alphabet's indexed letter.
+    One sort of the factors; every factor sharing the next ``eta`` is then
+    popped into one running ``vector``, the exponent vector of the value,
+    which the rule may read but must neither change nor keep.  ``zero_as_one``
+    reads the step point 0 as the point 1, of equal value, unless 1 is a step
+    point too.  An index below 1 is reported with the alphabet's letter.
     """
     pending = sorted(a.factors, key=itemgetter(1))  # the least step point last
     vector: dict[int, int] = {}
-    for nu in points:
-        while pending and nu + pending[-1][1] >= 1:
+    while pending:
+        eta = pending[-1][1]
+        while pending and pending[-1][1] == eta:
             i, _, xi = pending.pop()
             if i < 1:
                 alphabet.validate(next(iter(alphabet.indexed)), i)
             _shift(vector, i, xi)
-        yield nu, rule(vector, *args)
+        if zero_as_one and eta == 1:
+            if pending and pending[-1][1] == 0:
+                continue
+            eta = 0
+        yield 1 - eta, rule(vector, *args)
 
 
 def _check(
-    a: ZBElement, points: Iterable[int], H: GroupOracle, fuel: int
+    a: ZBElement, H: GroupOracle, fuel: int, zero_as_one: bool = False
 ) -> Iterator[tuple[int, SemiVerdict]]:
-    """The base's verdict on the value at each of the ascending ``points``."""
+    """The base's verdict at each step point, the point 0 read as in :func:`_walk`."""
     if H.on_vectors:
-        return _walk(a, points, H.alphabet, H.rule, fuel)
+        return _walk(a, H.alphabet, H.rule, fuel, zero_as_one=zero_as_one)
+    points = sorted({nu or 1 for nu in step_points(a)}) if zero_as_one else step_points(a)
     return ((nu, H.rule(value_at(a, nu, H.alphabet), fuel)) for nu in points)
 
 
@@ -142,7 +150,7 @@ def _lifted_sign(a: ZBElement, H_order) -> tuple[int | None, int]:
     # the tail's sign at no point, else the first nonzero sign walked.
     if a.tail:
         return None, _sign_of(a.tail)
-    return _first_failure(_walk(a, step_points(a), H_order.alphabet, H_order.sign), 0)
+    return _first_failure(_walk(a, H_order.alphabet, H_order.sign), 0)
 
 
 def is_trivial(a: ZBElement, H: GroupOracle) -> bool:
@@ -165,7 +173,7 @@ def semi_trivial(a: ZBElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     """
     if a.tail != 0:
         return NONTRIVIAL
-    return _first_failure(_check(a, step_points(a), H, fuel))[1]
+    return _first_failure(_check(a, H, fuel))[1]
 
 
 def in_diagonal(a: ZBElement, H: GroupOracle) -> bool:
@@ -181,8 +189,7 @@ def in_diagonal(a: ZBElement, H: GroupOracle) -> bool:
     H.require_total()
     if a.tail != 0:
         return False
-    points = sorted({nu or 1 for nu in step_points(a)})
-    return _first_failure(_check(a, points, H, 0))[0] is None
+    return _first_failure(_check(a, H, 0, zero_as_one=True))[0] is None
 
 
 def diagonal_encode(word: Word) -> ZBElement:

@@ -38,7 +38,16 @@ first-active point of a class with a nonzero sum by sorting them all and
 appends it to a copy of the collision points below it.
 
 :func:`zb_decode` is the inverse of ``wreath.diagonal_encode``, which the
-library no longer needs.  There is no word-built verdict rule here: the
+library no longer needs.
+
+:func:`zb_walk_by_points` is the inner running-vector walk as it was before
+it took its points from its own sort of the factors: it walks a point list
+that :func:`zb_walk_by_step_points` gets by sorting ``wreath.step_points``
+(read with the step point 0 as 1 for ``in_diagonal``), so each scan sorted
+the factors twice.  :func:`zb_semi_trivial_by_step_points`,
+:func:`zb_lifted_sign_by_step_points` and :func:`zb_in_diagonal_by_step_points`
+are the three inner scans over it, which ``test_vector_scan.py`` checks the
+library's one-sort walk against.  There is no word-built verdict rule here: the
 library's own word path, taken by a base with no vector rule, serves as the
 oracle for its running-vector walk (see ``test_vector_scan.py``).
 """
@@ -46,7 +55,8 @@ oracle for its running-vector walk (see ``test_vector_scan.py``).
 from __future__ import annotations
 
 import re
-from typing import Callable
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator
 
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
@@ -55,6 +65,7 @@ from wreathembed.base_groups import (
     UNKNOWN,
     GroupOracle,
     SemiVerdict,
+    _shift,
     exponent_vector,
 )
 from wreathembed.twogen import FSElement
@@ -143,6 +154,57 @@ def zb_decode(a: ZBElement, H: GroupOracle) -> Word:
     if not wreath.in_diagonal(a, H):
         raise ValueError("element is not in the diagonal subgroup")
     return wreath.value_at(a, 0, H.alphabet)
+
+
+# -- the inner walk over a sorted point list -----------------------------------
+
+
+def zb_walk_by_points(
+    a: ZBElement, points: Iterable[int], alphabet: Alphabet, rule: Callable[..., Any], *args
+) -> Iterator[tuple[int, Any]]:
+    """``(nu, rule(vector, *args))`` at each of the ascending ``points``:
+    the factors sorted once by step point, each added to one running vector
+    as the walk passes its step point ``1 - eta``."""
+    pending = sorted(a.factors, key=itemgetter(1))  # the least step point last
+    vector: dict[int, int] = {}
+    for nu in points:
+        while pending and nu + pending[-1][1] >= 1:
+            i, _, xi = pending.pop()
+            if i < 1:
+                alphabet.validate(next(iter(alphabet.indexed)), i)
+            _shift(vector, i, xi)
+        yield nu, rule(vector, *args)
+
+
+def zb_walk_by_step_points(
+    a: ZBElement, alphabet: Alphabet, rule: Callable[..., Any], *args, zero_as_one: bool = False
+) -> Iterator[tuple[int, Any]]:
+    """:func:`zb_walk_by_points` over ``wreath.step_points``, sorted a second
+    time, with the step point 0 read as 1 for ``zero_as_one``."""
+    points = wreath.step_points(a)
+    if zero_as_one:
+        points = sorted({nu or 1 for nu in points})
+    return zb_walk_by_points(a, points, alphabet, rule, *args)
+
+
+def zb_semi_trivial_by_step_points(a: ZBElement, H: GroupOracle, fuel: int) -> SemiVerdict:
+    if a.tail != 0:
+        return NONTRIVIAL
+    return wreath._first_failure(zb_walk_by_step_points(a, H.alphabet, H.rule, fuel))[1]
+
+
+def zb_lifted_sign_by_step_points(a: ZBElement, H_order) -> tuple[int | None, int]:
+    if a.tail:
+        return None, wreath._sign_of(a.tail)
+    return wreath._first_failure(zb_walk_by_step_points(a, H_order.alphabet, H_order.sign), 0)
+
+
+def zb_in_diagonal_by_step_points(a: ZBElement, H: GroupOracle) -> bool:
+    H.require_total()
+    if a.tail != 0:
+        return False
+    walk = zb_walk_by_step_points(a, H.alphabet, H.rule, 0, zero_as_one=True)
+    return wreath._first_failure(walk)[0] is None
 
 
 # -- inner stage: every integer between the smallest and largest step point --

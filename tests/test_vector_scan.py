@@ -16,6 +16,7 @@ import dataclasses
 import random
 import time
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -33,10 +34,17 @@ from wreathembed.base_groups import (
     re_oracle,
 )
 from wreathembed.cli import ORDERS
-from wreathembed.orders import lex_order, zb_compare
+from wreathembed.orders import lex_order, pair_adapted_order, zb_compare
 from wreathembed.twogen import FSElement
 from wreathembed.words import FS_ALPHABET, X_ALPHABET, ZB_ALPHABET, Word, WordError, parse_word
 from wreathembed.wreath import ZBElement
+
+from reference_scans import (
+    zb_in_diagonal_by_step_points,
+    zb_lifted_sign_by_step_points,
+    zb_semi_trivial_by_step_points,
+    zb_walk_by_step_points,
+)
 
 PAIR = mock_pair()
 FREE = free_abelian_oracle()
@@ -157,6 +165,84 @@ def test_vector_scan_matches_word_rule(H):
         assert sum(out[-1][0] == "EQ" for out in fast) >= 100
     verdicts = {verdict for out in fast for verdict in out if isinstance(verdict, SemiVerdict)}
     assert verdicts == ({TRIVIAL, NONTRIVIAL, UNKNOWN} if not H.total else {TRIVIAL, NONTRIVIAL})
+
+
+def raw_zb(rng: random.Random, H) -> ZBElement:
+    """A sample with one factor's index moved below 1, built without make's
+    check, so that the scan reports it where the walk reaches it."""
+    factors = list(sample_zb(rng, H).factors) or [(1, 0, 1)]
+    k = rng.randrange(len(factors))
+    factors[k] = (rng.choice((0, -1)),) + factors[k][1:]
+    return ZBElement(tuple(factors), 0)
+
+
+@pytest.mark.parametrize("H", BASES, ids=lambda H: H.name)
+def test_walk_matches_the_two_sort_walk(H):
+    # The library's walk against the walk over sorted step points that it
+    # replaced: the same verdicts, signs and memberships, the same rule calls
+    # on the same vectors, and a bad raw factor reported at the same call.
+    rng = random.Random(f"walk-{H.name}")
+    order = ORDERS[H.name]() if H.name in ORDERS else pair_adapted_order(PAIR)
+    log: list[dict] = []
+
+    def logged(fn):
+        def call(vector, *args):
+            log.append(dict(vector))
+            return fn(vector, *args)
+
+        return call
+
+    base = dataclasses.replace(H, rule=logged(H.rule))
+    signs = dataclasses.replace(order, sign=logged(order.sign))
+    scans = [
+        (partial(wreath.semi_trivial, H=base, fuel=fuel),
+         partial(zb_semi_trivial_by_step_points, H=base, fuel=fuel))
+        for fuel in (FUELS if not H.total else (0,))
+    ]
+    scans.append((partial(wreath._lifted_sign, H_order=signs),
+                  partial(zb_lifted_sign_by_step_points, H_order=signs)))
+    if H.total:
+        scans.append((partial(wreath.in_diagonal, H=base),
+                      partial(zb_in_diagonal_by_step_points, H=base)))
+
+    def outcome(scan, a):
+        log.clear()
+        try:
+            return scan(a), list(log)
+        except WordError as exc:
+            return str(exc), list(log)
+
+    def stream(walk, a, zero_as_one):
+        out = []
+        try:
+            for point, vector in walk(a, H.alphabet, dict, zero_as_one=zero_as_one):
+                out.append((point, vector))
+        except WordError as exc:
+            out.append(str(exc))
+        return out
+
+    seen: Counter = Counter()
+    samples = [sample_zb(rng, H) for _ in range(400)] + [raw_zb(rng, H) for _ in range(200)]
+    for a in samples:
+        for new, old in scans:
+            got = outcome(new, a)
+            assert got == outcome(old, a), (a, new)
+            seen[got[0]] += 1
+        for zero_as_one in (False, True):
+            assert stream(wreath._walk, a, zero_as_one) == stream(
+                zb_walk_by_step_points, a, zero_as_one
+            ), (a, zero_as_one)
+        if a.tail == 0:
+            etas = Counter(eta for _, eta, _ in a.factors)
+            if 1 in etas:  # the step point 0, read as 1 or, with a factor at eta 0, skipped
+                seen["eta 1 and eta 0" if 0 in etas else "eta 1, no eta 0"] += 1
+            seen["repeated eta"] += max(etas.values(), default=0) > 1
+    shapes = ("eta 1 and eta 0", "eta 1, no eta 0", "repeated eta")
+    assert min(seen[shape] for shape in shapes) >= 50, seen
+    verdicts = {TRIVIAL, UNKNOWN} if not H.total else {TRIVIAL, NONTRIVIAL, True, False}
+    assert all(seen[verdict] >= 20 for verdict in verdicts), seen
+    letter = next(iter(H.alphabet.indexed))
+    assert seen[f"index must be >= 1, got {letter}0"] >= 20, seen
 
 
 def test_non_commuting_base_keeps_the_word_path():

@@ -1,5 +1,6 @@
 import random
 import string
+import sys
 import time
 
 import pytest
@@ -388,3 +389,62 @@ def test_parse_matches_token_by_token_parser_on_large_texts():
         3,
     )
     assert isinstance(_outcome(parse_word, long_word, ZB_ALPHABET), Word)
+
+
+def _long_text(rng: random.Random, alphabet: Alphabet, bound: int) -> str:
+    # Well-formed terms past ``bound`` characters, some texts with one noisy
+    # piece and some with an index or exponent of ``bound`` or ``bound + 1`` digits.
+    letters = sorted(alphabet.plain | alphabet.indexed)
+    terms: list[str] = []
+    size = 0
+    while size <= bound:
+        letter = rng.choice(letters)
+        term = letter + (str(rng.randrange(1, 10**6)) if letter in alphabet.indexed else "")
+        if rng.random() < 0.4:
+            term += "^" + rng.choice(["", "+", "-"]) + str(rng.randrange(0, 10**4))
+        terms.append(term)
+        size += len(term) + 1
+    if rng.random() < 0.3:
+        terms.insert(rng.randrange(len(terms) + 1), _random_text(rng, alphabet) or "b0")
+    if rng.random() < 0.6:
+        digits = rng.choice("123456789") + "".join(
+            rng.choices(string.digits, k=rng.choice((bound, bound + 1)) - 1)
+        )
+        letter = rng.choice(letters)
+        if rng.random() < 0.5:
+            term = letter + digits
+        else:
+            term = letter + ("1" if letter in alphabet.indexed else "")
+            term += "^" + rng.choice(["", "+", "-"]) + digits
+        terms.insert(rng.randrange(len(terms) + 1), term)
+    return "".join(piece + rng.choice(SPACES) for piece in terms)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter has no integer-to-text limit"
+)
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=lambda a: a.name)
+def test_parse_matches_token_by_token_parser_at_the_smallest_digit_limit(alphabet):
+    # At the smallest limit CPython accepts every text here is longer than the
+    # bound, so each term is checked against it, and some numbers reach it.
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rng = random.Random(f"parse-640-{alphabet.name}")
+        kinds = {Word: 0, "too many digits": 0, "other error": 0}
+        longest = 0
+        for _ in range(1_000):
+            text = _long_text(rng, alphabet, 640)
+            assert len(text) > 640
+            got = _outcome(parse_word, text, alphabet)
+            assert got == _outcome(parse_word_by_tokens, text, alphabet), repr(text)
+            if isinstance(got, Word):
+                kinds[Word] += 1
+                numbers = [n for _, i, e in got.runs for n in (i or 0, e)]
+                longest = max([longest] + [len(str(abs(n))) for n in numbers])
+            else:
+                kinds["too many digits" if "too many digits" in got[0] else "other error"] += 1
+        assert min(kinds.values()) > 100, kinds
+        assert longest == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
