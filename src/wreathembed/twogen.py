@@ -20,12 +20,13 @@ the identity; only the collision points, where two classes are active at
 once, can carry anything else.  Two classes collide at most once, at a
 point found with a few big-integer operations (see
 :func:`collision_points`), so an element with d distinct conjugating
-exponents is decided by evaluating at most d(d-1)/2 points.  Every decider
-streams ``(point, inner verdict)`` over them, lazily, into the one reader of
-both stages, :func:`wreath._first_failure`.  So does :func:`_lifted_sign`,
-the sign :mod:`wreathembed.orders` compares by: the tail's sign or, when
-that is 0, the first nonzero inner sign of the value over the support
-candidates (see :func:`_support_points`).
+exponents is decided by evaluating at most d(d-1)/2 points.  The word
+problem streams ``(point, inner verdict)`` over them, lazily, into the one
+reader of both stages, :func:`wreath._first_failure`; :func:`in_image`
+asks inner diagonal membership at 1 and inner triviality elsewhere.
+:func:`_lifted_sign`, the sign :mod:`wreathembed.orders` compares by, is
+the tail's sign or, when that is 0, the first nonzero inner sign of the
+value over the support candidates (see :func:`_support_points`).
 The conjugating exponents themselves may be astronomically large (they are
 ``2^i - 1`` for the embedding of the i-th base generator) and everything
 stays exact integer arithmetic.
@@ -40,7 +41,7 @@ two-stage embedding of H into this group, with image recognized by
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from wreathembed import wreath
 from wreathembed.base_groups import NONTRIVIAL, GroupOracle, SemiVerdict
@@ -110,15 +111,13 @@ def _balanced(a: FSElement) -> bool:
     return a.tail == 0 and all(total == 0 for total in class_sums(a).values())
 
 
-def _check(
-    a: FSElement, points: Iterable[int], H: GroupOracle, fuel: int
-) -> Iterator[tuple[int, SemiVerdict]]:
-    # This stage's verdicts at the points: the inner stage decides the value
-    # at each.  On a balanced element (see _balanced) that value carries
-    # z-power 0, since only the class 1 - mu supplies z letters at mu and its
-    # sum is zero; an inner refutation then comes only from the base, so the
-    # first verdict that is not TRIVIAL is exact, as in wreath.semi_trivial.
-    return ((mu, wreath.semi_trivial(value_at(a, mu), H, fuel)) for mu in points)
+def _check(a: FSElement, H: GroupOracle, fuel: int) -> Iterator[tuple[int, SemiVerdict]]:
+    # The inner verdict at each collision point.  On a balanced element (see
+    # _balanced) the value there carries z-power 0, since only the class
+    # 1 - mu supplies z letters at mu and its sum is zero; an inner refutation
+    # then comes only from the base, so the first verdict that is not TRIVIAL
+    # is exact, as in wreath.semi_trivial.
+    return ((mu, wreath.semi_trivial(value_at(a, mu), H, fuel)) for mu in collision_points(a))
 
 
 def is_trivial(a: FSElement, H: GroupOracle) -> bool:
@@ -141,7 +140,7 @@ def semi_trivial(a: FSElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     """
     if not _balanced(a):
         return NONTRIVIAL
-    return wreath._first_failure(_check(a, collision_points(a), H, fuel))[1]
+    return wreath._first_failure(_check(a, H, fuel))[1]
 
 
 def _support_points(a: FSElement) -> list[int]:
@@ -209,15 +208,18 @@ def in_image(a: FSElement, H: GroupOracle) -> bool:
     Image elements are supported at the single point 1, where their value
     lies in the inner diagonal subgroup.  As in :func:`semi_trivial`, once
     the tail and the class sums vanish only collision points can carry a
-    nontrivial value, so the test reads the collision points other than 1
-    and then the value at 1.
+    nontrivial value, so the test reads each collision point once: the value
+    at 1 must lie in the diagonal, every other value must be trivial, and a
+    point 1 that is no collision point carries the identity.
     """
     H.require_total()
     if not _balanced(a):
         return False
-    off_one = [mu for mu in collision_points(a) if mu != 1]
-    clear = wreath._first_failure(_check(a, off_one, H, 0))[0] is None
-    return clear and wreath.in_diagonal(value_at(a, 1), H)
+    return all(
+        wreath.in_diagonal(value_at(a, mu), H) if mu == 1
+        else wreath.semi_trivial(value_at(a, mu), H, 0).trivial
+        for mu in collision_points(a)
+    )
 
 
 def decode(a: FSElement, H: GroupOracle) -> Word:

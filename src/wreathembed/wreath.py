@@ -18,8 +18,8 @@ each step point up to the next.  Every scan is therefore a lazy stream of
 ``(point, value)`` pairs over the step points in increasing order, read by
 one function, :func:`_first_failure`, which stops at the first value that
 is not neutral: its cost depends on the number of factors, not on the size
-of the exponents.  The outer stage's deciders and both stages' lifted signs
-read their streams through it too.
+of the exponents.  The outer stage's word problem and both stages' lifted
+signs read their streams through it too.
 
 Every base in :mod:`wreathembed.base_groups` is abelian and states its rule
 on exponent vectors (``GroupOracle.on_vectors``).  Over such a base the
@@ -27,9 +27,9 @@ stream is the walk :func:`_walk`: it sorts the factors once by ``eta``,
 pops every factor sharing the next ``eta`` into one running vector, and
 yields ``1 - eta`` with the rule on the live vector, so a scan over n
 factors costs O(n log n + points * live coordinates).  :func:`in_diagonal`
-reads the step point 0 as the point 1 unless some factor has ``eta == 0``.
-A base whose values need not commute gets the word :func:`value_at` builds
-at each of the :func:`step_points` instead.
+is the same scan of the element with every factor at ``eta = 1`` moved to
+``eta = 0``.  A base whose values need not commute gets the word
+:func:`value_at` builds at each of the :func:`step_points` instead.
 :func:`_lifted_sign`, the sign :mod:`wreathembed.orders` compares by, walks
 the same vector: the tail's sign or, when that is 0, the first nonzero sign
 the base order gives that vector over the step points.
@@ -105,15 +105,14 @@ def _first_failure(values: Iterable[tuple[int, Any]], neutral=TRIVIAL) -> tuple[
 
 
 def _walk(
-    a: ZBElement, alphabet: Alphabet, rule: Callable[..., Any], *args, zero_as_one: bool = False
+    a: ZBElement, alphabet: Alphabet, rule: Callable[..., Any], *args
 ) -> Iterator[tuple[int, Any]]:
     """``(1 - eta, rule(vector, *args))`` at each distinct step point, ascending.
 
     One sort of the factors; every factor sharing the next ``eta`` is then
     popped into one running ``vector``, the exponent vector of the value,
-    which the rule may read but must neither change nor keep.  ``zero_as_one``
-    reads the step point 0 as the point 1, of equal value, unless 1 is a step
-    point too.  An index below 1 is reported with the alphabet's letter.
+    which the rule may read but must neither change nor keep.  An index
+    below 1 is reported with the alphabet's letter.
     """
     pending = sorted(a.factors, key=itemgetter(1))  # the least step point last
     vector: dict[int, int] = {}
@@ -124,21 +123,14 @@ def _walk(
             if i < 1:
                 alphabet.validate(next(iter(alphabet.indexed)), i)
             _shift(vector, i, xi)
-        if zero_as_one and eta == 1:
-            if pending and pending[-1][1] == 0:
-                continue
-            eta = 0
         yield 1 - eta, rule(vector, *args)
 
 
-def _check(
-    a: ZBElement, H: GroupOracle, fuel: int, zero_as_one: bool = False
-) -> Iterator[tuple[int, SemiVerdict]]:
-    """The base's verdict at each step point, the point 0 read as in :func:`_walk`."""
+def _check(a: ZBElement, H: GroupOracle, fuel: int) -> Iterator[tuple[int, SemiVerdict]]:
+    """The base's verdict at each step point, in increasing order."""
     if H.on_vectors:
-        return _walk(a, H.alphabet, H.rule, fuel, zero_as_one=zero_as_one)
-    points = sorted({nu or 1 for nu in step_points(a)}) if zero_as_one else step_points(a)
-    return ((nu, H.rule(value_at(a, nu, H.alphabet), fuel)) for nu in points)
+        return _walk(a, H.alphabet, H.rule, fuel)
+    return ((nu, H.rule(value_at(a, nu, H.alphabet), fuel)) for nu in step_points(a))
 
 
 def _sign_of(x: int) -> int:
@@ -181,15 +173,13 @@ def in_diagonal(a: ZBElement, H: GroupOracle) -> bool:
 
     Those commutators carry arbitrary base values at point 0 and nothing
     anywhere else, so membership holds iff the trailing ``z`` power vanishes
-    and the value function is trivial at every nonzero point.  It is
-    constant from each step point to the next (see :func:`step_points`), so
-    testing each step point, with 1 in place of a step point 0, is exact: 1
-    lies in the interval from 0 unless 1 is a step point itself.
+    and the value function is trivial at every nonzero point.  Moving each
+    factor at ``eta = 1`` to ``eta = 0`` changes only the value at 0, to the
+    value at -1, so that holds iff the moved element is trivial.  It is built
+    raw, since ``make`` would report an index below 1 with the letter ``b``.
     """
-    H.require_total()
-    if a.tail != 0:
-        return False
-    return _first_failure(_check(a, H, 0, zero_as_one=True))[0] is None
+    moved = tuple((i, 0 if eta == 1 else eta, xi) for i, eta, xi in a.factors)
+    return is_trivial(ZBElement(moved, a.tail), H)
 
 
 def diagonal_encode(word: Word) -> ZBElement:

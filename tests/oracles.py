@@ -34,9 +34,23 @@ def deciding(name: str, alphabet: Alphabet, trivial: Callable[[Word], bool]) -> 
 
 
 # The free group on x1, x2, ...: a canonical word is freely reduced, so it is
-# trivial iff it is empty.  The only base in the tests whose values do not
-# commute.
+# trivial iff it is empty.
 FREE = deciding("free", X_ALPHABET, lambda w: w.is_identity())
+
+
+def heisenberg_trivial(word: Word) -> bool:
+    """The direct sum of Heisenberg groups on the pairs (x(2k-1), x(2k)):
+    x(2k-1) is (1, 0, 0) and x(2k) is (0, 1, 0) in the k-th copy, where
+    (a, b, c)(a', b', c') = (a + a', b + b', c + c' + ab')."""
+    copies: dict[int, tuple[int, int, int]] = {}
+    for _, index, exp in word.runs:
+        a, b, c = copies.get((index + 1) // 2, (0, 0, 0))
+        copies[(index + 1) // 2] = (a + exp, b, c) if index % 2 else (a, b + exp, c + a * exp)
+    return not any(any(triple) for triple in copies.values())
+
+
+# A non-abelian base other than the free group: nilpotent of class 2.
+HEISENBERG = deciding("heisenberg", X_ALPHABET, heisenberg_trivial)
 
 
 def free_abelian_trivial(word: Word) -> bool:

@@ -47,9 +47,13 @@ that :func:`zb_walk_by_step_points` gets by sorting ``wreath.step_points``
 the factors twice.  :func:`zb_semi_trivial_by_step_points`,
 :func:`zb_lifted_sign_by_step_points` and :func:`zb_in_diagonal_by_step_points`
 are the three inner scans over it, which ``test_vector_scan.py`` checks the
-library's one-sort walk against.  There is no word-built verdict rule here: the
-library's own word path, taken by a base with no vector rule, serves as the
-oracle for its running-vector walk (see ``test_vector_scan.py``).
+library's one-sort walk against.  :func:`zb_in_diagonal_by_words` is diagonal
+membership on the word path as it was before ``wreath.in_diagonal`` became
+the triviality scan of a moved element: the base rule on the value word at
+each step point, with the step point 0 read as 1.  There is no word-built
+verdict rule here: the library's own word path, taken by a base with no
+vector rule, serves as the oracle for its running-vector walk (see
+``test_vector_scan.py``).
 """
 
 from __future__ import annotations
@@ -205,6 +209,17 @@ def zb_in_diagonal_by_step_points(a: ZBElement, H: GroupOracle) -> bool:
         return False
     walk = zb_walk_by_step_points(a, H.alphabet, H.rule, 0, zero_as_one=True)
     return wreath._first_failure(walk)[0] is None
+
+
+def zb_in_diagonal_by_words(a: ZBElement, H: GroupOracle) -> bool:
+    """Diagonal membership on the word path: the base rule on the word
+    ``wreath.value_at`` builds at each step point, with the step point 0
+    read as 1, up to the first that is not trivial."""
+    H.require_total()
+    if a.tail != 0:
+        return False
+    points = sorted({nu or 1 for nu in wreath.step_points(a)})
+    return all(H.rule(wreath.value_at(a, nu, H.alphabet), 0).trivial for nu in points)
 
 
 # -- inner stage: every integer between the smallest and largest step point --

@@ -18,7 +18,7 @@ import pytest
 
 import reference_scans as ref
 from oracles import FREE as FREE_GROUP
-from oracles import deciding, fs_support_by_compare, zb_support_by_compare
+from oracles import HEISENBERG, deciding, fs_support_by_compare, zb_support_by_compare
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
     NONTRIVIAL,
@@ -35,8 +35,8 @@ from wreathembed.words import A_ALPHABET, X_ALPHABET, ZB_ALPHABET, Word, parse_w
 from wreathembed.wreath import ZBElement
 
 FREE = free_abelian_oracle()
-# FREE_GROUP is the one base whose values do not commute.
-TOTAL_BASES = [FREE, insep_oracle(mock_pair()), FREE_GROUP]
+# FREE_GROUP and HEISENBERG are the bases whose values do not commute.
+TOTAL_BASES = [FREE, insep_oracle(mock_pair()), FREE_GROUP, HEISENBERG]
 
 
 def random_zb(rng: random.Random) -> ZBElement:
@@ -66,7 +66,7 @@ def random_fs(rng: random.Random) -> FSElement:
         (rng.randrange(-8, 9), rng.choice([-2, -1, 1, 2])) for _ in range(rng.randrange(0, 6))
     ]
     a = FSElement.make(factors, rng.choice([0, 0, 0, 0, 1, -1]))
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 1:  # a commutator: every class sum vanishes
         b = FSElement.make(
             [(rng.randrange(-8, 9), rng.choice([-1, 1])) for _ in range(3)], rng.randrange(-3, 4)
@@ -79,6 +79,12 @@ def random_fs(rng: random.Random) -> FSElement:
         enc = twogen.encode_word(Word.make(X_ALPHABET, runs))
         shift = FSElement((), rng.choice([0, 0, 1, -2]))
         return shift * enc * ~shift * FSElement.make([(rng.randrange(-3, 4), rng.choice([0, 1]))])
+    if kind == 3:  # balanced, carrying x_i at -1 from the one collision point 1
+        k = (1 << rng.randrange(1, 4)) - 1
+        off = FSElement.make([(0, 2), (k, 1), (0, -2), (k, -1)])
+        runs = [("x", rng.randrange(1, 4), rng.choice([-1, 1])) for _ in range(rng.randrange(3))]
+        enc = twogen.encode_word(Word.make(X_ALPHABET, runs))
+        return rng.choice([off, off * enc, enc * off])
     return a
 
 
@@ -105,8 +111,9 @@ def test_inner_deciders_match_window_scan(H):
     assert verdicts == {TRIVIAL, NONTRIVIAL}
     if H is FREE_GROUP:
         assert shapes[True, False, True] >= 3
-    else:
-        assert all(shapes[shape] >= 10 for shape in itertools.product((False, True), repeat=3))
+    else:  # HEISENBERG has 5 members with 1, but not 0, a step point
+        least = 3 if H is HEISENBERG else 10
+        assert all(shapes[shape] >= least for shape in itertools.product((False, True), repeat=3))
 
 
 def test_inner_semi_trivial_matches_window_scan_with_fuel():
@@ -122,6 +129,9 @@ def test_inner_semi_trivial_matches_window_scan_with_fuel():
 def test_outer_deciders_match_window_scan(H):
     rng = random.Random(103)
     verdicts = set()
+    # Balanced samples by (1 a collision point, member): in_image asks the
+    # inner diagonal at 1 and inner triviality elsewhere.
+    shapes = Counter()
     for _ in range(500):
         a = random_fs(rng)
         assert twogen.is_trivial(a, H) == ref.fs_is_trivial(a, H), a
@@ -130,8 +140,12 @@ def test_outer_deciders_match_window_scan(H):
         verdicts.add(verdict)
         if H.name in ORDERS:
             assert fs_support_by_compare(a, H) == ref.fs_min_support(a, H), a
-        assert twogen.in_image(a, H) == ref.fs_in_image(a, H), a
+        member = twogen.in_image(a, H)
+        assert member == ref.fs_in_image(a, H), a
+        if twogen._balanced(a):
+            shapes[1 in twogen.collision_points(a), member] += 1
     assert verdicts == {TRIVIAL, NONTRIVIAL}
+    assert all(shapes[shape] >= 10 for shape in itertools.product((False, True), repeat=2)), shapes
 
 
 def test_outer_semi_trivial_matches_window_scan_with_fuel():

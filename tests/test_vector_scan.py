@@ -21,6 +21,7 @@ from functools import partial
 import pytest
 
 from oracles import FREE as FREE_GROUP
+from oracles import HEISENBERG
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
     NONTRIVIAL,
@@ -41,6 +42,7 @@ from wreathembed.wreath import ZBElement
 
 from reference_scans import (
     zb_in_diagonal_by_step_points,
+    zb_in_diagonal_by_words,
     zb_lifted_sign_by_step_points,
     zb_semi_trivial_by_step_points,
     zb_walk_by_step_points,
@@ -181,6 +183,8 @@ def test_walk_matches_the_two_sort_walk(H):
     # The library's walk against the walk over sorted step points that it
     # replaced: the same verdicts, signs and memberships, the same rule calls
     # on the same vectors, and a bad raw factor reported at the same call.
+    # in_diagonal, the scan of a moved element, meets the walk that read the
+    # step point 0 as 1.
     rng = random.Random(f"walk-{H.name}")
     order = ORDERS[H.name]() if H.name in ORDERS else pair_adapted_order(PAIR)
     log: list[dict] = []
@@ -212,10 +216,10 @@ def test_walk_matches_the_two_sort_walk(H):
         except WordError as exc:
             return str(exc), list(log)
 
-    def stream(walk, a, zero_as_one):
+    def stream(walk, a):
         out = []
         try:
-            for point, vector in walk(a, H.alphabet, dict, zero_as_one=zero_as_one):
+            for point, vector in walk(a, H.alphabet, dict):
                 out.append((point, vector))
         except WordError as exc:
             out.append(str(exc))
@@ -228,10 +232,7 @@ def test_walk_matches_the_two_sort_walk(H):
             got = outcome(new, a)
             assert got == outcome(old, a), (a, new)
             seen[got[0]] += 1
-        for zero_as_one in (False, True):
-            assert stream(wreath._walk, a, zero_as_one) == stream(
-                zb_walk_by_step_points, a, zero_as_one
-            ), (a, zero_as_one)
+        assert stream(wreath._walk, a) == stream(zb_walk_by_step_points, a), a
         if a.tail == 0:
             etas = Counter(eta for _, eta, _ in a.factors)
             if 1 in etas:  # the step point 0, read as 1 or, with a factor at eta 0, skipped
@@ -257,6 +258,48 @@ def test_non_commuting_base_keeps_the_word_path():
         FREE_GROUP, rule=lambda vector, _: TRIVIAL if not vector else NONTRIVIAL, on_vectors=True
     )
     assert wreath.semi_trivial(a, as_vectors, 0).trivial
+
+
+# Word-path bases, each with the base whose relators its samples use.
+WORD_PATH = [
+    (FREE_GROUP, FREE), (HEISENBERG, FREE), (as_words(FREE), FREE), (as_words(INSEP), INSEP)
+]
+
+
+@pytest.mark.parametrize("H, like", WORD_PATH, ids=[H.name for H, _ in WORD_PATH])
+def test_in_diagonal_matches_the_word_route(H, like):
+    # On the word path, in_diagonal asks the base about the same words, in
+    # the same order, as the rule on the value word at each step point with
+    # 0 read as 1, and reports a bad raw factor at the same call.
+    rng = random.Random(f"diagonal-{H.name}")
+    log: list[Word] = []
+
+    def logged(word, fuel):
+        log.append(word)
+        return H.rule(word, fuel)
+
+    base = dataclasses.replace(H, rule=logged)
+
+    def outcome(scan, a):
+        log.clear()
+        try:
+            return scan(a, base), list(log)
+        except WordError as exc:
+            return str(exc), list(log)
+
+    seen: Counter = Counter()
+    samples = [sample_zb(rng, like) for _ in range(400)] + [raw_zb(rng, like) for _ in range(100)]
+    for a in samples:
+        got = outcome(wreath.in_diagonal, a)
+        assert got == outcome(zb_in_diagonal_by_words, a), a
+        seen[got[0]] += 1
+        etas = {eta for _, eta, _ in a.factors}
+        if a.tail == 0 and 1 in etas:
+            seen["eta 1 and eta 0" if 0 in etas else "eta 1, no eta 0"] += 1
+    shapes = (True, False, "eta 1 and eta 0", "eta 1, no eta 0")
+    assert min(seen[shape] for shape in shapes) >= 30, seen
+    letter = next(iter(H.alphabet.indexed))
+    assert seen[f"index must be >= 1, got {letter}0"] >= 20, seen
 
 
 @pytest.mark.parametrize("H", [FREE, INSEP], ids=lambda H: H.name)
