@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import itertools
 import threading
 import weakref
 from dataclasses import dataclass
@@ -110,16 +111,20 @@ _primes_lock = threading.Lock()
 
 
 def _grow_primes() -> None:
-    # Append the next prime; trial division stops at the square root.
-    candidate = _primes[-1] + 2
-    while True:
-        for p in _primes:
-            if p * p > candidate:
-                _primes.append(candidate)
-                return
-            if candidate % p == 0:
-                break
-        candidate += 2
+    # Append the primes in (last, 2 * last], one at least by Bertrand's
+    # postulate: a sieve of its odd numbers by the odd primes up to its square
+    # root, all held since last >= 3.  The segment is sieved in full before
+    # the list grows.
+    last = _primes[-1]
+    odd = range(last + 2, 2 * last + 1, 2)
+    keep = bytearray([1]) * len(odd)
+    for p in itertools.islice(_primes, 1, None):
+        if p * p > odd[-1]:
+            break
+        multiple = -(-odd[0] // p) * p  # the least multiple of p in the segment
+        start = (multiple + p * (multiple % 2 == 0) - odd[0]) // 2  # the least odd one
+        keep[start::p] = bytes(len(range(start, len(odd), p)))
+    _primes.extend(list(itertools.compress(odd, keep)))
 
 
 def prime(i: int) -> int:

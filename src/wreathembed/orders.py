@@ -16,8 +16,9 @@ deciders scan (``wreath._lifted_sign``, ``twogen._lifted_sign``): the sign
 of the trailing shift power and, when that is 0, the first nonzero sign of
 the carried value.  The lift of a cone is a cone, so lifts keep
 bi-invariance.  :func:`zb_compare` and :func:`fs_compare` read the lifted
-sign of ``a * ~b``, and ask the base oracle only to confirm a zero sign,
-which a rule that is not a cone can give on a nontrivial element.
+sign of ``a * ~b`` in one walk, which asks the base oracle only to confirm
+each zero sign it passes: a rule that is not a cone can give 0 on a
+nontrivial value, and the walk raises there.  No decider is called.
 """
 
 from __future__ import annotations
@@ -84,14 +85,12 @@ def pair_adapted_order(pair: EnumeratedPair) -> OrderOracle:
 
 def _checked_sign(c, H_order: OrderOracle, H: GroupOracle, stage):
     # The lifted sign of c in the group of the stage module, with its clause
-    # and point; the base oracle confirms a zero sign.
+    # and point; the stage's walk has the base oracle confirm each zero sign.
     if H.alphabet is not H_order.alphabet:
         raise ValueError(f"oracle {H.name!r} and order {H_order.name!r} use different alphabets")
     if not c.tail:
         H.require_total()
-    point, sign = stage._lifted_sign(c, H_order)
-    if not sign and not stage.is_trivial(c, H):
-        raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
+    point, sign = stage._lifted_sign(c, H_order, H)
     return sign, "tail" if c.tail else "value" if sign else "equal", point
 
 

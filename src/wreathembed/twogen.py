@@ -26,7 +26,8 @@ reader of both stages, :func:`wreath._first_failure`; :func:`in_image`
 asks inner diagonal membership at 1 and inner triviality elsewhere.
 :func:`_lifted_sign`, the sign :mod:`wreathembed.orders` compares by, is
 the tail's sign or, when that is 0, the first nonzero inner sign of the
-value over the support candidates (see :func:`_support_points`).
+value over the support candidates (see :func:`_support_points`), each inner
+walk confirming its zero signs with the base.
 The conjugating exponents themselves may be astronomically large (they are
 ``2^i - 1`` for the embedding of the i-th base generator) and everything
 stays exact integer arithmetic.
@@ -40,8 +41,6 @@ two-stage embedding of H into this group, with image recognized by
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from wreathembed import wreath
 from wreathembed.base_groups import NONTRIVIAL, GroupOracle, SemiVerdict
@@ -111,15 +110,6 @@ def _balanced(a: FSElement) -> bool:
     return a.tail == 0 and all(total == 0 for total in class_sums(a).values())
 
 
-def _check(a: FSElement, H: GroupOracle, fuel: int) -> Iterator[tuple[int, SemiVerdict]]:
-    # The inner verdict at each collision point.  On a balanced element (see
-    # _balanced) the value there carries z-power 0, since only the class
-    # 1 - mu supplies z letters at mu and its sum is zero; an inner refutation
-    # then comes only from the base, so the first verdict that is not TRIVIAL
-    # is exact, as in wreath.semi_trivial.
-    return ((mu, wreath.semi_trivial(value_at(a, mu), H, fuel)) for mu in collision_points(a))
-
-
 def is_trivial(a: FSElement, H: GroupOracle) -> bool:
     """Word problem relative to a total base oracle, by :func:`semi_trivial`."""
     H.require_total()
@@ -133,14 +123,16 @@ def semi_trivial(a: FSElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     factors has exponent sum zero (a class with a nonzero sum leaves a
     trailing ``z`` power at its first active point; see
     :func:`_support_points`), and the carried value is inner-trivial at every
-    collision point.  Once the class sums vanish, a point where a single
-    class is active carries ``z^0`` or ``b_i^0``, the identity whatever the
-    base group, so only the O(d^2) collision points of the d classes need
-    evaluating; the first of them whose verdict is not TRIVIAL decides.
+    collision point, the only points that can then carry anything else.  The
+    value there has ``z`` power 0, since only the class ``1 - mu`` supplies
+    ``z`` letters at ``mu``, so an inner refutation comes only from the base
+    and the first verdict that is not TRIVIAL decides, as in
+    :func:`wreath.semi_trivial`.
     """
     if not _balanced(a):
         return NONTRIVIAL
-    return wreath._first_failure(_check(a, H, fuel))[1]
+    verdicts = ((mu, wreath.semi_trivial(value_at(a, mu), H, fuel)) for mu in collision_points(a))
+    return wreath._first_failure(verdicts)[1]
 
 
 def _support_points(a: FSElement) -> list[int]:
@@ -159,12 +151,15 @@ def _support_points(a: FSElement) -> list[int]:
     return [mu for mu in points if mu < best] + [best]
 
 
-def _lifted_sign(a: FSElement, H_order) -> tuple[int | None, int]:
-    # The same as wreath._lifted_sign one level up, over the support candidates.
+def _lifted_sign(a: FSElement, H_order, H: GroupOracle) -> tuple[int | None, int]:
+    # wreath._lifted_sign one level up, over the support candidates.  A zero
+    # sign leaves no class sum, and H confirmed every collision point: is_trivial.
     if a.tail:
         return None, wreath._sign_of(a.tail)
-    signs = ((mu, wreath._lifted_sign(value_at(a, mu), H_order)[1]) for mu in _support_points(a))
-    return wreath._first_failure(signs, 0)
+    for mu in _support_points(a):
+        if sign := wreath._lifted_sign(value_at(a, mu), H_order, H)[1]:
+            return mu, sign
+    return None, 0
 
 
 def _generator_factors(i: int, sign: int) -> tuple[tuple[int, int], ...]:

@@ -14,31 +14,32 @@ relative to a base oracle.
 
 Every factor switches on at the single step point ``1 - eta``, so the value
 function is the identity left of the least step point and constant from
-each step point up to the next.  Every scan is therefore a lazy stream of
-``(point, value)`` pairs over the step points in increasing order, read by
-one function, :func:`_first_failure`, which stops at the first value that
-is not neutral: its cost depends on the number of factors, not on the size
-of the exponents.  The outer stage's word problem and both stages' lifted
-signs read their streams through it too.
+each step point up to the next.  Every decider's scan is therefore a lazy
+stream of ``(point, verdict)`` pairs over the step points in increasing
+order, read by one function, :func:`_first_failure`, which stops at the
+first verdict that is not TRIVIAL: its cost depends on the number of
+factors, not on the size of the exponents.  The outer stage's deciders read
+their streams through it too.
 
 Every base in :mod:`wreathembed.base_groups` is abelian and states its rule
 on exponent vectors (``GroupOracle.on_vectors``).  Over such a base the
-stream is the walk :func:`_walk`: it sorts the factors once by ``eta``,
-pops every factor sharing the next ``eta`` into one running vector, and
-yields ``1 - eta`` with the rule on the live vector, so a scan over n
-factors costs O(n log n + points * live coordinates).  :func:`in_diagonal`
-is the same scan of the element with every factor at ``eta = 1`` moved to
-``eta = 0``.  A base whose values need not commute gets the word
-:func:`value_at` builds at each of the :func:`step_points` instead.
-:func:`_lifted_sign`, the sign :mod:`wreathembed.orders` compares by, walks
-the same vector: the tail's sign or, when that is 0, the first nonzero sign
-the base order gives that vector over the step points.
+stream comes from the walk :func:`_walk`: it sorts the factors once by
+``eta``, pops every factor sharing the next ``eta`` into one running vector,
+and yields ``1 - eta`` with the live vector, so a scan over n factors costs
+O(n log n + points * live coordinates).  :func:`in_diagonal` is the same
+scan of the element with every factor at ``eta = 1`` moved to ``eta = 0``.
+A base whose values need not commute gets the word :func:`value_at` builds
+at each of the :func:`step_points` instead.  :func:`_lifted_sign`, the sign
+:mod:`wreathembed.orders` compares by, is the tail's sign or, when that is
+0, the first nonzero sign the base order gives the walked vector; in the
+same walk the base confirms each zero sign, which guards against an order
+rule that is not a cone.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from wreathembed.base_groups import NONTRIVIAL, TRIVIAL, GroupOracle, SemiVerdict, _shift
 from wreathembed.words import (
@@ -90,29 +91,26 @@ def step_points(a: ZBElement) -> list[int]:
     return sorted({1 - eta for _, eta, _ in a.factors})
 
 
-def _first_failure(values: Iterable[tuple[int, Any]], neutral=TRIVIAL) -> tuple[int | None, Any]:
-    """The one reader of every scan at both stages, deciders and lifted signs alike.
+def _first_failure(values: Iterable[tuple[int, SemiVerdict]]) -> tuple[int | None, SemiVerdict]:
+    """The one reader of every decider's scan at both stages.
 
-    ``values`` yields ``(point, value)`` pairs in scan order.  Returns the
-    first pair whose value is not ``neutral`` (TRIVIAL for a verdict, 0 for
-    a sign), consuming ``values`` only up to it; ``(None, neutral)`` when
-    there is none.
+    ``values`` yields ``(point, verdict)`` pairs in scan order.  Returns the
+    first pair whose verdict is not TRIVIAL, consuming ``values`` only up to
+    it; ``(None, TRIVIAL)`` when there is none.
     """
-    for point, value in values:
-        if value != neutral:
-            return point, value
-    return None, neutral
+    for point, verdict in values:
+        if verdict is not TRIVIAL:
+            return point, verdict
+    return None, TRIVIAL
 
 
-def _walk(
-    a: ZBElement, alphabet: Alphabet, rule: Callable[..., Any], *args
-) -> Iterator[tuple[int, Any]]:
-    """``(1 - eta, rule(vector, *args))`` at each distinct step point, ascending.
+def _walk(a: ZBElement, alphabet: Alphabet) -> Iterator[tuple[int, dict[int, int]]]:
+    """``(1 - eta, vector)`` at each distinct step point, ascending.
 
     One sort of the factors; every factor sharing the next ``eta`` is then
     popped into one running ``vector``, the exponent vector of the value,
-    which the rule may read but must neither change nor keep.  An index
-    below 1 is reported with the alphabet's letter.
+    yielded live: the caller may read it but must neither change nor keep
+    it.  An index below 1 is reported with the alphabet's letter.
     """
     pending = sorted(a.factors, key=itemgetter(1))  # the least step point last
     vector: dict[int, int] = {}
@@ -123,13 +121,13 @@ def _walk(
             if i < 1:
                 alphabet.validate(next(iter(alphabet.indexed)), i)
             _shift(vector, i, xi)
-        yield 1 - eta, rule(vector, *args)
+        yield 1 - eta, vector
 
 
 def _check(a: ZBElement, H: GroupOracle, fuel: int) -> Iterator[tuple[int, SemiVerdict]]:
     """The base's verdict at each step point, in increasing order."""
     if H.on_vectors:
-        return _walk(a, H.alphabet, H.rule, fuel)
+        return ((nu, H.rule(vector, fuel)) for nu, vector in _walk(a, H.alphabet))
     return ((nu, H.rule(value_at(a, nu, H.alphabet), fuel)) for nu in step_points(a))
 
 
@@ -137,12 +135,18 @@ def _sign_of(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _lifted_sign(a: ZBElement, H_order) -> tuple[int | None, int]:
-    # (deciding point, sign) in the order lifted from the base order H_order:
-    # the tail's sign at no point, else the first nonzero sign walked.
+def _lifted_sign(a: ZBElement, H_order, H: GroupOracle) -> tuple[int | None, int]:
+    # (deciding point, sign) in the order lifted from H_order: the tail's sign
+    # at no point, else the first nonzero sign walked.  The total base H
+    # confirms each zero sign, so a rule that is no cone raises where it errs.
     if a.tail:
         return None, _sign_of(a.tail)
-    return _first_failure(_walk(a, H_order.alphabet, H_order.sign), 0)
+    for nu, vector in _walk(a, H_order.alphabet):
+        if sign := H_order.sign(vector):
+            return nu, sign
+        if not H.rule(vector if H.on_vectors else value_at(a, nu, H.alphabet), 0).trivial:
+            raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
+    return None, 0
 
 
 def is_trivial(a: ZBElement, H: GroupOracle) -> bool:
@@ -159,9 +163,7 @@ def semi_trivial(a: ZBElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     total base answers only TRIVIAL or NONTRIVIAL, and a fueled base only
     TRIVIAL or UNKNOWN, so the first such verdict is NONTRIVIAL exactly when
     some point is refuted and UNKNOWN exactly when none is and some point is
-    not certified.  A base with a vector rule reads one running exponent
-    vector at each step point, so n factors cost O(n log n + points * live
-    coordinates); any other base gets the word :func:`value_at` builds.
+    not certified.  The verdicts come from :func:`_check`.
     """
     if a.tail != 0:
         return NONTRIVIAL

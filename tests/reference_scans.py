@@ -28,6 +28,10 @@ value words there lexicographically on their vectors;
 :func:`fs_compare_by_min_support` finds the outer least support point with
 the window scan :func:`fs_min_support` and calls it there.  Neither reads a
 sign, and neither calls a library scan.
+:func:`zb_compare_by_two_walks` and :func:`fs_compare_by_two_walks` are
+the compares as they were before the lifted sign confirmed its own zero
+signs: the sign walk with no base call, then, on a zero sign, the stage's
+``is_trivial`` over the same points, raising "not total" when it refutes.
 
 Two more keep the sign path's routes that the library replaced by reading
 a sign straight off a normal form: :func:`sign_by_compare` signs a word by
@@ -45,8 +49,9 @@ it took its points from its own sort of the factors: it walks a point list
 that :func:`zb_walk_by_step_points` gets by sorting ``wreath.step_points``
 (read with the step point 0 as 1 for ``in_diagonal``), so each scan sorted
 the factors twice.  :func:`zb_semi_trivial_by_step_points`,
-:func:`zb_lifted_sign_by_step_points` and :func:`zb_in_diagonal_by_step_points`
-are the three inner scans over it, which ``test_vector_scan.py`` checks the
+:func:`zb_lifted_sign_by_step_points` (its zero signs confirmed by the base
+rule on the same vector) and :func:`zb_in_diagonal_by_step_points` are the
+three inner scans over it, which ``test_vector_scan.py`` checks the
 library's one-sort walk against.  :func:`zb_in_diagonal_by_words` is diagonal
 membership on the word path as it was before ``wreath.in_diagonal`` became
 the triviality scan of a moved element: the base rule on the value word at
@@ -197,10 +202,20 @@ def zb_semi_trivial_by_step_points(a: ZBElement, H: GroupOracle, fuel: int) -> S
     return wreath._first_failure(zb_walk_by_step_points(a, H.alphabet, H.rule, fuel))[1]
 
 
-def zb_lifted_sign_by_step_points(a: ZBElement, H_order) -> tuple[int | None, int]:
+def zb_lifted_sign_by_step_points(a: ZBElement, H_order, H: GroupOracle) -> tuple[int | None, int]:
+    """The sign at the first step point where it is not 0, the base rule
+    confirming the vector at each point where it is."""
     if a.tail:
         return None, wreath._sign_of(a.tail)
-    return wreath._first_failure(zb_walk_by_step_points(a, H_order.alphabet, H_order.sign), 0)
+
+    def confirmed(vector):
+        sign = H_order.sign(vector)
+        if not sign and not H.rule(vector, 0).trivial:
+            raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
+        return sign
+
+    walk = zb_walk_by_step_points(a, H_order.alphabet, confirmed)
+    return next(((nu, sign) for nu, sign in walk if sign), (None, 0))
 
 
 def zb_in_diagonal_by_step_points(a: ZBElement, H: GroupOracle) -> bool:
@@ -419,3 +434,49 @@ def support_points_by_sort(a: FSElement) -> list[int]:
     then that point, if any."""
     best = sorted(1 - gamma for gamma, total in twogen.class_sums(a).items() if total != 0)[:1]
     return [mu for mu in twogen.collision_points(a) if not best or mu < best[0]] + best
+
+
+# -- the compares that walked twice ----------------------------------------------
+
+
+def _zb_sign_unconfirmed(c: ZBElement, H_order) -> tuple[int | None, int]:
+    # The tail's sign, else the first nonzero sign on the walk; no base call.
+    if c.tail:
+        return None, wreath._sign_of(c.tail)
+    signs = ((nu, H_order.sign(vector)) for nu, vector in wreath._walk(c, H_order.alphabet))
+    return next(((nu, sign) for nu, sign in signs if sign), (None, 0))
+
+
+def _fs_sign_unconfirmed(c: FSElement, H_order) -> tuple[int | None, int]:
+    # The same one level up, over ``twogen._support_points``.
+    if c.tail:
+        return None, wreath._sign_of(c.tail)
+    signs = (
+        (mu, _zb_sign_unconfirmed(twogen.value_at(c, mu), H_order)[1])
+        for mu in twogen._support_points(c)
+    )
+    return next(((mu, sign) for mu, sign in signs if sign), (None, 0))
+
+
+def _compare_by_two_walks(c, H_order, H: GroupOracle, stage, sign):
+    if H.alphabet is not H_order.alphabet:
+        raise ValueError(f"oracle {H.name!r} and order {H_order.name!r} use different alphabets")
+    if not c.tail:
+        H.require_total()
+    point, value = sign(c, H_order)
+    if not value and not stage.is_trivial(c, H):
+        raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
+    clause = "tail" if c.tail else "value" if value else "equal"
+    return {-1: "LT", 0: "EQ", 1: "GT"}[value], clause, point
+
+
+def zb_compare_by_two_walks(a: ZBElement, b: ZBElement, H_order, H: GroupOracle):
+    """The lifted sign of ``a * ~b`` with no base call, then, on a zero
+    sign, ``wreath.is_trivial`` over the same step points."""
+    return _compare_by_two_walks(a * ~b, H_order, H, wreath, _zb_sign_unconfirmed)
+
+
+def fs_compare_by_two_walks(a: FSElement, b: FSElement, H_order, H: GroupOracle):
+    """The same one level up: on a zero sign, ``twogen.is_trivial`` over
+    the collision points the sign walked."""
+    return _compare_by_two_walks(a * ~b, H_order, H, twogen, _fs_sign_unconfirmed)

@@ -1,9 +1,12 @@
 import gc
+import os
 import random
+import subprocess
 import sys
 import threading
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -142,6 +145,20 @@ class TestPrimes:
         assert answers == [expected] * 4
         assert base_groups._primes == sequential
         assert expected[2000] == (17389, 2000)
+
+
+def test_a_large_prime_ratio_is_indexed_in_a_fresh_interpreter_within_five_seconds():
+    # 10 000 019 is the 664 580-th prime.  Listing the primes up to it by trial
+    # division, one candidate at a time, took about half a minute; the sieve
+    # takes one segment per doubling.  A fresh interpreter starts from [2, 3].
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    code = "from wreathembed.base_groups import _prime_index; print(_prime_index(10_000_019))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5
+    )
+    assert (done.returncode, done.stdout) == (0, "664580\n"), done.stderr
 
 
 class TestFreeAbelian:

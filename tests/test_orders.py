@@ -180,6 +180,16 @@ class TestInnerLift:
         with pytest.raises(ValueError, match="order 'ties' is not total"):
             fs_compare(twogen.encode_word(x("x1")), twogen.FSElement.identity(), ties, H)
 
+    def test_order_blind_before_a_later_sign_is_rejected(self):
+        # blind1 gives 0 on the nontrivial value x1 at the point 1 and lex's
+        # sign on x1 x2 at the point 2.  Its lift reads the sign at the least
+        # support point, 1, so "GT at 2" would be wrong; the walk raises at 1.
+        blind1 = OrderOracle(
+            "blind1", X_ALPHABET, lambda vector: 0 if set(vector) == {1} else HORD.sign(vector)
+        )
+        with pytest.raises(ValueError, match="order 'blind1' is not total"):
+            zb_compare(zb("b1 z^-1 b2 z"), zb(""), blind1, H)
+
 
 class TestOuterLift:
     def test_tail_clause_dominates(self):
@@ -233,10 +243,12 @@ class TestOuterLift:
 
 
 def test_compares_ask_the_base_only_to_confirm_a_zero_sign():
-    # Base-rule calls and base-order sign calls per compare.  An LT/GT compare
-    # and the separator read signs only.  An EQ compare reads the sign at
-    # every point and then scans the same points again for the base's
-    # confirmation, one rule call per point.
+    # Base-rule calls and base-order sign calls per compare.  The walk reads
+    # the sign at each point up to the deciding one, and the base confirms
+    # each zero sign there, one rule call per such point.  So an LT/GT compare
+    # decided at its first point and the separator read signs only, one with
+    # a trivial value first makes one rule call, and an EQ compare makes one
+    # rule call per point.
     calls: Counter = Counter()
 
     def counted(name, fn):
@@ -257,6 +269,8 @@ def test_compares_ask_the_base_only_to_confirm_a_zero_sign():
         ("LT", "value", 0), {"sign": 1})
     assert traffic(zb_compare, a, b, order, base) == (
         ("EQ", "equal", None), {"sign": 3, "rule": 3})
+    assert traffic(zb_compare, zb("b1 b2 b1^-1 b2^-1 z^-1 b3 z"), zb(""), order, base) == (
+        ("GT", "value", 2), {"sign": 2, "rule": 1})
     e1, e2 = (FSElement.from_word(twogen.generator_word(i)) for i in (1, 2))
     assert traffic(fs_compare, e2, e1, order, base) == (("LT", "value", 1), {"sign": 1})
     assert traffic(fs_compare, e2 * e1, e1 * e2, order, base) == (
@@ -266,6 +280,35 @@ def test_compares_ask_the_base_only_to_confirm_a_zero_sign():
     lifted = lifted_order(insep, adapted)
     assert traffic(separator, 1, lifted) == (True, {"sign": 2})
     assert traffic(separator, 2, lifted) == (False, {"sign": 2})
+
+
+def test_an_eq_compare_walks_each_point_once(monkeypatch):
+    # The lifted sign confirms its own zero signs, so an EQ compare walks the
+    # inner difference once, and the outer one once per collision point,
+    # with no second walk through the stage's is_trivial.
+    walks: Counter = Counter()
+    walk = wreath._walk
+
+    def counted(*args):
+        walks["walk"] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(wreath, "_walk", counted)
+    a, b = zb("b1 z^-1 b2 z z^-2 b3 z^2"), zb("z^-2 b3 z^2 b1 z^-1 b2 z")
+    assert zb_compare(a, b, HORD, H) == ("EQ", "equal", None)
+    assert walks == {"walk": 1}
+    # Commutators of f-conjugates whose classes meet on b letters only, so
+    # trivial over an abelian base, with five collision points in all.
+    u = FSElement.identity()
+    for g, h in ((4, 2), (5, 3), (4, 8)):
+        p, q = FSElement(((g, 1),)), FSElement(((h, 1),))
+        u = u * p * q * ~p * ~q
+    assert twogen.collision_points(u) == [-4, -3, -2, -1, 0]
+    v = fs("f s^2 f")
+    for lhs, rhs in ((u, FSElement.identity()), (u * v, v)):
+        walks.clear()
+        assert fs_compare(lhs, rhs, HORD, H) == ("EQ", "equal", None)
+        assert walks == {"walk": 5}
 
 
 def late_difference(rng) -> FSElement:

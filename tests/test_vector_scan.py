@@ -6,10 +6,12 @@ rule.  Here every decider that reaches the inner scan runs twice on the same
 elements: over the base as it is, and over a copy whose rule reads words
 (:func:`as_words`), whose scan builds the value word at each point and hands
 it to the base's ``check``.  The compare among them is the library's
-``zb_compare``: it reads the order's sign on the running vector and asks the
-base only to confirm a zero sign, so an EQ compare still reaches the rule.
-Each scan is a lazy stream, and the last test checks that it stops at its
-deciding point.
+``zb_compare``: in one walk it reads the order's sign on the running vector
+and asks the base to confirm each zero sign it passes, so every compare that
+passes a zero sign reaches the rule, and an EQ compare reaches it at every
+step point.  The compares are also checked against the two-walk compares
+they replaced.  Each scan is a lazy stream, and the last test checks that it
+stops at its deciding point.
 """
 
 import dataclasses
@@ -35,12 +37,14 @@ from wreathembed.base_groups import (
     re_oracle,
 )
 from wreathembed.cli import ORDERS
-from wreathembed.orders import lex_order, pair_adapted_order, zb_compare
+from wreathembed.orders import OrderOracle, fs_compare, lex_order, pair_adapted_order, zb_compare
 from wreathembed.twogen import FSElement
 from wreathembed.words import FS_ALPHABET, X_ALPHABET, ZB_ALPHABET, Word, WordError, parse_word
 from wreathembed.wreath import ZBElement
 
 from reference_scans import (
+    fs_compare_by_two_walks,
+    zb_compare_by_two_walks,
     zb_in_diagonal_by_step_points,
     zb_in_diagonal_by_words,
     zb_lifted_sign_by_step_points,
@@ -163,7 +167,7 @@ def test_vector_scan_matches_word_rule(H):
             shapes["shared step point"] += max(etas.values(), default=0) > 1
             shapes["0 a step point"] += 1 in etas
     assert len(shapes) == 3 and min(shapes.values()) >= 100, shapes
-    if H.name in ORDERS:  # only an EQ compare reaches the verdict rule, to confirm its zero sign
+    if H.name in ORDERS:  # an EQ compare reaches the verdict rule at every point, to confirm 0
         assert sum(out[-1][0] == "EQ" for out in fast) >= 100
     verdicts = {verdict for out in fast for verdict in out if isinstance(verdict, SemiVerdict)}
     assert verdicts == ({TRIVIAL, NONTRIVIAL, UNKNOWN} if not H.total else {TRIVIAL, NONTRIVIAL})
@@ -183,6 +187,10 @@ def test_walk_matches_the_two_sort_walk(H):
     # The library's walk against the walk over sorted step points that it
     # replaced: the same verdicts, signs and memberships, the same rule calls
     # on the same vectors, and a bad raw factor reported at the same call.
+    # The lifted sign's calls are its signs, each zero one followed by the
+    # base's confirmation; re:mock at fuel 0 confirms only the empty vector,
+    # so both raise at any other zero sign.  The walk yields its live
+    # vector, so the stream copies it.
     # in_diagonal, the scan of a moved element, meets the walk that read the
     # step point 0 as 1.
     rng = random.Random(f"walk-{H.name}")
@@ -203,8 +211,8 @@ def test_walk_matches_the_two_sort_walk(H):
          partial(zb_semi_trivial_by_step_points, H=base, fuel=fuel))
         for fuel in (FUELS if not H.total else (0,))
     ]
-    scans.append((partial(wreath._lifted_sign, H_order=signs),
-                  partial(zb_lifted_sign_by_step_points, H_order=signs)))
+    scans.append((partial(wreath._lifted_sign, H_order=signs, H=base),
+                  partial(zb_lifted_sign_by_step_points, H_order=signs, H=base)))
     if H.total:
         scans.append((partial(wreath.in_diagonal, H=base),
                       partial(zb_in_diagonal_by_step_points, H=base)))
@@ -213,14 +221,14 @@ def test_walk_matches_the_two_sort_walk(H):
         log.clear()
         try:
             return scan(a), list(log)
-        except WordError as exc:
+        except ValueError as exc:  # a WordError, or an order that is not total
             return str(exc), list(log)
 
-    def stream(walk, a):
+    def stream(pairs):
         out = []
         try:
-            for point, vector in walk(a, H.alphabet, dict):
-                out.append((point, vector))
+            for point, vector in pairs:
+                out.append((point, dict(vector)))
         except WordError as exc:
             out.append(str(exc))
         return out
@@ -232,7 +240,8 @@ def test_walk_matches_the_two_sort_walk(H):
             got = outcome(new, a)
             assert got == outcome(old, a), (a, new)
             seen[got[0]] += 1
-        assert stream(wreath._walk, a) == stream(zb_walk_by_step_points, a), a
+        old_walk = zb_walk_by_step_points(a, H.alphabet, dict)
+        assert stream(wreath._walk(a, H.alphabet)) == stream(old_walk), a
         if a.tail == 0:
             etas = Counter(eta for _, eta, _ in a.factors)
             if 1 in etas:  # the step point 0, read as 1 or, with a factor at eta 0, skipped
@@ -244,6 +253,59 @@ def test_walk_matches_the_two_sort_walk(H):
     assert all(seen[verdict] >= 20 for verdict in verdicts), seen
     letter = next(iter(H.alphabet.indexed))
     assert seen[f"index must be >= 1, got {letter}0"] >= 20, seen
+
+
+# Each base with the base whose relators its samples use.
+TWO_WALK_BASES = [(FREE, FREE), (INSEP, INSEP), (as_words(FREE), FREE), (as_words(INSEP), INSEP)]
+
+
+@pytest.mark.parametrize(
+    "H, like", TWO_WALK_BASES, ids=["free-abelian", "insep", "free-abelian-words", "insep-words"]
+)
+def test_compares_match_the_two_walk_compares(H, like):
+    # The one-walk compares against the two-walk ones they replaced: the same
+    # (verdict, clause, point), or the same error, at both stages.  Each
+    # sample meets another, one with its tail, and the identity; raw elements
+    # report their bad index at the same point.  ties, an order that is no
+    # cone, raises on every nontrivial difference with no tail: where an
+    # inner tail's sign followed a nontrivial value read as 0, the two-walk
+    # outer compare answered a value verdict, and the one walk raises there.
+    rng = random.Random(f"two-walks-{H.name}-{H.on_vectors}")
+    cone = ORDERS[H.name]()
+    ties = OrderOracle("ties", H.alphabet, lambda vector: 0)
+    not_total = "order 'ties' is not total on distinct elements"
+    stages = {"zb": (zb_compare, zb_compare_by_two_walks, sample_zb),
+              "fs": (fs_compare, fs_compare_by_two_walks, sample_fs)}
+
+    def outcome(compare, a, b, order):
+        try:
+            return compare(a, b, order, H)
+        except ValueError as exc:
+            return str(exc)
+
+    seen: Counter = Counter()
+    for _ in range(150):
+        for stage, (new, old, sample) in stages.items():
+            a, b = sample(rng, like), sample(rng, like)
+            for other in (b, type(b)(b.factors, a.tail), type(b)()):
+                for order in (cone, ties):
+                    got, want = outcome(new, a, other, order), outcome(old, a, other, order)
+                    if got == not_total and want[1:2] == ("value",):
+                        assert stage == "fs" and order is ties, (a, other)
+                        seen["fs", "ties raises on a value verdict"] += 1
+                    else:
+                        assert got == want, (a, other, order.name)
+                    seen[stage, order.name, got if isinstance(got, str) else got[0]] += 1
+        raw = raw_zb(rng, like)
+        got = outcome(zb_compare, raw, ZBElement(), cone)
+        assert got == outcome(zb_compare_by_two_walks, raw, ZBElement(), cone), raw
+        seen["raw", got if isinstance(got, str) else got[0]] += 1
+    for stage in stages:
+        assert min(seen[stage, cone.name, verdict] for verdict in ("LT", "EQ", "GT")) >= 20, seen
+        assert min(seen[stage, "ties", verdict] for verdict in ("EQ", not_total)) >= 20, seen
+    assert seen["fs", "ties raises on a value verdict"] >= 3, seen
+    letter = next(iter(H.alphabet.indexed))
+    assert seen["raw", f"index must be >= 1, got {letter}0"] >= 20, seen
 
 
 def test_non_commuting_base_keeps_the_word_path():
@@ -330,7 +392,7 @@ def test_long_trivial_element_decides_in_near_linear_time():
     assert len(a.factors) == 20_000
     assert wreath.is_trivial(a, FREE)
     assert wreath.in_diagonal(a, FREE)
-    # The EQ compare reads the lifted sign of a and then confirms it is trivial.
+    # The EQ compare confirms each zero sign of a within its one walk.
     assert zb_compare(whole, mixed, lex_order(), FREE) == ("EQ", "equal", None)
     assert zb_compare(b, ZBElement(), lex_order(), FREE) == ("GT", "value", 1 - eta)
     assert time.perf_counter() - start < 5

@@ -7,9 +7,10 @@ The test reruns each traced workload in a fresh interpreter and compares
 both, so a change that does more or less work, or answers differently,
 shows up as a diff against the file.  Times are not compared.
 
-Re-record (only when a change of work is intended) from the repository root:
+Re-record (only when a change of work is intended) from the repository root,
+every workload, or only the named ones, keeping the others as recorded:
 
-    python tests/test_work_counts.py --record
+    python tests/test_work_counts.py --record [WORKLOAD ...]
 """
 
 from __future__ import annotations
@@ -47,7 +48,12 @@ def test_traced_work_counts_are_unchanged(workload):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_work_counts.py --record")
-    recorded = {workload: traced_counts(workload) for workload in WORKLOADS}
+    names = sys.argv[2:]
+    if sys.argv[1:2] != ["--record"] or not set(names) <= set(WORKLOADS):
+        sys.exit(f"usage: python tests/test_work_counts.py --record [{' | '.join(WORKLOADS)} ...]")
+    kept = json.loads(RECORDED.read_text()) if names else {}
+    recorded = {
+        workload: traced_counts(workload) if not names or workload in names else kept[workload]
+        for workload in WORKLOADS
+    }
     RECORDED.write_text(json.dumps(recorded, indent=2) + "\n")
