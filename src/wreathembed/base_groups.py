@@ -111,12 +111,14 @@ _primes_lock = threading.Lock()
 
 
 def _grow_primes() -> None:
-    # Append the primes in (last, 2 * last], one at least by Bertrand's
-    # postulate: a sieve of its odd numbers by the odd primes up to its square
-    # root, all held since last >= 3.  The segment is sieved in full before
-    # the list grows.
+    # Append the primes in (last, last + min(last, 2**21)]: a sieve of its odd
+    # numbers by the odd primes up to its square root, all held since
+    # last >= 3.  The segment holds a prime, by Bertrand's postulate while it
+    # reaches 2 * last and by the known prime gaps (under 1 600 below 2**64)
+    # beyond, and its width bound keeps the list at the primes up to a lookup
+    # plus one segment.  The segment is sieved in full before the list grows.
     last = _primes[-1]
-    odd = range(last + 2, 2 * last + 1, 2)
+    odd = range(last + 2, last + min(last, 2**21) + 1, 2)
     keep = bytearray([1]) * len(odd)
     for p in itertools.islice(_primes, 1, None):
         if p * p > odd[-1]:

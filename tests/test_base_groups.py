@@ -149,16 +149,25 @@ class TestPrimes:
 
 def test_a_large_prime_ratio_is_indexed_in_a_fresh_interpreter_within_five_seconds():
     # 10 000 019 is the 664 580-th prime.  Listing the primes up to it by trial
-    # division, one candidate at a time, took about half a minute; the sieve
-    # takes one segment per doubling.  A fresh interpreter starts from [2, 3].
+    # division, one candidate at a time, took about half a minute.  The sieve
+    # takes one segment of at most 2**21 numbers at a time, so the list ends
+    # within one segment past the prime looked up: a doubling segment would
+    # run from just below 10 200 007 to past 20 000 000.  A fresh interpreter
+    # starts from [2, 3].
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
-    code = "from wreathembed.base_groups import _prime_index; print(_prime_index(10_000_019))"
+    code = (
+        "from wreathembed.base_groups import _prime_index, _primes\n"
+        "print(_prime_index(10_000_019), _prime_index(10_200_007), _primes[-1])"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5
     )
-    assert (done.returncode, done.stdout) == (0, "664580\n"), done.stderr
+    assert done.returncode == 0, done.stderr
+    first, second, last = map(int, done.stdout.split())
+    assert (first, second) == (664_580, 676_971)
+    assert 10_200_007 <= last <= 10_200_007 + 2**21
 
 
 class TestFreeAbelian:

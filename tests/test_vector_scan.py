@@ -182,6 +182,15 @@ def raw_zb(rng: random.Random, H) -> ZBElement:
     return ZBElement(tuple(factors), 0)
 
 
+def expected_error(exc: ValueError) -> str:
+    """The message of a WordError or of an order that is not total; any other
+    error is a fault of the scan or of its reference, and is raised again."""
+    message = str(exc)
+    if isinstance(exc, WordError) or (message.startswith("order ") and "is not total" in message):
+        return message
+    raise exc
+
+
 @pytest.mark.parametrize("H", BASES, ids=lambda H: H.name)
 def test_walk_matches_the_two_sort_walk(H):
     # The library's walk against the walk over sorted step points that it
@@ -221,8 +230,8 @@ def test_walk_matches_the_two_sort_walk(H):
         log.clear()
         try:
             return scan(a), list(log)
-        except ValueError as exc:  # a WordError, or an order that is not total
-            return str(exc), list(log)
+        except ValueError as exc:
+            return expected_error(exc), list(log)
 
     def stream(pairs):
         out = []
@@ -281,7 +290,7 @@ def test_compares_match_the_two_walk_compares(H, like):
         try:
             return compare(a, b, order, H)
         except ValueError as exc:
-            return str(exc)
+            return expected_error(exc)
 
     seen: Counter = Counter()
     for _ in range(150):

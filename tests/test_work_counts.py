@@ -7,10 +7,9 @@ The test reruns each traced workload in a fresh interpreter and compares
 both, so a change that does more or less work, or answers differently,
 shows up as a diff against the file.  Times are not compared.
 
-Re-record (only when a change of work is intended) from the repository root,
-every workload, or only the named ones, keeping the others as recorded:
+Re-record (only when a change of work is intended) from the repository root:
 
-    python tests/test_work_counts.py --record [WORKLOAD ...]
+    python tests/test_work_counts.py --record
 """
 
 from __future__ import annotations
@@ -48,12 +47,7 @@ def test_traced_work_counts_are_unchanged(workload):
 
 
 if __name__ == "__main__":
-    names = sys.argv[2:]
-    if sys.argv[1:2] != ["--record"] or not set(names) <= set(WORKLOADS):
-        sys.exit(f"usage: python tests/test_work_counts.py --record [{' | '.join(WORKLOADS)} ...]")
-    kept = json.loads(RECORDED.read_text()) if names else {}
-    recorded = {
-        workload: traced_counts(workload) if not names or workload in names else kept[workload]
-        for workload in WORKLOADS
-    }
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_work_counts.py --record")
+    recorded = {workload: traced_counts(workload) for workload in WORKLOADS}
     RECORDED.write_text(json.dumps(recorded, indent=2) + "\n")
