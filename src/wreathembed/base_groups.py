@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from wreathembed import machines
-from wreathembed.words import A_ALPHABET, X_ALPHABET, Alphabet, Word, _at_least
+from wreathembed.words import A_ALPHABET, X_ALPHABET, Alphabet, Word, _at_least, _Frozen
 
 
 class SemiVerdict(enum.Enum):
@@ -72,7 +72,7 @@ class SemiVerdict(enum.Enum):
 TRIVIAL, NONTRIVIAL, UNKNOWN = SemiVerdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class GroupOracle:
     """A group given by generators plus one triviality rule.
 
@@ -87,6 +87,7 @@ class GroupOracle:
     on the indexed letters and the value is a word's exponent vector: the
     inner scan hands the rule one live running vector, which it may read but
     must neither change nor keep.  Otherwise the value is the word itself.
+    Equality is identity, as for an alphabet.
     """
 
     name: str
@@ -194,8 +195,7 @@ def free_abelian_oracle() -> GroupOracle:
     )
 
 
-@dataclass(frozen=True)
-class EnumeratedPair:
+class EnumeratedPair(_Frozen):
     """A disjoint pair of injectively enumerated subsets of {1, 2, ...}.
 
     ``enum_n(i)`` / ``enum_m(i)`` give the i-th member (1-based) of either
@@ -204,10 +204,14 @@ class EnumeratedPair:
     ``("free", None)``; the interesting providers do not have one.
     """
 
-    name: str
-    enum_n: Callable[[int], int]
-    enum_m: Callable[[int], int]
-    classify: Callable[[int], tuple[str, int | None]] | None = None
+    __slots__ = _fields = ("name", "enum_n", "enum_m", "classify")
+
+    def __init__(self, name: str, enum_n: Callable[[int], int], enum_m: Callable[[int], int],
+                 classify: Callable[[int], tuple[str, int | None]] | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "enum_n", enum_n)
+        object.__setattr__(self, "enum_m", enum_m)
+        object.__setattr__(self, "classify", classify)
 
 
 def _classify_odd_even(k: int) -> tuple[str, int | None]:

@@ -158,15 +158,6 @@ def cmd_compare(args):
 
 
 def cmd_encode(args):
-    # The word prints 2^index - 1 in decimal, which has more than ``limit``
-    # digits exactly when 2^index > 10^limit; an index <= 0 reaches
-    # ``generator_word``'s own error.
-    limit = max_digits()
-    if args.index >= (10**limit).bit_length():
-        raise ValueError(
-            f"index {args.index} is too large: the exponent 2^{args.index} - 1 "
-            f"would have more than {limit} decimal digits"
-        )
     text = word_to_text(twogen.generator_word(args.index))
     return 0, [{"command": "encode", "index": args.index, "word": text}], [text]
 

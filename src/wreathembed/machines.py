@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import re
 import threading
-from dataclasses import dataclass, field
 
 from wreathembed.words import _at_least, int_text, max_digits
 
@@ -127,7 +126,6 @@ def step(program: Program, config: Config) -> Config | None:
     return (pc + 1, c0, c1 - 1)
 
 
-@dataclass
 class _RunState:
     """A program's run so far, with Brent's cycle detection.
 
@@ -136,12 +134,13 @@ class _RunState:
     the last move reaches the next power of two.
     """
 
-    program: Program
-    config: Config = field(default=(1, 0, 0), init=False)
-    steps: int = field(default=0, init=False)
-    tortoise: Config = field(default=(1, 0, 0), init=False)
-    power: int = field(default=1, init=False)
-    lam: int = field(default=0, init=False)
+    __slots__ = ("program", "config", "steps", "tortoise", "power", "lam")
+
+    def __init__(self, program: Program):
+        self.program = program
+        self.config = self.tortoise = (1, 0, 0)
+        self.steps = self.lam = 0
+        self.power = 1
 
     def advance(self, budget: int) -> str | None:
         """Run until ``budget`` total steps; "halt" or "cycle" once decided."""
@@ -176,7 +175,6 @@ def run_status(program: Program, max_steps: int) -> tuple[str, int]:
 _BASE_BUDGET = 8
 
 
-@dataclass
 class DovetailEnumeration:
     """Fair interleaving of all program runs with geometric budgets.
 
@@ -193,11 +191,12 @@ class DovetailEnumeration:
     run belongs to a program already decided.
     """
 
-    halted: list[int] = field(default_factory=list, init=False)
-    cycling: list[int] = field(default_factory=list, init=False)
-    _tick: int = field(default=0, init=False)
-    _states: dict[int, _RunState] = field(default_factory=dict, init=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+    def __init__(self) -> None:
+        self.halted: list[int] = []
+        self.cycling: list[int] = []
+        self._tick = 0
+        self._states: dict[int, _RunState] = {}
+        self._lock = threading.Lock()
 
     def _advance_one_tick(self) -> None:
         self._tick += 1

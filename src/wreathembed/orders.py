@@ -33,14 +33,14 @@ from wreathembed.words import A_ALPHABET, FS_ALPHABET, X_ALPHABET, Alphabet, Wor
 _VERDICTS = {-1: "LT", 0: "EQ", 1: "GT"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class OrderOracle:
     """A computable bi-order on one group, given by its positive cone.
 
     ``sign`` answers 1, 0 or -1 on a normal form: the exponent vector of a
     word over an indexed alphabet, or the
     :class:`~wreathembed.twogen.FSElement` of an ``f``/``s`` word.  It
-    answers 0 exactly on the identity.
+    answers 0 exactly on the identity.  Equality is identity.
     """
 
     name: str

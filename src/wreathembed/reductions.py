@@ -18,12 +18,10 @@ the two-generator group:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from wreathembed import twogen
 from wreathembed.base_groups import EnumeratedPair, SemiVerdict, insep_oracle, re_oracle
 from wreathembed.orders import OrderOracle, lifted_order, pair_adapted_order
-from wreathembed.words import A_ALPHABET, Word, _at_least
+from wreathembed.words import A_ALPHABET, Word, _at_least, _Frozen
 
 
 # Called by perfbench/workloads.py (SeparateMock); perfbench/spans.py traces it by name (EXTRA).
@@ -55,13 +53,15 @@ def separator(n: int, order: OrderOracle) -> bool:
     return _same_side(*_signs(n, order))
 
 
-@dataclass(frozen=True)
-class SeparatorEntry:
-    n: int
-    side: str  # "n", "m" or "free"
-    separated: bool
-    sign_lo: str
-    sign_hi: str
+class SeparatorEntry(_Frozen):
+    __slots__ = _fields = ("n", "side", "separated", "sign_lo", "sign_hi")
+
+    def __init__(self, n: int, side: str, separated: bool, sign_lo: str, sign_hi: str):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "side", side)  # "n", "m" or "free"
+        object.__setattr__(self, "separated", separated)
+        object.__setattr__(self, "sign_lo", sign_lo)
+        object.__setattr__(self, "sign_hi", sign_hi)
 
     @property
     def consistent(self) -> bool:

@@ -44,13 +44,14 @@ from __future__ import annotations
 
 from wreathembed import wreath
 from wreathembed.base_groups import NONTRIVIAL, GroupOracle, SemiVerdict
-from wreathembed.words import FS_ALPHABET, Word, WreathElement, _at_least, _push
+from wreathembed.words import FS_ALPHABET, Word, WreathElement, _at_least, _push, _shown, max_digits
 from wreathembed.wreath import ZBElement
 
 
 class FSElement(WreathElement):
     """Normal form of a word in ``f`` and ``s``."""
 
+    __slots__ = ()
     ALPHABET, SHIFT, GENERATOR = FS_ALPHABET, "s", "f"
 
 
@@ -166,7 +167,15 @@ def _generator_factors(i: int, sign: int) -> tuple[tuple[int, int], ...]:
     # The commutator f s^k f s^-k f^-1 s^k f^-1 s^-k with k = 2^i - 1 in normal
     # form or, for sign < 0, its inverse: [x, y]^-1 = [y, x] swaps the classes
     # 0 and k.  k >= 1, so no two adjacent factors share a class, even across copies.
+    # The one bound on i: k has at most L = max_digits() digits, that is
+    # 2^i <= 10^L, refused for i >= (10**L).bit_length(), which is 2 127 at the
+    # least limit, 640 digits, so a smaller i costs one comparison.
     _at_least(i, 1, "generator index")
+    if i >= 2127 and i >= (10 ** (limit := max_digits())).bit_length():
+        raise ValueError(
+            f"index {_shown(i)} is too large: the exponent 2^{_shown(i)} - 1 "
+            f"would have more than {limit} decimal digits"
+        )
     x, y = (0, (1 << i) - 1) if sign > 0 else ((1 << i) - 1, 0)
     return ((x, 1), (y, 1), (x, -1), (y, -1))
 
@@ -175,7 +184,10 @@ def generator_word(i: int) -> Word:
     """The ``f``/``s`` word embedding the i-th base generator.
 
     The commutator of ``f`` with its ``s^(2^i - 1)``-conjugate: supported
-    at the single point 1, carrying the inner commutator ``[z, b_i]``.
+    at the single point 1, carrying the inner commutator ``[z, b_i]``.  An
+    index below 1, or one for which ``2^i - 1`` has more than
+    :func:`~wreathembed.words.max_digits` decimal digits, is a ValueError;
+    :func:`encode_word` and the reductions share that bound.
     """
     return FSElement(_generator_factors(i, 1)).to_word()
 

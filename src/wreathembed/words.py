@@ -20,13 +20,19 @@ The normal forms of both wreath stages are run lists too, with factors
 keyed by a generator index and a conjugating shift: :class:`WreathElement`
 holds them.  Every run list in the package is ``(*key, exponent)``, and one
 push keeps words and both stages canonical (the parser inlines its rule).
+
+The package's value types are plain ``__slots__`` classes on one immutable
+base, ``_Frozen``, rather than dataclasses: each CLI call is a fresh process,
+and a dataclass decorator generates and compiles its methods at every import.
+They compare and hash as frozen dataclasses do.  The two oracles,
+``base_groups.GroupOracle`` and ``orders.OrderOracle``, stay dataclasses, so
+that ``dataclasses.replace`` can swap their rules.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from typing import ClassVar, Iterable, NoReturn
 
 
@@ -44,8 +50,37 @@ class WordError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, eq=False)
-class Alphabet:
+class _Frozen:
+    """An immutable value whose fields, named in order by ``_fields``, are its
+    ``__slots__``, set once by ``__init__``.  It compares and hashes by class
+    and fields, prints, copies and pickles as a frozen dataclass does."""
+
+    __slots__ = _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Alphabet(_Frozen):
     """A finite set of plain letters plus a set of indexed letter families.
 
     Equality is identity, and so is the hash: build each alphabet once.  The
@@ -53,16 +88,19 @@ class Alphabet:
     the same fields are still two alphabets, and their words do not mix.
     """
 
-    name: str
-    plain: frozenset[str] = frozenset()
-    indexed: frozenset[str] = frozenset()
+    __slots__ = _fields = ("name", "plain", "indexed")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        for letter in self.plain | self.indexed:
+    def __init__(self, name: str, plain: frozenset[str] = frozenset(),
+                 indexed: frozenset[str] = frozenset()):
+        for letter in plain | indexed:
             if not (len(letter) == 1 and "a" <= letter <= "z"):
                 raise WordError(f"alphabet letter must be one lowercase char, got {letter!r}")
-        if self.plain & self.indexed:
+        if plain & indexed:
             raise WordError("a letter cannot be both plain and indexed")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "plain", plain)
+        object.__setattr__(self, "indexed", indexed)
 
     def validate(self, letter: str, index: int | None = None) -> None:
         """Raise WordError unless ``(letter, index)`` is a generator here."""
@@ -123,13 +161,15 @@ def _power(element, identity, n: int):
     return out
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Frozen):
     """A canonical word: runs ``(letter, index, exponent)``, ``index`` None for
     a plain letter.  Build with :meth:`make` or :func:`parse_word`."""
 
-    alphabet: Alphabet
-    runs: tuple[_Run, ...] = ()
+    __slots__ = _fields = ("alphabet", "runs")
+
+    def __init__(self, alphabet: Alphabet, runs: tuple[_Run, ...] = ()):
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "runs", runs)
 
     @staticmethod
     def make(alphabet: Alphabet, runs: Iterable[_Run]) -> Word:
@@ -143,9 +183,6 @@ class Word:
     @staticmethod
     def identity(alphabet: Alphabet) -> Word:
         return Word(alphabet, ())
-
-    def is_identity(self) -> bool:
-        return not self.runs
 
     def __mul__(self, other: Word) -> Word:
         if type(other) is not Word:
@@ -269,11 +306,6 @@ def word_to_text(word: Word) -> str:
     return " ".join(terms)
 
 
-def commutator(a, b):
-    """``a b a^-1 b^-1``, for words or any element type with ``*`` and ``~``."""
-    return a * b * ~a * ~b
-
-
 # Alphabets used across the package.  ``x`` generates the rank-omega free
 # abelian target of the diagonal encoding, ``a`` the presented base groups,
 # ``z``/``b`` the inner wreath stage, ``f``/``s`` the two-generator group.
@@ -283,8 +315,7 @@ ZB_ALPHABET = Alphabet("inner-wreath", plain=frozenset({"z"}), indexed=frozenset
 FS_ALPHABET = Alphabet("two-generator", plain=frozenset({"f", "s"}))
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(_Frozen):
     """Normal form in a restricted wreath product ``B wr Z``, either stage.
 
     The infinite cyclic top is generated by a shift letter (``z`` or ``s``)
@@ -304,12 +335,14 @@ class WreathElement:
     module adds the value rule of its generator.
     """
 
-    factors: tuple[tuple[int, ...], ...] = ()
-    tail: int = 0
-
+    __slots__ = _fields = ("factors", "tail")
     ALPHABET: ClassVar[Alphabet]
     SHIFT: ClassVar[str]
     GENERATOR: ClassVar[str]
+
+    def __init__(self, factors: tuple[tuple[int, ...], ...] = (), tail: int = 0):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "tail", tail)
 
     @classmethod
     def make(cls, factors: Iterable[tuple[int, ...]], tail: int = 0):

@@ -55,12 +55,19 @@ from wreathembed.words import (
 class ZBElement(WreathElement):
     """Normal form of a word in ``z`` and the ``b_i``."""
 
+    __slots__ = ()
     ALPHABET, SHIFT, GENERATOR = ZB_ALPHABET, "z", "b"
 
 
 def from_word(word: Word) -> ZBElement:
     """Kept for perfbench/tests/test_perfbench.py; the library builds with ZBElement.from_word."""
     return ZBElement.from_word(word)
+
+
+def _refuse_index(i: int, alphabet: Alphabet) -> None:
+    # Raise the WordError of a raw factor's index i < 1, named with the
+    # alphabet's indexed letter.
+    alphabet.validate(next(iter(alphabet.indexed)), i)
 
 
 def value_at(a: ZBElement, nu: int, alphabet: Alphabet = X_ALPHABET) -> Word:
@@ -76,7 +83,7 @@ def value_at(a: ZBElement, nu: int, alphabet: Alphabet = X_ALPHABET) -> Word:
     for i, eta, xi in a.factors:
         if nu + eta >= 1:
             if i < 1:
-                alphabet.validate(letter, i)
+                _refuse_index(i, alphabet)
             _push(runs, (letter, i, xi))
     return Word(alphabet, tuple(runs))
 
@@ -119,7 +126,7 @@ def _walk(a: ZBElement, alphabet: Alphabet) -> Iterator[tuple[int, dict[int, int
         while pending and pending[-1][1] == eta:
             i, _, xi = pending.pop()
             if i < 1:
-                alphabet.validate(next(iter(alphabet.indexed)), i)
+                _refuse_index(i, alphabet)
             _shift(vector, i, xi)
         yield 1 - eta, vector
 

@@ -33,9 +33,19 @@ def deciding(name: str, alphabet: Alphabet, trivial: Callable[[Word], bool]) -> 
     return GroupOracle(name, alphabet, lambda w, _fuel: TRIVIAL if trivial(w) else NONTRIVIAL, True)
 
 
+def is_identity(word: Word) -> bool:
+    """Whether a canonical word is empty: freely trivial."""
+    return not word.runs
+
+
+def commutator(a, b):
+    """``a b a^-1 b^-1``, for words or any element type with ``*`` and ``~``."""
+    return a * b * ~a * ~b
+
+
 # The free group on x1, x2, ...: a canonical word is freely reduced, so it is
 # trivial iff it is empty.
-FREE = deciding("free", X_ALPHABET, lambda w: w.is_identity())
+FREE = deciding("free", X_ALPHABET, is_identity)
 
 
 def heisenberg_trivial(word: Word) -> bool:

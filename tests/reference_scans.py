@@ -59,13 +59,21 @@ each step point, with the step point 0 read as 1.  There is no word-built
 verdict rule here: the library's own word path, taken by a base with no
 vector rule, serves as the oracle for its running-vector walk (see
 ``test_vector_scan.py``).
+
+The classes named ``...ByDataclass`` at the end are the dataclass
+declarations that the library's value types replaced with ``__slots__``
+classes, their fields kept and their methods dropped:
+``test_value_types.py`` checks that both kinds compare, hash, print, copy,
+pickle and refuse assignment alike.
 """
 
 from __future__ import annotations
 
 import re
+import threading
+from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, ClassVar, Iterable, Iterator
 
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
@@ -81,6 +89,7 @@ from wreathembed.twogen import FSElement
 from wreathembed.words import (
     FS_ALPHABET,
     X_ALPHABET,
+    ZB_ALPHABET,
     Alphabet,
     Word,
     WordError,
@@ -480,3 +489,73 @@ def fs_compare_by_two_walks(a: FSElement, b: FSElement, H_order, H: GroupOracle)
     """The same one level up: on a zero sign, ``twogen.is_trivial`` over
     the collision points the sign walked."""
     return _compare_by_two_walks(a * ~b, H_order, H, twogen, _fs_sign_unconfirmed)
+
+
+# -- the value types as dataclasses ----------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class AlphabetByDataclass:
+    name: str
+    plain: frozenset[str] = frozenset()
+    indexed: frozenset[str] = frozenset()
+
+
+@dataclass(frozen=True)
+class WordByDataclass:
+    alphabet: Alphabet
+    runs: tuple[tuple[str, int | None, int], ...] = ()
+
+
+@dataclass(frozen=True)
+class WreathElementByDataclass:
+    factors: tuple[tuple[int, ...], ...] = ()
+    tail: int = 0
+
+    ALPHABET: ClassVar[Alphabet]
+    SHIFT: ClassVar[str]
+    GENERATOR: ClassVar[str]
+
+
+class ZBElementByDataclass(WreathElementByDataclass):
+    ALPHABET, SHIFT, GENERATOR = ZB_ALPHABET, "z", "b"
+
+
+class FSElementByDataclass(WreathElementByDataclass):
+    ALPHABET, SHIFT, GENERATOR = FS_ALPHABET, "s", "f"
+
+
+@dataclass(frozen=True)
+class EnumeratedPairByDataclass:
+    name: str
+    enum_n: Callable[[int], int]
+    enum_m: Callable[[int], int]
+    classify: Callable[[int], tuple[str, int | None]] | None = None
+
+
+@dataclass(frozen=True)
+class SeparatorEntryByDataclass:
+    n: int
+    side: str  # "n", "m" or "free"
+    separated: bool
+    sign_lo: str
+    sign_hi: str
+
+
+@dataclass
+class RunStateByDataclass:
+    program: tuple[int, ...]
+    config: tuple[int, int, int] = field(default=(1, 0, 0), init=False)
+    steps: int = field(default=0, init=False)
+    tortoise: tuple[int, int, int] = field(default=(1, 0, 0), init=False)
+    power: int = field(default=1, init=False)
+    lam: int = field(default=0, init=False)
+
+
+@dataclass
+class DovetailEnumerationByDataclass:
+    halted: list[int] = field(default_factory=list, init=False)
+    cycling: list[int] = field(default_factory=list, init=False)
+    _tick: int = field(default=0, init=False)
+    _states: dict[int, Any] = field(default_factory=dict, init=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)

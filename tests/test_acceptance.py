@@ -13,6 +13,7 @@ import sys
 
 from oracles import (
     check_order_axioms,
+    commutator,
     free_abelian_trivial,
     fs_support_by_compare,
     insep_trivial,
@@ -37,7 +38,6 @@ from wreathembed.words import (
     X_ALPHABET,
     ZB_ALPHABET,
     Word,
-    commutator,
     parse_word,
 )
 from wreathembed.wreath import ZBElement

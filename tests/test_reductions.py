@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -228,3 +232,36 @@ class TestMergeProbe:
                 assert merge_probe(n, enum_n, fuel) == by_text, (n, fuel)
                 seen.add(by_text)
         assert seen == {TRIVIAL, UNKNOWN}
+
+
+def test_a_huge_index_is_refused_in_a_fresh_interpreter_within_a_second():
+    # The generators of index 10**9 carry exponents of about 2 * 10**9 bits;
+    # building them took 11-12 s before the index was bounded.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    code = (
+        "import time\n"
+        "from wreathembed.base_groups import insep_oracle, mock_pair\n"
+        "from wreathembed.orders import lifted_order, pair_adapted_order\n"
+        "from wreathembed.reductions import merge_probe, separator\n"
+        "pair = mock_pair()\n"
+        "order = lifted_order(insep_oracle(pair), pair_adapted_order(pair))\n"
+        "for probe in (lambda: merge_probe(10**9, pair.enum_n, 1),\n"
+        "              lambda: separator(10**9, order)):\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        probe()\n"
+        "    except ValueError as exc:\n"
+        "        print(f'{time.perf_counter() - start:.3f} {exc}')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    for line, index in zip(lines, (2 * 10**9, 2 * 10**9 - 1)):
+        seconds, message = line.split(" ", 1)
+        assert float(seconds) < 1
+        assert message.startswith(f"index {index} is too large: the exponent 2^{index} - 1 ")

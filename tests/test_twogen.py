@@ -4,7 +4,7 @@ import random
 import pytest
 
 import reference_scans
-from oracles import FREE, fs_support_by_compare
+from oracles import FREE, commutator, fs_support_by_compare
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
     free_abelian_oracle,
@@ -18,7 +18,6 @@ from wreathembed.words import (
     FS_ALPHABET,
     X_ALPHABET,
     Word,
-    commutator,
     parse_word,
     word_to_text,
 )

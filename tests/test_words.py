@@ -25,6 +25,7 @@ from wreathembed.words import (
     word_to_text,
 )
 
+from oracles import is_identity
 from reference_scans import parse_word_by_tokens
 
 
@@ -45,7 +46,7 @@ class TestCanonicalForm:
 
     def test_cancellation_cascades(self):
         w = parse_word("b1 b2 b2^-1 b1^-1", ZB_ALPHABET)
-        assert w.is_identity()
+        assert is_identity(w)
 
     def test_distinct_gens_do_not_merge(self):
         w = parse_word("b1 b2", ZB_ALPHABET)
@@ -62,8 +63,8 @@ class TestParse:
         assert w.runs == (("f", None, 1), ("s", None, -1))
 
     def test_empty_text_is_identity(self):
-        assert parse_word("", FS_ALPHABET).is_identity()
-        assert parse_word("   ", FS_ALPHABET).is_identity()
+        assert is_identity(parse_word("", FS_ALPHABET))
+        assert is_identity(parse_word("   ", FS_ALPHABET))
 
     def test_signed_exponent(self):
         w = parse_word("x3^+4", X_ALPHABET)
@@ -116,8 +117,8 @@ def test_concat_associative(a, b, c):
 
 @given(zb_words)
 def test_inverse_cancels(w):
-    assert (w * ~w).is_identity()
-    assert (~w * w).is_identity()
+    assert is_identity(w * ~w)
+    assert is_identity(~w * w)
 
 
 @given(zb_words, st.integers(min_value=-4, max_value=4))
@@ -303,6 +304,37 @@ def test_each_range_check_names_the_value_within_the_bound(name, int_text_limit)
             call(n)
         assert str(exc.value) == message.format(shown)
         assert "Exceeds the limit" not in str(exc.value)
+
+
+# Each entry point that embeds base generators: (call on n, the generator
+# indices it embeds for n, in the order it embeds them).  Read at the limit in
+# force, so that CI's run at 640 digits checks the edge there too.
+GENERATOR_BOUNDS = {
+    "generator_word": (twogen.generator_word, lambda n: (n,)),
+    "encode_word": (lambda n: twogen.encode_word(Word(X_ALPHABET, (("x", n, 1),))),
+                    lambda n: (n,)),
+    "separator": (lambda n: reductions.separator(n, _ORDER), lambda n: (2 * n - 1, 2 * n)),
+    "merge_probe": (lambda n: reductions.merge_probe(n, _MOCK.enum_n, 1),
+                    lambda n: (2 * n, 2 * n - 1)),
+}
+
+
+@pytest.mark.parametrize("name", GENERATOR_BOUNDS)
+def test_each_generator_index_is_bounded_by_the_digits_of_its_exponent(name):
+    call, indices = GENERATOR_BOUNDS[name]
+    limit = max_digits()
+    edge = {4300: 14285, 640: 2127}.get(limit, (10**limit).bit_length())
+    assert 2 ** (edge - 1) - 1 < 10**limit <= 2**edge - 1  # digits: at most limit, then more
+    n = max(n for n in range(1, edge + 1) if max(indices(n)) < edge)
+    call(n)
+    for bad in (n + 1, 10**9):
+        refused = next(i for i in indices(bad) if i >= edge)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == (f"index {refused} is too large: the exponent 2^{refused} - 1 "
+                                  f"would have more than {limit} decimal digits")
 
 
 def test_range_check_shows_a_value_up_to_the_bound(int_text_limit):
