@@ -30,9 +30,8 @@ within its budget, else UNKNOWN, never refuting.
 
 Every group here is abelian, so each states its rule on exponent vectors
 ``{index: exponent}`` with zero entries dropped (see :func:`exponent_vector`),
-reading only their live coordinates, and sets ``on_vectors``:
-:meth:`GroupOracle.check` applies the rule to a word's vector, and the inner
-scan of :mod:`wreathembed.wreath` hands it one running vector per point.
+reading only their live coordinates, and sets ``on_vectors``: the inner scan
+of :mod:`wreathembed.wreath` hands the rule one running vector per point.
 """
 
 from __future__ import annotations
@@ -64,10 +63,6 @@ class SemiVerdict(enum.Enum):
     def nontrivial(self) -> bool:
         return self is NONTRIVIAL
 
-    @property
-    def unknown(self) -> bool:
-        return self is UNKNOWN
-
 
 TRIVIAL, NONTRIVIAL, UNKNOWN = SemiVerdict
 
@@ -95,10 +90,6 @@ class GroupOracle:
     rule: Callable[[Any, int], SemiVerdict]
     total: bool = False
     on_vectors: bool = False
-
-    def check(self, word: Word, fuel: int) -> SemiVerdict:
-        """The rule's verdict on ``word``."""
-        return self.rule(exponent_vector(word) if self.on_vectors else word, fuel)
 
     def require_total(self) -> None:
         if not self.total:
@@ -301,16 +292,16 @@ _positions_lock = threading.Lock()
 
 
 def re_oracle(enum_n: Callable[[int], int], name: str = "re") -> GroupOracle:
-    """The merge-relation group over ``enum_n``, with a fueled check.
+    """The merge-relation group over ``enum_n``, with a fueled rule.
 
-    ``check(word, fuel)`` answers TRIVIAL iff every pair is a multiple of
+    ``rule(vector, fuel)`` answers TRIVIAL iff every pair is a multiple of
     ``a(2k) a(2k-1)^-1`` and each such k is among ``enum_n(1..fuel)``, else
-    UNKNOWN; the verdict depends only on (word, fuel).
+    UNKNOWN; the verdict depends only on (vector, fuel).
 
     Every oracle over the same ``enum_n`` object answers from one position
     index: a dict from each value fetched so far to its first 1-based
-    position.  A check extends it only while some needed k is missing and
-    the fuel is not reached, so each position is fetched at most once per
+    position.  A rule call extends it only while some needed k is missing
+    and the fuel is not reached, so each position is fetched at most once per
     ``enum_n``, and the index holds at most as many entries as the largest
     fuel asked for.  It lives as long as ``enum_n`` does: the module keeps
     it under a weak reference to ``enum_n``, which must therefore be weakly

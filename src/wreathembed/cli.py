@@ -32,7 +32,7 @@ from wreathembed.base_groups import (
     re_oracle,
 )
 from wreathembed.orders import fs_compare, lex_order, pair_adapted_order, zb_compare
-from wreathembed.words import int_text, max_digits, parse_word, word_to_text
+from wreathembed.words import _too_long, int_text, max_digits, parse_word, word_to_text
 
 # One table per selector flag, mapping each choice, in the order ``--help``
 # lists it, to a factory.  A factory looks its callee up when it is called,
@@ -76,7 +76,7 @@ def _integer(text: str) -> int:
     one is refused at once, unechoed."""
     if not re.fullmatch(r"[+-]?[0-9]+", text):
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
-    if len(text.lstrip("+-")) > max_digits():
+    if _too_long(text):
         raise argparse.ArgumentTypeError(f"integer has more than {max_digits()} decimal digits")
     return int(text)
 

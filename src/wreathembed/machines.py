@@ -30,7 +30,7 @@ import math
 import re
 import threading
 
-from wreathembed.words import _at_least, int_text, max_digits
+from wreathembed.words import _at_least, _too_long, int_text
 
 Program = tuple[int, ...]  # instruction codes, as in the module docstring
 
@@ -52,7 +52,7 @@ def parse_program(text: str) -> Program:
         if not line:
             continue
         m = _INSTRUCTION.fullmatch(" ".join(line.split()))
-        if m is None or len(m[3] or "") > max_digits():
+        if m is None or _too_long(m[3] or ""):
             raise ValueError(f"line {lineno}: bad instruction {line!r}")
         inc, reg, target = m.groups()  # INC fills inc, JZDEC reg and target
         out.append(1 + 2 * int(target) + int(reg) if target else 1 + int(inc) if inc else 0)

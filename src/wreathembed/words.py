@@ -83,9 +83,9 @@ class _Frozen:
 class Alphabet(_Frozen):
     """A finite set of plain letters plus a set of indexed letter families.
 
-    Equality is identity, and so is the hash: build each alphabet once.  The
-    package uses only the four module constants below, so two alphabets with
-    the same fields are still two alphabets, and their words do not mix.
+    Equality is identity, and so is the hash: build each alphabet once, as
+    the four module constants below are, which copy and pickle as themselves.
+    Two alphabets with the same fields are two, and their words do not mix.
     """
 
     __slots__ = _fields = ("name", "plain", "indexed")
@@ -114,6 +114,11 @@ class Alphabet(_Frozen):
                 raise WordError(f"index must be >= 1, got {letter}{_shown(index)}")
         else:
             raise WordError(f"unknown letter {letter!r} for alphabet {self.name}")
+
+    def __reduce__(self):
+        # A module constant reduces to its global name, as an enum member does.
+        name = next((name for name, value in globals().items() if value is self), None)
+        return name or super().__reduce__()
 
 
 _Run = tuple[str, int | None, int]  # (letter, index, exponent)
@@ -241,6 +246,12 @@ def _shown(n: int) -> str:
     return int_text(n) if _fits(n) else f"<more than {max_digits()} digits>"
 
 
+def _too_long(digits: str) -> bool:
+    # Whether integer text has more than max_digits() digits, its sign not
+    # counted: the one length rule of the integers the package reads.
+    return len(digits.lstrip("+-")) > max_digits()
+
+
 def _at_least(n: int, least: int, what: str) -> int:
     """``n``, or ValueError ``{what} must be >= {least}, got {n}``: the one range
     check of the package's integer arguments."""
@@ -263,12 +274,11 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     against the digit bound only if the text is longer than it, then merged;
     the first bad term goes to the error locator :func:`_raise_at_bad_term`.
     """
-    bound = max_digits()
-    long_text = len(text) > bound
+    long_text = len(text) > max_digits()
     plain, indexed = alphabet.plain, alphabet.indexed
     runs: list[_Run] = []
     for letter, digits, exp_text in _TOKEN.findall(text):
-        if long_text and (len(digits) > bound or len(exp_text.lstrip("+-")) > bound):
+        if long_text and (_too_long(digits) or _too_long(exp_text)):
             _raise_at_bad_term(text, alphabet)
         index = int(digits) if digits else None
         if (letter not in indexed or index < 1) if digits else letter not in plain:
@@ -283,12 +293,11 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
 
 def _raise_at_bad_term(text: str, alphabet: Alphabet) -> NoReturn:
     # The WordError of the first malformed, too long or foreign term, at its column.
-    bound = max_digits()
     for m in _TOKEN.finditer(text):
         letter, digits, exp_text = m.groups()
         if letter is None:
             raise WordError(f"malformed term {m.group()!r}", m.start() + 1)
-        if len(digits) > bound or len((exp_text or "").lstrip("+-")) > bound:
+        if _too_long(digits) or _too_long(exp_text or ""):
             raise WordError("index or exponent has too many digits", m.start() + 1)
         try:
             alphabet.validate(letter, int(digits) if digits else None)

@@ -18,22 +18,22 @@ each step point up to the next.  Every decider's scan is therefore a lazy
 stream of ``(point, verdict)`` pairs over the step points in increasing
 order, read by one function, :func:`_first_failure`, which stops at the
 first verdict that is not TRIVIAL: its cost depends on the number of
-factors, not on the size of the exponents.  The outer stage's deciders read
-their streams through it too.
+factors, not on the size of the exponents.  The outer stage's word problem
+reads its stream through it too.
 
-Every base in :mod:`wreathembed.base_groups` is abelian and states its rule
-on exponent vectors (``GroupOracle.on_vectors``).  Over such a base the
-stream comes from the walk :func:`_walk`: it sorts the factors once by
-``eta``, pops every factor sharing the next ``eta`` into one running vector,
-and yields ``1 - eta`` with the live vector, so a scan over n factors costs
-O(n log n + points * live coordinates).  :func:`in_diagonal` is the same
-scan of the element with every factor at ``eta = 1`` moved to ``eta = 0``.
-A base whose values need not commute gets the word :func:`value_at` builds
-at each of the :func:`step_points` instead.  :func:`_lifted_sign`, the sign
-:mod:`wreathembed.orders` compares by, is the tail's sign or, when that is
-0, the first nonzero sign the base order gives the walked vector; in the
-same walk the base confirms each zero sign, which guards against an order
-rule that is not a cone.
+Every scan reads its points from one walk, :func:`_walk`: it sorts the
+factors once by ``eta``, pops every factor sharing the next ``eta`` into one
+running vector, and yields ``1 - eta`` with the live vector, so a scan over
+n factors costs O(n log n + points * live coordinates).  Every base in
+:mod:`wreathembed.base_groups` is abelian and states its rule on exponent
+vectors (``GroupOracle.on_vectors``), so it reads that vector; a base whose
+values need not commute gets the word :func:`value_at` builds at each walked
+point instead.  :func:`in_diagonal` is the same scan of the element with
+every factor at ``eta = 1`` moved to ``eta = 0``.  :func:`_lifted_sign`,
+the sign :mod:`wreathembed.orders` compares by, is the tail's sign or, when
+that is 0, the first nonzero sign the base order gives the walked vector;
+in the same walk the base confirms each zero sign, which guards against an
+order rule that is not a cone.
 """
 
 from __future__ import annotations
@@ -88,18 +88,9 @@ def value_at(a: ZBElement, nu: int, alphabet: Alphabet = X_ALPHABET) -> Word:
     return Word(alphabet, tuple(runs))
 
 
-def step_points(a: ZBElement) -> list[int]:
-    """The distinct points ``1 - eta`` where some factor switches on, sorted.
-
-    The value function is the identity left of the first, and constant from
-    each one up to the next (and beyond the last), so evaluating it at the
-    step points decides every global question.
-    """
-    return sorted({1 - eta for _, eta, _ in a.factors})
-
-
 def _first_failure(values: Iterable[tuple[int, SemiVerdict]]) -> tuple[int | None, SemiVerdict]:
-    """The one reader of every decider's scan at both stages.
+    """The reader of each stage's triviality scan; ``twogen.in_image`` reads
+    its collision points with ``all`` instead.
 
     ``values`` yields ``(point, verdict)`` pairs in scan order.  Returns the
     first pair whose verdict is not TRIVIAL, consuming ``values`` only up to
@@ -132,10 +123,10 @@ def _walk(a: ZBElement, alphabet: Alphabet) -> Iterator[tuple[int, dict[int, int
 
 
 def _check(a: ZBElement, H: GroupOracle, fuel: int) -> Iterator[tuple[int, SemiVerdict]]:
-    """The base's verdict at each step point, in increasing order."""
+    """The base's verdict at each step point :func:`_walk` yields, on its vector or value word."""
     if H.on_vectors:
         return ((nu, H.rule(vector, fuel)) for nu, vector in _walk(a, H.alphabet))
-    return ((nu, H.rule(value_at(a, nu, H.alphabet), fuel)) for nu in step_points(a))
+    return ((nu, H.rule(value_at(a, nu, H.alphabet), fuel)) for nu, _ in _walk(a, H.alphabet))
 
 
 def _sign_of(x: int) -> int:

@@ -33,6 +33,12 @@ def deciding(name: str, alphabet: Alphabet, trivial: Callable[[Word], bool]) -> 
     return GroupOracle(name, alphabet, lambda w, _fuel: TRIVIAL if trivial(w) else NONTRIVIAL, True)
 
 
+def check(H: GroupOracle, word: Word, fuel: int) -> SemiVerdict:
+    """H's verdict on ``word``: its rule on the word's exponent vector, or on
+    the word itself for a base with no vector rule."""
+    return H.rule(exponent_vector(word) if H.on_vectors else word, fuel)
+
+
 def is_identity(word: Word) -> bool:
     """Whether a canonical word is empty: freely trivial."""
     return not word.runs
@@ -73,7 +79,7 @@ def insep_trivial(word: Word, pair: EnumeratedPair) -> bool:
     No hint is needed: the ratio of a pair's exponents names the only
     relator that could kill it.
     """
-    return insep_oracle(pair).check(word, 0).trivial
+    return check(insep_oracle(pair), word, 0).trivial
 
 
 def insep_trivial_bruteforce(word: Word, pair: EnumeratedPair) -> bool:

@@ -44,21 +44,25 @@ appends it to a copy of the collision points below it.
 :func:`zb_decode` is the inverse of ``wreath.diagonal_encode``, which the
 library no longer needs.
 
-:func:`zb_walk_by_points` is the inner running-vector walk as it was before
-it took its points from its own sort of the factors: it walks a point list
-that :func:`zb_walk_by_step_points` gets by sorting ``wreath.step_points``
-(read with the step point 0 as 1 for ``in_diagonal``), so each scan sorted
-the factors twice.  :func:`zb_semi_trivial_by_step_points`,
+:func:`step_points` is the sorted set of the points ``1 - eta``, which the
+library's word path read before every inner scan took its points from
+``wreath._walk``.  :func:`zb_walk_by_points` is the inner running-vector
+walk as it was before it took its points from its own sort of the factors:
+it walks a point list that :func:`zb_walk_by_step_points` gets by sorting
+:func:`step_points` (read with the step point 0 as 1 for ``in_diagonal``),
+so each scan sorted the factors twice.  :func:`zb_semi_trivial_by_step_points`,
 :func:`zb_lifted_sign_by_step_points` (its zero signs confirmed by the base
 rule on the same vector) and :func:`zb_in_diagonal_by_step_points` are the
 three inner scans over it, which ``test_vector_scan.py`` checks the
 library's one-sort walk against.  :func:`zb_in_diagonal_by_words` is diagonal
 membership on the word path as it was before ``wreath.in_diagonal`` became
 the triviality scan of a moved element: the base rule on the value word at
-each step point, with the step point 0 read as 1.  There is no word-built
-verdict rule here: the library's own word path, taken by a base with no
-vector rule, serves as the oracle for its running-vector walk (see
-``test_vector_scan.py``).
+each step point, with the step point 0 read as 1.
+:func:`zb_semi_trivial_by_words` is the fueled word problem on the word
+path as it was before its points came from ``wreath._walk``: the base rule
+on the value word at each of the :func:`step_points`.  The library's own
+word path, taken by a base with no vector rule, serves as the oracle for
+its running-vector walk (see ``test_vector_scan.py``).
 
 The classes named ``...ByDataclass`` at the end are the dataclass
 declarations that the library's value types replaced with ``__slots__``
@@ -75,6 +79,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, ClassVar, Iterable, Iterator
 
+from oracles import check
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
     NONTRIVIAL,
@@ -177,6 +182,12 @@ def zb_decode(a: ZBElement, H: GroupOracle) -> Word:
 # -- the inner walk over a sorted point list -----------------------------------
 
 
+def step_points(a: ZBElement) -> list[int]:
+    """The distinct points ``1 - eta`` where some factor switches on, sorted,
+    as ``wreath.step_points`` found them before ``wreath._walk`` yielded them."""
+    return sorted({1 - eta for _, eta, _ in a.factors})
+
+
 def zb_walk_by_points(
     a: ZBElement, points: Iterable[int], alphabet: Alphabet, rule: Callable[..., Any], *args
 ) -> Iterator[tuple[int, Any]]:
@@ -197,9 +208,9 @@ def zb_walk_by_points(
 def zb_walk_by_step_points(
     a: ZBElement, alphabet: Alphabet, rule: Callable[..., Any], *args, zero_as_one: bool = False
 ) -> Iterator[tuple[int, Any]]:
-    """:func:`zb_walk_by_points` over ``wreath.step_points``, sorted a second
+    """:func:`zb_walk_by_points` over :func:`step_points`, sorted a second
     time, with the step point 0 read as 1 for ``zero_as_one``."""
-    points = wreath.step_points(a)
+    points = step_points(a)
     if zero_as_one:
         points = sorted({nu or 1 for nu in points})
     return zb_walk_by_points(a, points, alphabet, rule, *args)
@@ -237,13 +248,27 @@ def zb_in_diagonal_by_step_points(a: ZBElement, H: GroupOracle) -> bool:
 
 def zb_in_diagonal_by_words(a: ZBElement, H: GroupOracle) -> bool:
     """Diagonal membership on the word path: the base rule on the word
-    ``wreath.value_at`` builds at each step point, with the step point 0
-    read as 1, up to the first that is not trivial."""
+    ``wreath.value_at`` builds at each of the :func:`step_points`, with the
+    step point 0 read as 1, up to the first that is not trivial."""
     H.require_total()
     if a.tail != 0:
         return False
-    points = sorted({nu or 1 for nu in wreath.step_points(a)})
+    points = sorted({nu or 1 for nu in step_points(a)})
     return all(H.rule(wreath.value_at(a, nu, H.alphabet), 0).trivial for nu in points)
+
+
+def zb_semi_trivial_by_words(a: ZBElement, H: GroupOracle, fuel: int) -> SemiVerdict:
+    """The fueled word problem on the word path as it was before its points
+    came from ``wreath._walk``: the base rule on the word ``wreath.value_at``
+    builds at each of the :func:`step_points`, up to the first that is not
+    TRIVIAL."""
+    if a.tail != 0:
+        return NONTRIVIAL
+    for nu in step_points(a):
+        verdict = H.rule(wreath.value_at(a, nu, H.alphabet), fuel)
+        if verdict is not TRIVIAL:
+            return verdict
+    return TRIVIAL
 
 
 # -- inner stage: every integer between the smallest and largest step point --
@@ -259,7 +284,7 @@ def window(a: ZBElement) -> range:
 
 def _point_trivial(a: ZBElement, nu: int, H: GroupOracle) -> bool:
     assert H.total
-    return H.check(wreath.value_at(a, nu, H.alphabet), 0).trivial
+    return check(H, wreath.value_at(a, nu, H.alphabet), 0).trivial
 
 
 def zb_is_trivial(a: ZBElement, H: GroupOracle) -> bool:
@@ -272,7 +297,7 @@ def zb_semi_trivial(a: ZBElement, H: GroupOracle, fuel: int) -> SemiVerdict:
     if H.total:
         return TRIVIAL if zb_is_trivial(a, H) else NONTRIVIAL
     for nu in window(a):
-        if not H.check(wreath.value_at(a, nu, H.alphabet), fuel).trivial:
+        if not check(H, wreath.value_at(a, nu, H.alphabet), fuel).trivial:
             return UNKNOWN
     return TRIVIAL
 

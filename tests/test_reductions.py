@@ -180,15 +180,15 @@ class TestSeparationReport:
 class TestMergeProbe:
     def test_mock_member_confirmed_with_enough_fuel(self):
         enum = mock_pair().enum_n  # enumerates the odds: 1, 3, 5, ...
-        assert merge_probe(1, enum, 0).unknown
+        assert merge_probe(1, enum, 0) is UNKNOWN
         assert merge_probe(1, enum, 1).trivial
-        assert merge_probe(5, enum, 2).unknown  # 5 is the third value
+        assert merge_probe(5, enum, 2) is UNKNOWN  # 5 is the third value
         assert merge_probe(5, enum, 3).trivial
 
     def test_mock_non_member_stays_unknown(self):
         enum = mock_pair().enum_n
         for fuel in (0, 1, 4, 32, 64):
-            assert merge_probe(2, enum, fuel).unknown
+            assert merge_probe(2, enum, fuel) is UNKNOWN
 
     def test_trivial_verdict_persists_under_more_fuel(self):
         enum = mock_pair().enum_n
@@ -210,7 +210,7 @@ class TestMergeProbe:
         # index never enters the halting enumeration.
         assert run_status(index_to_program(7), 1000)[0] == "cycle"
         for fuel in (1, 10, 100):
-            assert merge_probe(7, pair.enum_n, fuel).unknown
+            assert merge_probe(7, pair.enum_n, fuel) is UNKNOWN
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import reference_scans
 from oracles import FREE, commutator, fs_support_by_compare
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
+    UNKNOWN,
     free_abelian_oracle,
     insep_oracle,
     mock_pair,
@@ -375,7 +376,7 @@ class TestSemiTrivial:
     def test_fuel_unlocks_trivial_verdict(self):
         fueled = re_oracle(mock_pair().enum_n, name="mock")
         a = twogen.encode_word(parse_word("a2 a1^-1", A_ALPHABET))
-        assert twogen.semi_trivial(a, fueled, 0).unknown
+        assert twogen.semi_trivial(a, fueled, 0) is UNKNOWN
         assert twogen.semi_trivial(a, fueled, 1).trivial
         assert twogen.semi_trivial(a, fueled, 2).trivial
 
@@ -383,7 +384,7 @@ class TestSemiTrivial:
         fueled = re_oracle(mock_pair().enum_n, name="mock")
         a = twogen.encode_word(parse_word("a4 a3^-1", A_ALPHABET))
         for fuel in (0, 1, 8, 64):
-            assert twogen.semi_trivial(a, fueled, fuel).unknown
+            assert twogen.semi_trivial(a, fueled, fuel) is UNKNOWN
 
     def test_total_oracle_definite(self):
         assert twogen.semi_trivial(fs("f f^-1"), H, 0).trivial

@@ -130,3 +130,23 @@ def test_only_the_two_oracles_are_dataclasses_and_they_compare_by_identity():
         assert oracle == oracle and hash(oracle) == object.__hash__(oracle)
     assert GroupOracle("g", X_ALPHABET, abs) != GroupOracle("g", X_ALPHABET, abs)
     assert OrderOracle("o", X_ALPHABET, abs) != OrderOracle("o", X_ALPHABET, abs)
+
+
+def test_copies_over_the_four_alphabets_mix_with_their_originals():
+    # Each module constant copies and unpickles as itself, so a copied word,
+    # or the word of a copied element, multiplies with its original.
+    values = [ZBElement.make([(1, 2, 3), (2, -1, -1)], 1), FSElement.make([(5, -1), (0, 2)], 2)]
+    for alphabet in ALPHABETS:
+        assert all(got is alphabet for got in _round_trips(alphabet))
+        letter = next(iter(alphabet.indexed or alphabet.plain))
+        values.append(Word.make(alphabet, [(letter, 2 if alphabet.indexed else None, 3)]))
+    for value in values:
+        for got in _round_trips(value):
+            assert got == value and hash(got) == hash(value)
+            assert got * value == value * got == value * value
+            if not isinstance(value, Word):
+                assert got.to_word() * value.to_word() == (value * value).to_word()
+    built = Alphabet("w", frozenset({"a"}), frozenset({"b"}))
+    for got in _round_trips(built):
+        assert type(got) is Alphabet and got is not built and got != built
+        assert got._values() == built._values()

@@ -5,7 +5,7 @@ Every base in ``base_groups`` states its one rule on exponent vectors
 rule.  Here every decider that reaches the inner scan runs twice on the same
 elements: over the base as it is, and over a copy whose rule reads words
 (:func:`as_words`), whose scan builds the value word at each point and hands
-it to the base's ``check``.  The compare among them is the library's
+it to :func:`oracles.check`.  The compare among them is the library's
 ``zb_compare``: in one walk it reads the order's sign on the running vector
 and asks the base to confirm each zero sign it passes, so every compare that
 passes a zero sign reaches the rule, and an EQ compare reaches it at every
@@ -23,7 +23,7 @@ from functools import partial
 import pytest
 
 from oracles import FREE as FREE_GROUP
-from oracles import HEISENBERG
+from oracles import HEISENBERG, check
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
     NONTRIVIAL,
@@ -44,11 +44,13 @@ from wreathembed.wreath import ZBElement
 
 from reference_scans import (
     fs_compare_by_two_walks,
+    step_points,
     zb_compare_by_two_walks,
     zb_in_diagonal_by_step_points,
     zb_in_diagonal_by_words,
     zb_lifted_sign_by_step_points,
     zb_semi_trivial_by_step_points,
+    zb_semi_trivial_by_words,
     zb_walk_by_step_points,
 )
 
@@ -61,8 +63,8 @@ FUELS = (0, 1, 50, 400)
 
 
 def as_words(H):
-    """H with a rule on words: ``check``, which reads the word's vector."""
-    return dataclasses.replace(H, rule=H.check, on_vectors=False)
+    """H with a rule on words: :func:`oracles.check`, which reads the word's vector."""
+    return dataclasses.replace(H, rule=partial(check, H), on_vectors=False)
 
 
 def relator(H, k: int) -> list[tuple[int, int]]:
@@ -127,7 +129,7 @@ def returns_to_zero(a: ZBElement) -> bool:
     point and zero again at a later one."""
     running: Counter = Counter()
     was_live: set[int] = set()
-    for nu in wreath.step_points(a):
+    for nu in step_points(a):
         for i, eta, xi in a.factors:
             if 1 - eta == nu:
                 running[i] += xi
@@ -333,15 +335,18 @@ def test_non_commuting_base_keeps_the_word_path():
 
 # Word-path bases, each with the base whose relators its samples use.
 WORD_PATH = [
-    (FREE_GROUP, FREE), (HEISENBERG, FREE), (as_words(FREE), FREE), (as_words(INSEP), INSEP)
+    (FREE_GROUP, FREE), (HEISENBERG, FREE), (as_words(FREE), FREE), (as_words(INSEP), INSEP),
+    (as_words(RE), RE),
 ]
 
 
 @pytest.mark.parametrize("H, like", WORD_PATH, ids=[H.name for H, _ in WORD_PATH])
 def test_in_diagonal_matches_the_word_route(H, like):
-    # On the word path, in_diagonal asks the base about the same words, in
-    # the same order, as the rule on the value word at each step point with
-    # 0 read as 1, and reports a bad raw factor at the same call.
+    # On the word path, semi_trivial at fuels 0 and 50 asks the base about
+    # the same words, in the same order, as the rule on the value word at
+    # each reference step point, and so does in_diagonal over a total base,
+    # with the step point 0 read as 1; each reports a bad raw factor at the
+    # same call.
     rng = random.Random(f"diagonal-{H.name}")
     log: list[Word] = []
 
@@ -358,16 +363,22 @@ def test_in_diagonal_matches_the_word_route(H, like):
         except WordError as exc:
             return str(exc), list(log)
 
+    scans = [(partial(wreath.semi_trivial, fuel=fuel), partial(zb_semi_trivial_by_words, fuel=fuel))
+             for fuel in (0, 50)]
+    if H.total:
+        scans.append((wreath.in_diagonal, zb_in_diagonal_by_words))
     seen: Counter = Counter()
     samples = [sample_zb(rng, like) for _ in range(400)] + [raw_zb(rng, like) for _ in range(100)]
     for a in samples:
-        got = outcome(wreath.in_diagonal, a)
-        assert got == outcome(zb_in_diagonal_by_words, a), a
-        seen[got[0]] += 1
+        for new, old in scans:
+            got = outcome(new, a)
+            assert got == outcome(old, a), (a, new)
+            seen[got[0]] += 1
         etas = {eta for _, eta, _ in a.factors}
         if a.tail == 0 and 1 in etas:
             seen["eta 1 and eta 0" if 0 in etas else "eta 1, no eta 0"] += 1
-    shapes = (True, False, "eta 1 and eta 0", "eta 1, no eta 0")
+    verdicts = (TRIVIAL, NONTRIVIAL, True, False) if H.total else (TRIVIAL, UNKNOWN)
+    shapes = verdicts + ("eta 1 and eta 0", "eta 1, no eta 0")
     assert min(seen[shape] for shape in shapes) >= 30, seen
     letter = next(iter(H.alphabet.indexed))
     assert seen[f"index must be >= 1, got {letter}0"] >= 20, seen
@@ -376,11 +387,16 @@ def test_in_diagonal_matches_the_word_route(H, like):
 @pytest.mark.parametrize("H", [FREE, INSEP], ids=lambda H: H.name)
 def test_raw_factor_with_index_zero_rejected_on_both_paths(H):
     # A raw element skips make's check; the scan reaches x0 at its second point.
+    # Both paths walk the same points, so where two bad factors switch on at
+    # one point they name the same one.
     letter = next(iter(H.alphabet.indexed))
     a = ZBElement(((1, 7, 1), (1, 7, -1), (0, 6, 1)), 0)
+    two = ZBElement(((0, 3, 1), (-1, 3, 1)), 0)
     for base in (H, as_words(H)):
         with pytest.raises(WordError, match=f"^index must be >= 1, got {letter}0$"):
             wreath.semi_trivial(a, base, 0)
+        with pytest.raises(WordError, match=f"^index must be >= 1, got {letter}-1$"):
+            wreath.semi_trivial(two, base, 0)
 
 
 def test_long_trivial_element_decides_in_near_linear_time():
@@ -420,7 +436,7 @@ def test_each_scan_stops_at_its_deciding_point(monkeypatch):
         return call
 
     a = ZBElement.from_word(parse_word("b1 z^-1 b2 z z^-2 b3 z^2", ZB_ALPHABET))
-    assert wreath.step_points(a) == [1, 2, 3]
+    assert step_points(a) == [1, 2, 3]
     counted_base = dataclasses.replace(FREE, rule=counted("vector", FREE.rule))
     assert wreath.semi_trivial(a, counted_base, 0).nontrivial
     order = lex_order()

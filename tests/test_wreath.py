@@ -5,9 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import is_identity, zb_support_by_compare
-from reference_scans import zb_decode
+from reference_scans import step_points, zb_decode
 from wreathembed import twogen, wreath
 from wreathembed.base_groups import (
+    UNKNOWN,
     free_abelian_oracle,
     insep_oracle,
     mock_pair,
@@ -105,9 +106,12 @@ class TestValues:
         assert not is_identity(wreath.value_at(a, 3))
 
     def test_step_points_are_the_change_points(self):
+        def walked(a):
+            return [nu for nu, _ in wreath._walk(a, X_ALPHABET)]
+
         a = zb("z b1 z^-1 b1^-1")
-        assert wreath.step_points(a) == [0, 1]
-        assert wreath.step_points(zb("z^4")) == []
+        assert walked(a) == [0, 1]
+        assert walked(zb("z^4")) == []
         # Brute force: each point carries the value of the last step point
         # at or before it, and the identity before the first.
         rng = random.Random(9)
@@ -117,7 +121,7 @@ class TestValues:
                 for _ in range(rng.randrange(0, 6))
             ]
             b = ZBElement.make(factors)
-            steps = wreath.step_points(b)
+            steps = walked(b)
             for nu in range(-10, 11):
                 before = [step for step in steps if step <= nu]
                 expected = wreath.value_at(b, before[-1]) if before else Word.identity(X_ALPHABET)
@@ -283,11 +287,11 @@ class TestDiagonal:
     def test_step_point_zero_is_read_at_one(self):
         # Step points 0 and 1: the interval from 0 is {0}, and 1 is tested.
         member = zb("z b1 z^-1 b1^-1")
-        assert wreath.step_points(member) == [0, 1]
+        assert step_points(member) == [0, 1]
         assert wreath.in_diagonal(member, H)
         # Step point 0 alone: its interval holds 1, which carries x1.
         other = zb("z b1 z^-1")
-        assert wreath.step_points(other) == [0]
+        assert step_points(other) == [0]
         assert wreath.value_at(other, 1) == parse_word("x1", X_ALPHABET)
         assert not wreath.in_diagonal(other, H)
 
@@ -318,7 +322,7 @@ class TestSemiTrivial:
     def test_fueled_base(self):
         fueled = re_oracle(mock_pair().enum_n, name="mock")
         a = wreath.diagonal_encode(parse_word("a2 a1^-1", A_ALPHABET))
-        assert wreath.semi_trivial(a, fueled, 0).unknown
+        assert wreath.semi_trivial(a, fueled, 0) is UNKNOWN
         assert wreath.semi_trivial(a, fueled, 1).trivial
 
     def test_tail_refutes_without_fuel(self):
@@ -340,7 +344,7 @@ class TestOracleAdapter:
         inner = re_oracle(mock_pair().enum_n, name="mock")
         trivial_word = wreath.diagonal_encode(parse_word("a2 a1^-1", A_ALPHABET)).to_word()
         a = ZBElement.from_word(trivial_word)
-        assert wreath.semi_trivial(a, inner, 0).unknown
+        assert wreath.semi_trivial(a, inner, 0) is UNKNOWN
         assert wreath.semi_trivial(a, inner, 1).trivial
         with pytest.raises(ValueError):
             wreath.is_trivial(a, inner)
