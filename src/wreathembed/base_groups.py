@@ -19,9 +19,11 @@ trivial exactly when each of its pairs ``(e_lo, e_hi)`` of exponent sums
   ``a(2n)`` with ``a(2n-1)`` for n in N.  A pair vanishes iff
   ``e_lo + e_hi == 0`` and k lies in N, which a fueled check certifies by
   finding k among the first ``fuel`` members.  It reads k's position from
-  an index of the values fetched so far, one per ``enum_n``, shared by all
-  its oracles, held no longer than ``enum_n`` is alive, no larger than the
-  largest fuel asked for, and guarded by one lock (see :func:`re_oracle`).
+  one reader per ``enum_n``: the halting pair's enumeration answers from
+  its own position array; any other ``enum_n`` gets a memo of the values
+  fetched so far, shared by all its oracles, held no longer than
+  ``enum_n`` is alive, no larger than the largest fuel asked for, and
+  guarded by one lock (see :func:`re_oracle`).
 
 A :class:`GroupOracle` packages an alphabet, a ``total`` flag and one rule
 answering a :class:`SemiVerdict`.  A total rule decides the word problem
@@ -231,13 +233,24 @@ def halting_pair() -> EnumeratedPair:
     The empty program halts at the first tick, so it is always the first
     halting program and never a cycling one: the i-th value of N is the
     (i+1)-th halting program, and M is the cycling stream as it stands.
-    Both are read through the enumeration's one locked read.
+    Both are read through the enumeration's one locked read.  The pair
+    registers a reader of the enumeration's own halting positions for its
+    ``enum_n`` (see :func:`re_oracle`), so merge probes over it keep no
+    index of their own.
     """
     enum = machines.shared_enumeration()
 
     def enum_n(i: int) -> int:
         return enum.halting(_at_least(i, 1, "enumeration index") + 1)
 
+    def position(k: int, fuel: int) -> int | None:
+        # The values are the halting programs after program 0, which halts
+        # first: k's position among them is one less, and fuel 0 reaches none.
+        p = enum.halting_position(k, fuel + 1) if k > 0 and fuel > 0 else None
+        return p - 1 if p else None
+
+    with _positions_lock:
+        _positions[enum_n] = position
     return EnumeratedPair(name="halting", enum_n=enum_n, enum_m=enum.cycling_at)
 
 
@@ -285,10 +298,26 @@ def insep_oracle(pair: EnumeratedPair) -> GroupOracle:
     return GroupOracle(f"insep:{pair.name}", A_ALPHABET, rule, True, on_vectors=True)
 
 
-_positions: weakref.WeakKeyDictionary[Callable[[int], int], dict[int, int]] = (
-    weakref.WeakKeyDictionary()
-)
+# Per ``enum_n``: a reader ``position(k, fuel)`` registered by the pair that
+# owns it, or the memo dict of the values fetched so far.  A value must not
+# reference its key, or the key would never die.
+_positions: weakref.WeakKeyDictionary[Callable[[int], int], Any] = weakref.WeakKeyDictionary()
 _positions_lock = threading.Lock()
+
+
+def _memo_reader(enum_n: Callable[[int], int], index: dict[int, int]):
+    def position(k: int, fuel: int) -> int | None:
+        with _positions_lock:
+            # The enumeration is injective, so positions 1..len(index) are
+            # the ones fetched so far.
+            i = len(index)
+            while k not in index and i < fuel:
+                i += 1
+                index.setdefault(enum_n(i), i)
+            at = index.get(k, fuel + 1)
+        return at if at <= fuel else None
+
+    return position
 
 
 def re_oracle(enum_n: Callable[[int], int], name: str = "re") -> GroupOracle:
@@ -298,38 +327,31 @@ def re_oracle(enum_n: Callable[[int], int], name: str = "re") -> GroupOracle:
     ``a(2k) a(2k-1)^-1`` and each such k is among ``enum_n(1..fuel)``, else
     UNKNOWN; the verdict depends only on (vector, fuel).
 
-    Every oracle over the same ``enum_n`` object answers from one position
-    index: a dict from each value fetched so far to its first 1-based
-    position.  A rule call extends it only while some needed k is missing
-    and the fuel is not reached, so each position is fetched at most once per
-    ``enum_n``, and the index holds at most as many entries as the largest
-    fuel asked for.  It lives as long as ``enum_n`` does: the module keeps
-    it under a weak reference to ``enum_n``, which must therefore be weakly
-    referenceable (functions, lambdas and bound methods are).  Each oracle
-    looks its index up once, when it is built.  One lock guards every lookup
-    and extension, so threads may share ``enum_n``.
+    The rule asks each k's 1-based position, or None past the fuel, of one
+    reader per ``enum_n`` object, looked up once, when the oracle is built.
+    :func:`halting_pair` registers a reader of the enumeration's own
+    positions.  Any other ``enum_n`` gets a memo: a dict from each value
+    fetched so far to its first position, shared by every oracle over it.
+    A lookup extends it only while k is missing and the fuel is not
+    reached, so each position is fetched at most once per ``enum_n``, and
+    the memo holds at most as many entries as the largest fuel asked for.
+    It lives as long as ``enum_n`` does: the module keeps it under a weak
+    reference to ``enum_n``, which must therefore be weakly referenceable
+    (functions, lambdas and bound methods are).  One lock guards every
+    lookup and extension, so threads may share ``enum_n``.
     """
     with _positions_lock:
-        index = _positions.setdefault(enum_n, {})
+        entry = _positions.setdefault(enum_n, {})
+    position = _memo_reader(enum_n, entry) if isinstance(entry, dict) else entry
 
     def rule(vector: dict[int, int], fuel: int) -> SemiVerdict:
         pairs = _pairs(vector)
         for lo, hi in pairs.values():
             if lo + hi:
                 return UNKNOWN
-        with _positions_lock:
-            missing = set(pairs).difference(index)
-            # The enumeration is injective, so positions 1..len(index) are
-            # the ones fetched so far.
-            i = len(index)
-            while missing and i < fuel:
-                i += 1
-                value = enum_n(i)
-                index.setdefault(value, i)
-                missing.discard(value)
-            for k in pairs:
-                if index.get(k, fuel + 1) > fuel:
-                    return UNKNOWN
-            return TRIVIAL
+        for k in pairs:
+            if position(k, fuel) is None:
+                return UNKNOWN
+        return TRIVIAL
 
     return GroupOracle(f"re:{name}", A_ALPHABET, rule, on_vectors=True)

@@ -139,10 +139,11 @@ def _lifted_sign(a: ZBElement, H_order, H: GroupOracle) -> tuple[int | None, int
     # confirms each zero sign, so a rule that is no cone raises where it errs.
     if a.tail:
         return None, _sign_of(a.tail)
+    on_vectors = H.on_vectors
     for nu, vector in _walk(a, H_order.alphabet):
         if sign := H_order.sign(vector):
             return nu, sign
-        if not H.rule(vector if H.on_vectors else value_at(a, nu, H.alphabet), 0).trivial:
+        if not H.rule(vector if on_vectors else value_at(a, nu, H.alphabet), 0).trivial:
             raise ValueError(f"order {H_order.name!r} is not total on distinct elements")
     return None, 0
 

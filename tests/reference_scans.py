@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import re
 import threading
+from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, ClassVar, Iterable, Iterator
@@ -579,8 +580,9 @@ class RunStateByDataclass:
 
 @dataclass
 class DovetailEnumerationByDataclass:
-    halted: list[int] = field(default_factory=list, init=False)
-    cycling: list[int] = field(default_factory=list, init=False)
+    halted: array = field(default_factory=lambda: array("q"), init=False)
+    cycling: array = field(default_factory=lambda: array("q"), init=False)
+    _halted_at: array = field(default_factory=lambda: array("q"), init=False)
     _tick: int = field(default=0, init=False)
     _states: dict[int, Any] = field(default_factory=dict, init=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)

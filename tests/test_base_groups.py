@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -65,6 +66,13 @@ def sparse_pair() -> EnumeratedPair:
     return EnumeratedPair(
         name="sparse", enum_n=lambda i: 4 * i, enum_m=lambda i: 4 * i + 2, classify=classify
     )
+
+
+def wrapped_halting_pair() -> EnumeratedPair:
+    """The halting pair with ``enum_n`` seen through a plain wrapper, for
+    which no position reader is registered: merge probes take the memo route."""
+    halting = halting_pair()
+    return EnumeratedPair("halting-wrapped", lambda i: halting.enum_n(i), halting.enum_m)
 
 
 def relator_product_word(rng: random.Random, pair: EnumeratedPair) -> Word:
@@ -393,8 +401,9 @@ class TestPositionIndex:
 
     @pytest.mark.parametrize("oracles", [1, 3], ids=["one-oracle", "shared-enum"])
     @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
-    @pytest.mark.parametrize("make_pair", [mock_pair, sparse_pair, halting_pair],
-                             ids=["mock", "sparse", "halting"])
+    @pytest.mark.parametrize("make_pair",
+                             [mock_pair, sparse_pair, halting_pair, wrapped_halting_pair],
+                             ids=["mock", "sparse", "halting", "halting-wrapped"])
     def test_matches_the_scan(self, make_pair, order, oracles):
         # A fresh pair starts a fresh index; the fuel order decides how the
         # index grows, and sharing it between oracles must not matter.
@@ -439,6 +448,47 @@ class TestPositionIndex:
         assert check(oracle, a_word("a2 a1^-1 a6 a5^-1"), 4).trivial
         assert merge_probe(5, pair.enum_n, 10).trivial
         del pair, oracle
+        gc.collect()
+        assert ref() is None
+
+    def test_both_routes_run_the_same_enumeration(self, monkeypatch):
+        # One probe sequence on two fresh enumerations, once through the
+        # enumeration's own reader and once through the memo of a wrapper,
+        # must leave the same ticks, streams and live runs behind.
+        rng = random.Random(9)
+        probes = [(rng.randint(1, 60), rng.choice((0, 1, 10, 50, 200, 400))) for _ in range(80)]
+        ends = []
+        for make_pair in (halting_pair, wrapped_halting_pair):
+            monkeypatch.setattr(machines, "_shared", machines.DovetailEnumeration())
+            enum_n = make_pair().enum_n
+            verdicts = [merge_probe(n, enum_n, fuel) for n, fuel in probes]
+            enum = machines._shared
+            runs = {g: (run.config, run.steps, run.tortoise, run.power, run.lam)
+                    for g, run in enum._states.items()}
+            ends.append((verdicts, enum._tick, list(enum.halted), list(enum.cycling), runs))
+        assert set(ends[0][0]) == {TRIVIAL, UNKNOWN}
+        assert ends[0] == ends[1]
+
+    def test_halting_probes_keep_no_index_of_their_own(self, monkeypatch):
+        # The enumeration's streams and position array take about 18 bytes
+        # per halting program; a dict from values to positions beside a list
+        # of int objects took about 104.
+        monkeypatch.setattr(machines, "_shared", machines.DovetailEnumeration())
+        tracemalloc.start()
+        try:
+            assert merge_probe(7, halting_pair().enum_n, 20_000) is UNKNOWN
+            gc.collect()
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size <= 24 * len(machines._shared.halted)
+
+    def test_the_halting_reader_dies_with_its_pair(self, monkeypatch):
+        monkeypatch.setattr(machines, "_shared", machines.DovetailEnumeration())
+        pair = halting_pair()
+        ref = weakref.ref(pair.enum_n)
+        assert merge_probe(1, pair.enum_n, 10).trivial
+        del pair
         gc.collect()
         assert ref() is None
 

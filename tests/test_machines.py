@@ -263,12 +263,32 @@ class TestDovetail:
             fate, t = run_status(index_to_program(g), 8 << top)
             if fate != "running":
                 fates[fate].append(((2 * g + 1) << ((t + 7) // 8 - 1).bit_length(), g))
-        assert enum.halted == [g for _, g in sorted(fates["halt"])]
-        assert enum.cycling == [g for _, g in sorted(fates["cycle"])]
+        assert list(enum.halted) == [g for _, g in sorted(fates["halt"])]
+        assert list(enum.cycling) == [g for _, g in sorted(fates["cycle"])]
         # Memory: the two streams plus the live runs, never the programs
         # already decided (about 380 bytes per stream entry if it were).
+        # Streams and positions are arrays of 8-byte entries, about 17 bytes
+        # per entry in all; lists of ints would take at least 32.
         entries = len(enum.halted) + len(enum.cycling)
-        assert peak <= 64 * entries + 4096 * len(enum._states)
+        assert peak <= 16 * entries + 4096 * len(enum._states)
+
+    def test_halting_positions_are_read_off_the_stream(self):
+        # The position of the 100th halting program costs the ticks that
+        # halting(100) costs, and no more once it is known.
+        enum, twin = DovetailEnumeration(), DovetailEnumeration()
+        g = twin.halting(100)
+        assert enum.halting_position(g, 10**6) == 100
+        assert enum._tick == twin._tick
+        enum.halting(300)
+        ticks = enum._tick
+        assert [enum.halting_position(g, 300) for g in enum.halted] == list(range(1, 301))
+        assert enum._tick == ticks
+        assert enum.halting_position(enum.halted[150], 150) is None
+        # A program never seen to halt walks the stream up to the limit.
+        assert enum.halting_position(enum.cycling[0], 400) is None
+        assert len(enum.halted) == 400
+        with pytest.raises(ValueError, match="^program index must be >= 0, got -1$"):
+            enum.halting_position(-1, 10)
 
     def test_streams_and_run_states_are_not_constructor_arguments(self):
         with pytest.raises(TypeError):
