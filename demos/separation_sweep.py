@@ -13,11 +13,11 @@ from wreathembed.base_groups import mock_pair
 
 cli.main(["demo", "theorem1", "--max-n", "12"])
 
-entries = reductions.separation_report(mock_pair(), max_n=12)
+records = reductions.separation_report(mock_pair(), max_n=12)
 
 print()
-sides = {entry.n: entry.side for entry in entries}
-in_set = sorted(entry.n for entry in entries if entry.separated)
+sides = {r["n"]: r["side"] for r in records}
+in_set = sorted(r["n"] for r in records if r["separator"] == "in")
 print("indices the separator accepts:", in_set)
 print("ground truth (N = odd):       ", [n for n in sides if n % 2 == 1])
-print("violations:", sum(not entry.consistent for entry in entries))
+print("violations:", sum(not r["ok"] for r in records))

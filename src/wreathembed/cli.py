@@ -178,11 +178,7 @@ def _line(record: dict, *keys: str) -> str:
 
 def cmd_demo_theorem1(args):
     pair = PAIRS[args.pair]()
-    records = [
-        {"n": e.n, "side": e.side, "separator": "in" if e.separated else "out",
-         "sign_lo": e.sign_lo, "sign_hi": e.sign_hi, "ok": e.consistent}
-        for e in reductions.separation_report(pair, args.max_n)
-    ]
+    records = reductions.separation_report(pair, args.max_n)
     summary = {"pair": pair.name, "entries": len(records),
                "violations": sum(not record["ok"] for record in records)}
     lines = [*map(_line, records), *(_line(summary, key) for key in summary)]

@@ -8,8 +8,8 @@ the two-generator group:
   from its M side: the made-up condition "both embedded generators on the
   same side of the identity" contains N and misses M.  Each sign is read
   straight off the generator's normal form.  :func:`separation_report`
-  returns the entries of this sweep over a mock pair; a violation is an
-  entry whose ``consistent`` is False.
+  returns the records of this sweep over a mock pair, as ``demo theorem1``
+  prints them; a violation is a record whose ``ok`` is False.
 
 * With the merge-relation base group, triviality of the embedded word
   ``a(2n) a(2n-1)^-1`` holds exactly when n lies in the enumerated set, so
@@ -21,7 +21,7 @@ from __future__ import annotations
 from wreathembed import twogen
 from wreathembed.base_groups import EnumeratedPair, SemiVerdict, insep_oracle, re_oracle
 from wreathembed.orders import OrderOracle, lifted_order, pair_adapted_order
-from wreathembed.words import A_ALPHABET, Word, _at_least, _Frozen
+from wreathembed.words import A_ALPHABET, Word, _at_least
 
 
 # Called by perfbench/workloads.py (SeparateMock); perfbench/spans.py traces it by name (EXTRA).
@@ -53,41 +53,27 @@ def separator(n: int, order: OrderOracle) -> bool:
     return _same_side(*_signs(n, order))
 
 
-class SeparatorEntry(_Frozen):
-    __slots__ = _fields = ("n", "side", "separated", "sign_lo", "sign_hi")
-
-    def __init__(self, n: int, side: str, separated: bool, sign_lo: str, sign_hi: str):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "side", side)  # "n", "m" or "free"
-        object.__setattr__(self, "separated", separated)
-        object.__setattr__(self, "sign_lo", sign_lo)
-        object.__setattr__(self, "sign_hi", sign_hi)
-
-    @property
-    def consistent(self) -> bool:
-        if self.side == "n":
-            return self.separated
-        if self.side == "m":
-            return not self.separated
-        return True
-
-
-def separation_report(pair: EnumeratedPair, max_n: int) -> tuple[SeparatorEntry, ...]:
+def separation_report(pair: EnumeratedPair, max_n: int) -> tuple[dict, ...]:
     """Sweep the separator over 1..max_n against the pair's ground truth.
 
-    One entry per n, in order.  Needs a pair with a membership hint, for a
-    computable base order and for the expected answers.
+    One record per n, in order, as ``demo theorem1`` prints it, with the
+    keys in printed order: ``n``, ``side`` ("n", "m" or "free"),
+    ``separator`` ("in" when the separator holds, else "out"), ``sign_lo``,
+    ``sign_hi`` and ``ok``: whether the separator agrees with the side,
+    which a free index always does.  Needs a pair with a membership hint,
+    for a computable base order and for the expected answers.
     """
     if pair.classify is None:
         raise ValueError(f"pair {pair.name!r} has no membership hint")
-    H = insep_oracle(pair)
-    order = lifted_order(H, pair_adapted_order(pair))
-    entries = []
+    order = lifted_order(insep_oracle(pair), pair_adapted_order(pair))
+    records = []
     for n in range(1, max_n + 1):
         sign_lo, sign_hi = _signs(n, order)
-        side = pair.classify(n)[0]
-        entries.append(SeparatorEntry(n, side, _same_side(sign_lo, sign_hi), sign_lo, sign_hi))
-    return tuple(entries)
+        side, separated = pair.classify(n)[0], _same_side(sign_lo, sign_hi)
+        records.append({"n": n, "side": side, "separator": "in" if separated else "out",
+                        "sign_lo": sign_lo, "sign_hi": sign_hi,
+                        "ok": side == "free" or separated == (side == "n")})
+    return tuple(records)
 
 
 def merge_probe(n: int, enum_n, fuel: int) -> SemiVerdict:
@@ -97,8 +83,10 @@ def merge_probe(n: int, enum_n, fuel: int) -> SemiVerdict:
     merge-relation base group: trivial exactly when some enumerated value
     equals n.  Trivial verdicts are final; unknown only means the fuel ran
     out before n showed up.  Repeated probes over the same ``enum_n``
-    share its position index (see :func:`base_groups.re_oracle`), so each
-    enumerated value is fetched once, however many probes ask for it.
+    share one position reader (see :func:`base_groups.re_oracle`): the
+    enumeration's own positions for :func:`base_groups.halting_pair`, or a
+    memo for any other ``enum_n``, so each enumerated value is fetched
+    once, however many probes ask for it.
     The base word is built directly as its two runs, with no text.
     """
     _at_least(n, 1, "index")

@@ -559,15 +559,6 @@ class EnumeratedPairByDataclass:
     classify: Callable[[int], tuple[str, int | None]] | None = None
 
 
-@dataclass(frozen=True)
-class SeparatorEntryByDataclass:
-    n: int
-    side: str  # "n", "m" or "free"
-    separated: bool
-    sign_lo: str
-    sign_hi: str
-
-
 @dataclass
 class RunStateByDataclass:
     program: tuple[int, ...]

@@ -270,14 +270,14 @@ def test_criterion_7_pair_decider_matches_bruteforce():
 
 def test_criterion_8_separation_sweep():
     """Order-based separation classifies the first 50 indices with no errors."""
-    entries = reductions.separation_report(mock_pair(), 50)
+    records = reductions.separation_report(mock_pair(), 50)
     sides_ok = all(
-        entry.side == ("n" if entry.n % 2 else "m") and entry.separated == (entry.n % 2 == 1)
-        for entry in entries
+        r["side"] == ("n" if r["n"] % 2 else "m") and (r["separator"] == "in") == (r["n"] % 2 == 1)
+        for r in records
     )
-    violations = sum(not entry.consistent for entry in entries)
-    ok = len(entries) == 50 and not violations and sides_ok
-    _report(8, ok, f"{len(entries)} entries, {violations} violations")
+    violations = sum(not r["ok"] for r in records)
+    ok = len(records) == 50 and not violations and sides_ok
+    _report(8, ok, f"{len(records)} entries, {violations} violations")
 
 
 def test_criterion_9_probe_soundness_and_completeness():

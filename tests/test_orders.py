@@ -380,12 +380,12 @@ def test_compares_match_route_through_min_support(H, H_order, vector):
     if H is INSEP:
         # The separator's signs: each embedded generator against the identity.
         text, one = {"GT": "+", "EQ": "0", "LT": "-"}, FSElement.identity()
-        for e in separation_report(PAIR, 60):
-            words = (parse_word(f"a{i}", A_ALPHABET) for i in (2 * e.n - 1, 2 * e.n))
+        for r in separation_report(PAIR, 60):
+            words = (parse_word(f"a{i}", A_ALPHABET) for i in (2 * r["n"] - 1, 2 * r["n"]))
             verdicts = [
                 ref.fs_compare_by_min_support(twogen.encode_word(w), one, vector, H) for w in words
             ]
-            assert [e.sign_lo, e.sign_hi] == [text[verdict[0]] for verdict in verdicts], e
+            assert [r["sign_lo"], r["sign_hi"]] == [text[verdict[0]] for verdict in verdicts], r
 
 
 def sample_words(rng, H, relators) -> list[Word]:

@@ -15,6 +15,7 @@ from wreathembed import cli, reductions, twogen
 from wreathembed.base_groups import (
     TRIVIAL,
     UNKNOWN,
+    EnumeratedPair,
     halting_pair,
     insep_oracle,
     mock_pair,
@@ -23,7 +24,6 @@ from wreathembed.base_groups import (
 from wreathembed.machines import index_to_program, run_status
 from wreathembed.orders import lifted_order, pair_adapted_order
 from wreathembed.reductions import (
-    SeparatorEntry,
     _sign,
     _signs,
     merge_probe,
@@ -130,17 +130,31 @@ class TestReplacedRoutes:
 
 class TestSeparationReport:
     def test_no_violations_on_mock(self):
-        entries = separation_report(mock_pair(), 12)
-        assert [e.n for e in entries] == list(range(1, 13))
-        assert all(e.consistent for e in entries)
-        assert [e.side for e in entries[:4]] == ["n", "m", "n", "m"]
+        records = separation_report(mock_pair(), 12)
+        assert [r["n"] for r in records] == list(range(1, 13))
+        assert all(r["ok"] for r in records)
+        assert [r["side"] for r in records[:4]] == ["n", "m", "n", "m"]
 
     def test_signs(self):
         # Odd base generators embed positively; the even ones follow the
         # side of their relation.
-        for e in separation_report(mock_pair(), 4):
-            assert e.sign_lo == "+"
-            assert e.sign_hi == ("+" if e.side == "n" else "-")
+        for r in separation_report(mock_pair(), 4):
+            assert r["sign_lo"] == "+"
+            assert r["sign_hi"] == ("+" if r["side"] == "n" else "-")
+
+    def test_records_are_what_the_demo_prints(self, capsys):
+        records = separation_report(mock_pair(), 12)
+        assert all(
+            list(r) == ["n", "side", "separator", "sign_lo", "sign_hi", "ok"] for r in records
+        )
+        for output in ("structured", "text"):
+            args = ["--output", output, "demo", "theorem1", "--max-n", "12"]
+            assert cli.main(args) == 0
+            lines = capsys.readouterr().out.splitlines()[:12]
+            if output == "structured":
+                assert [json.loads(line) for line in lines] == list(records)
+            else:
+                assert lines == [cli._line(r) for r in records]
 
     def test_lines_format(self, capsys):
         assert cli.main(["demo", "theorem1", "--max-n", "3"]) == 0
@@ -171,10 +185,15 @@ class TestSeparationReport:
         with pytest.raises(ValueError):
             separation_report(halting_pair(), 3)
 
-    def test_free_side_is_always_consistent(self):
-        # Neither N nor M constrains an index on the free side.
-        for separated in (False, True):
-            assert SeparatorEntry(1, "free", separated, "+", "-").consistent
+    def test_free_side_is_always_consistent(self, monkeypatch):
+        # Neither N nor M constrains an index on the free side: index 1 gets
+        # signs on one side, index 2 signs on opposite sides.
+        mock = mock_pair()
+        pair = EnumeratedPair("free", mock.enum_n, mock.enum_m, lambda n: ("free", None))
+        monkeypatch.setattr(reductions, "_signs", lambda n, order: ("+", "+" if n == 1 else "-"))
+        records = separation_report(pair, 2)
+        assert [(r["side"], r["separator"], r["ok"]) for r in records] == [
+            ("free", "in", True), ("free", "out", True)]
 
 
 class TestMergeProbe:

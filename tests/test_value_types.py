@@ -22,7 +22,6 @@ import wreathembed
 from wreathembed import base_groups, machines, orders
 from wreathembed.base_groups import EnumeratedPair, GroupOracle
 from wreathembed.orders import OrderOracle
-from wreathembed.reductions import SeparatorEntry
 from wreathembed.twogen import FSElement
 from wreathembed.words import A_ALPHABET, FS_ALPHABET, X_ALPHABET, ZB_ALPHABET, Alphabet, Word
 from wreathembed.wreath import ZBElement
@@ -33,7 +32,7 @@ ALPHABETS = [X_ALPHABET, A_ALPHABET, ZB_ALPHABET, FS_ALPHABET]
 def _spec(rng: random.Random) -> tuple[type, type, tuple]:
     """A library class, its twin and the fields of one value, from small
     domains so that equal fields recur."""
-    kind = rng.randrange(6)
+    kind = rng.randrange(5)
     if kind == 0:
         name, plain, indexed = rng.choice(
             [("free-abelian", (), ("x",)), ("two-generator", ("f", "s"), ()), ("w", ("a",), ("b",))]
@@ -47,12 +46,9 @@ def _spec(rng: random.Random) -> tuple[type, type, tuple]:
         factors = tuple((rng.randint(0, 1), rng.choice((-1, 1))) for _ in range(rng.randint(0, 2)))
         twin = ref.ZBElementByDataclass if kind == 2 else ref.FSElementByDataclass
         return ZBElement if kind == 2 else FSElement, twin, (factors, rng.randint(-1, 1))
-    if kind == 4:
-        name, enum_n, enum_m, classify = (rng.choice(options) for options in (
-            ("mock", "other"), (abs, int), (abs, int), (None, bool)))
-        return EnumeratedPair, ref.EnumeratedPairByDataclass, (name, enum_n, enum_m, classify)
-    fields = (rng.randint(1, 2), rng.choice("nm"), rng.random() < 0.5, rng.choice("0+-"), "+")
-    return SeparatorEntry, ref.SeparatorEntryByDataclass, fields
+    name, enum_n, enum_m, classify = (rng.choice(options) for options in (
+        ("mock", "other"), (abs, int), (abs, int), (None, bool)))
+    return EnumeratedPair, ref.EnumeratedPairByDataclass, (name, enum_n, enum_m, classify)
 
 
 def _round_trips(value) -> list:
